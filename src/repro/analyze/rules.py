@@ -226,7 +226,7 @@ def check_wait_connected(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 def check_coherent(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     from ..routing.properties import is_coherent
 
-    rep = is_coherent(ctx.algorithm)
+    rep = is_coherent(ctx.algorithm, transitions=ctx.transitions)
     if not rep:
         yield Diagnostic(
             rule="RR002", severity=Severity.WARNING,

@@ -20,7 +20,11 @@ and precomputes the derived sets the rest of :mod:`repro.core` consumes:
   waiting on, i.e. the CWG out-neighbourhood contributed by destination ``d``;
 * ``upstream[c]`` -- channels from which state ``c`` is reachable: channels a
   message *blocked at* ``c`` might still hold, which is what the CWG'
-  reduction's wait-connectivity test needs.
+  reduction's wait-connectivity test needs;
+* ``downstream_node_masks[c]`` -- the nodes of every state reachable from
+  ``c``, itself included, as a node-id bitmask: what the coherence
+  certificate in :mod:`repro.routing.properties` reads (``c`` can still
+  reach ``d`` iff bit ``d`` is set).
 
 Reachable-set computation runs on the SCC condensation so cyclic
 (nonminimal) relations cost the same as acyclic ones.
@@ -96,6 +100,7 @@ class DestinationTransitions:
         self._wait_masks: dict[int, int] | None = None
         self._downstream_wait_masks: dict[int, int] | None = None
         self._upstream_masks: dict[int, int] | None = None
+        self._downstream_node_masks: dict[int, int] | None = None
         self._downstream_wait: dict[Channel, frozenset[Channel]] | None = None
         self._upstream: dict[Channel, frozenset[Channel]] | None = None
 
@@ -130,15 +135,25 @@ class DestinationTransitions:
     def downstream_wait_masks(self) -> dict[int, int]:
         """``state cid -> bitmask`` form of :attr:`downstream_wait`."""
         if self._downstream_wait_masks is None:
-            self._downstream_wait_masks = self._propagate(forward=True)
+            self._downstream_wait_masks = self._propagate(self.wait_masks, forward=True)
         return self._downstream_wait_masks
 
     @property
     def upstream_masks(self) -> dict[int, int]:
         """``state cid -> bitmask`` form of :attr:`upstream`."""
         if self._upstream_masks is None:
-            self._upstream_masks = self._propagate(forward=False)
+            held = {c.cid: 1 << c.cid if c.is_link else 0 for c in self.succ}
+            self._upstream_masks = self._propagate(held, forward=False)
         return self._upstream_masks
+
+    @property
+    def downstream_node_masks(self) -> dict[int, int]:
+        """``state cid -> bitmask of node ids``: the node ``s.dst`` of every
+        state ``s`` reachable from the state, itself included."""
+        if self._downstream_node_masks is None:
+            at = {c.cid: 1 << c.dst for c in self.succ}
+            self._downstream_node_masks = self._propagate(at, forward=True)
+        return self._downstream_node_masks
 
     # ------------------------------------------------------------------
     # frozenset adapter views
@@ -174,16 +189,18 @@ class DestinationTransitions:
             self._upstream = self._materialize(self.upstream_masks)
         return self._upstream
 
-    def _propagate(self, *, forward: bool) -> dict[int, int]:
+    def _propagate(self, seed: Mapping[int, int], *, forward: bool) -> dict[int, int]:
         """Reflexive-transitive closure aggregation over the SCC condensation.
 
-        forward=True accumulates waiting sets downstream; forward=False
-        accumulates held link channels upstream.  Runs on the integer
-        kernel: the state graph is indexed locally, Tarjan's decomposition
-        (labels in reverse topological order -- every inter-component edge
-        points to a smaller label) replaces the networkx condensation, and
-        the accumulated sets are cid bitmasks OR-ed along condensation
-        edges.  Returns ``state cid -> accumulated bitmask``.
+        Each state ``c`` contributes the bitmask ``seed[c.cid]``; forward=True
+        accumulates it downstream (over every state reachable from a state),
+        forward=False upstream (over every state a state is reachable
+        from).  Runs on the integer kernel: the state graph is indexed
+        locally, Tarjan's decomposition (labels in reverse topological order
+        -- every inter-component edge points to a smaller label) replaces
+        the networkx condensation, and the accumulated bitmasks are OR-ed
+        along condensation edges.  Returns ``state cid -> accumulated
+        bitmask``.
         """
         states = list(self.succ)
         idx = {c: i for i, c in enumerate(states)}
@@ -205,14 +222,8 @@ class DestinationTransitions:
                 indptr[i + 1] = len(indices)
         labels, ncomp = tarjan_scc(n, indptr, indices)
         comp_val = [0] * ncomp
-        if forward:
-            wait_masks = self.wait_masks
-            for i, c in enumerate(states):
-                comp_val[labels[i]] |= wait_masks[c.cid]
-        else:
-            for i, c in enumerate(states):
-                if c.is_link:
-                    comp_val[labels[i]] |= 1 << c.cid
+        for i, c in enumerate(states):
+            comp_val[labels[i]] |= seed[c.cid]
         # Successor components always carry smaller labels, so visiting
         # vertices by ascending component label reads only finalized values.
         for i in sorted(range(n), key=lambda v: labels[v]):

@@ -32,6 +32,7 @@ from typing import Any
 
 from ..analyze.screens import triage, triage_verdict
 from ..core.transitions import TransitionCache
+from ..deps.cdg import ChannelDependencyGraph
 from ..routing.catalog import CATALOG, make
 from ..routing.relation import RoutingAlgorithm
 from ..scenario import TopologySpec
@@ -285,9 +286,12 @@ def run_job(spec: JobSpec, cache: VerificationCache | None = None) -> JobResult:
                             metrics.count("triage_full_check")
                         return verify(ra, cwg=build_cwg())
                 elif key == "duato":
-                    compute = lambda: search_escape(ra)  # noqa: E731
+                    def compute():
+                        return search_escape(ra, transitions=transitions)
                 else:
-                    compute = lambda: dally_seitz(ra)  # noqa: E731
+                    def compute():
+                        cdg = ChannelDependencyGraph(ra, transitions=transitions)
+                        return dally_seitz(ra, cdg=cdg)
                 verdict, was_cached = cached_verdict(ra, key, compute, cache, fingerprint=fp)
             if not was_cached:
                 _extract_counters(verdict, metrics)

@@ -6,19 +6,26 @@ paper's whole point is that its own condition needs neither.  These checkers
 make the distinction executable: the Section-9 algorithms (HPL, EFA) fail
 ``is_coherent`` yet pass the CWG condition, and the benchmarks record both.
 
-All checks work by exhaustive path enumeration, so they are meant for the
-small-to-medium networks used in verification (the theory side), not for the
-large simulation configs.
+The per-pair checks work by path enumeration (:mod:`repro.routing.paths`),
+which names the first offending path but grows with the number of permitted
+paths.  :func:`is_coherent` therefore first tries a sufficient certificate
+read off the per-destination routing-state graphs
+(:class:`~repro.core.transitions.TransitionCache`), whose cost grows with
+the number of routing states; only when the certificate declines does the
+enumeration run, and it alone words every counterexample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
+from typing import TYPE_CHECKING
 
 from ..topology.channel import Channel
 from .paths import enumerate_paths, has_route, path_nodes
 from .relation import RoutingAlgorithm
+
+if TYPE_CHECKING:
+    from ..core.transitions import TransitionCache
 
 
 @dataclass
@@ -183,8 +190,14 @@ def never_revisits_node(algorithm: RoutingAlgorithm, *, max_hops: int | None = N
     """No permitted path routes through the same node twice.
 
     Checked over non-simple enumeration bounded at ``max_hops`` (default:
-    ``num_nodes + 1`` hops, enough to expose any revisit on a shortest
-    witness).
+    ``num_nodes + 1`` hops), which sees only the revisiting paths that
+    reach the destination within the bound.  For an ND relation the default
+    is enough: dropping the first hop of a permitted path leaves a permitted
+    path (the relation ignores the input channel), so a shortest revisiting
+    path without its first hop is simple, and the whole path has at most
+    ``num_nodes`` hops.  A CND relation can need more hops to reach the
+    destination after its first revisit, so for CND relations the default
+    bound is not sufficient in general.
     """
     net = algorithm.network
     bound = max_hops if max_hops is not None else net.num_nodes + 1
@@ -198,8 +211,28 @@ def never_revisits_node(algorithm: RoutingAlgorithm, *, max_hops: int | None = N
     return PropertyReport(True)
 
 
-def is_coherent(algorithm: RoutingAlgorithm, *, max_hops: int | None = None) -> PropertyReport:
-    """Definition 7: prefix-closed, suffix-closed, and never revisits a node."""
+def is_coherent(
+    algorithm: RoutingAlgorithm,
+    *,
+    max_hops: int | None = None,
+    transitions: TransitionCache | None = None,
+) -> PropertyReport:
+    """Definition 7: prefix-closed, suffix-closed, and never revisits a node.
+
+    Decided on the per-destination state graphs when
+    :func:`certifies_coherence` holds; otherwise the per-pair enumeration
+    runs and reports the first failing check with its counterexample.  Pass
+    the ``transitions`` already built for ``algorithm`` to share them.
+    """
+    from ..core.transitions import TransitionCache  # importing repro.core is heavy
+
+    if certifies_coherence(algorithm, transitions or TransitionCache(algorithm)):
+        return PropertyReport(True)
+    return enumerate_coherence(algorithm, max_hops=max_hops)
+
+
+def enumerate_coherence(algorithm: RoutingAlgorithm, *, max_hops: int | None = None) -> PropertyReport:
+    """Definition 7 by path enumeration alone: the first failing check wins."""
     for check, label in (
         (is_prefix_closed, "prefix-closed"),
         (is_suffix_closed, "suffix-closed"),
@@ -209,6 +242,68 @@ def is_coherent(algorithm: RoutingAlgorithm, *, max_hops: int | None = None) -> 
         if not rep:
             return PropertyReport(False, f"not {label}: {rep.counterexample}", rep.details)
     return PropertyReport(True)
+
+
+def certifies_coherence(algorithm: RoutingAlgorithm, transitions: TransitionCache) -> bool:
+    """Sufficient condition for Definition 7 on the routing-state graphs.
+
+    Every permitted path to ``d`` is a walk through the states of
+    ``transitions[d]`` that can still reach ``d`` ("live" states), and every
+    live transition ``a -> c`` lies on such a path.  The certificate holds
+    when, for every destination ``d`` and live transition ``a -> c`` at
+    node ``n = a.dst``:
+
+    * ``c`` leaves ``n`` and no state reachable from ``c`` sits at ``n``, so
+      no walk revisits a node (node-revisit-freedom, any hop bound);
+    * for a link state ``a``, ``c in R(inj(n), n, d)``: the hop taken after
+      arriving over ``a`` is also offered to a message injected at ``n``,
+      and the rest of the suffix is the same walk (suffix closure);
+    * ``c in R(a, n, m)`` for every node ``m != d`` reachable from ``c``:
+      each hop of a path is offered again towards every later node of it
+      (prefix closure).  These demands are merged per ``(a, m)`` across
+      destinations and checked once each, against ``transitions[m]`` when
+      ``a`` is one of its states.
+
+    Holding implies :func:`enumerate_coherence` holds for every
+    ``max_hops``; declining proves nothing.  Nothing assumes that an
+    ND-declared relation ignores its input channel.
+    """
+    from ..core.depgraph import bits
+
+    net = algorithm.network
+    need: dict[int, dict[int, int]] = {}  # a -> m -> cids c required in R(a, a.dst, m)
+    for dt in transitions.all_destinations():
+        dest_bit = 1 << dt.dest
+        succ = dt.succ_masks
+        reach = dt.downstream_node_masks
+        for a, outs in dt.succ.items():
+            if not outs:
+                continue
+            here = a.dst
+            fresh = succ[net.injection_channel(here).cid] if a.is_link else succ[a.cid]
+            row = need.get(a.cid)
+            if row is None:
+                row = need[a.cid] = {}
+            for c in outs:
+                later = reach[c.cid]
+                if not later & dest_bit:
+                    continue
+                if later >> here & 1 or c.src != here or not fresh >> c.cid & 1:
+                    return False
+                bit = 1 << c.cid
+                for m in bits(later ^ dest_bit):
+                    row[m] = row.get(m, 0) | bit
+    for a, row in need.items():
+        for m, wanted in row.items():
+            have = transitions[m].succ_masks.get(a)
+            if have is None:
+                a_ch = net.channel(a)
+                have = 0
+                for c in algorithm.route(a_ch, a_ch.dst, m):
+                    have |= 1 << c.cid
+            if wanted & ~have:
+                return False
+    return True
 
 
 def is_fully_adaptive(algorithm: RoutingAlgorithm) -> PropertyReport:

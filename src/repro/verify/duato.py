@@ -16,11 +16,17 @@ Applicability is enforced, not assumed: the verifier first confirms the
 relation has Duato's form and is coherent/minimal-path-providing, and
 reports "not applicable" otherwise -- this is exactly the gap (HPL, EFA,
 the incoherent example) that the supplied paper's condition closes.
+
+One :class:`~repro.core.transitions.TransitionCache` serves a whole
+decision: the coherence certificate and every candidate's ECDG read the same
+per-destination transition graphs, and a caller that already built them
+(the batch pipeline, for the fingerprint) passes its cache in.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 from itertools import combinations
 
 from ..core.cycles import find_one_cycle
@@ -34,11 +40,20 @@ from .report import Verdict
 ApplicabilityFn = Callable[..., tuple[bool, str]]
 
 
-def applicability(algorithm: RoutingAlgorithm, *, max_hops: int | None = None) -> tuple[bool, str]:
-    """Are Duato's hypotheses satisfied?  (form, coherence, minimal paths)"""
+def applicability(
+    algorithm: RoutingAlgorithm,
+    *,
+    max_hops: int | None = None,
+    transitions: TransitionCache | None = None,
+) -> tuple[bool, str]:
+    """Are Duato's hypotheses satisfied?  (form, coherence, minimal paths)
+
+    ``transitions`` is the cache the coherence certificate reads (built
+    here when absent).
+    """
     if algorithm.form != "ND":
         return False, f"routing relation has form {algorithm.form}, Duato requires R(n, d)"
-    coh = is_coherent(algorithm, max_hops=max_hops)
+    coh = is_coherent(algorithm, max_hops=max_hops, transitions=transitions)
     if not coh:
         return False, f"not coherent: {coh.counterexample}"
     minp = provides_minimal_path(algorithm)
@@ -61,11 +76,14 @@ def duato_condition(
     ``ecdg_cls`` is a seam for alternative ECDG builders; the fuzz
     subsystem's deliberately broken variants use it to prove the oracle
     stack can catch a checker that drops a dependency type.  ``transitions``
-    hands the ECDG an already-populated per-destination transition cache
-    (the incremental engine shares one across re-verifications).
+    hands the applicability check and the ECDG an already-populated
+    per-destination transition cache (the incremental engine shares one
+    across re-verifications); without it one is built and shared by both.
     """
+    if transitions is None:
+        transitions = TransitionCache(algorithm)
     if check_applicability:
-        ok, why = applicability(algorithm, max_hops=max_hops)
+        ok, why = applicability(algorithm, max_hops=max_hops, transitions=transitions)
         if not ok:
             return Verdict(
                 algorithm.name, "Duato", False, necessary_and_sufficient=False,
@@ -112,11 +130,15 @@ def search_escape(
     exhibition); if none does, the verdict reports failure of the *search*,
     not a proof of deadlock (the complete search is exponential).
 
-    ``applicability_fn`` substitutes for :func:`applicability` (same
-    signature and messages); the incremental engine injects a memoizing
-    variant whose per-pair coherence cells survive across deltas.
+    One transition cache -- ``transitions``, or a fresh one -- serves the
+    applicability check and every candidate's ECDG.  ``applicability_fn``
+    substitutes for :func:`applicability` (same messages, called with
+    ``max_hops`` only); the incremental engine injects a memoizing variant
+    whose per-pair coherence cells survive across deltas.
     """
-    check = applicability_fn if applicability_fn is not None else applicability
+    if transitions is None:
+        transitions = TransitionCache(algorithm)
+    check = applicability_fn or partial(applicability, transitions=transitions)
     ok, why = check(algorithm, max_hops=max_hops)
     if not ok:
         return Verdict(

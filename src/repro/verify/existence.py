@@ -76,6 +76,7 @@ from hashlib import blake2b
 from typing import TYPE_CHECKING, Any
 
 from ..core.depgraph import bits, find_cycle_adj
+from ..core.transitions import TransitionCache
 
 if TYPE_CHECKING:
     from ..routing.relation import RoutingAlgorithm
@@ -813,11 +814,12 @@ def _witness_tables(
             f"n{node}->{dest}": [cid] for (node, dest), cid in assignment.items()
         }
         algo = _build_witness(network, "nd-minimal", table)
-        if is_coherent(algo) and provides_minimal_path(algo):
+        tc = TransitionCache(algo)
+        if is_coherent(algo, transitions=tc) and provides_minimal_path(algo):
             from . import duato, necsuf
 
             theorem_ok = necsuf.verify(algo).deadlock_free
-            duato_ok = duato.search_escape(algo).deadlock_free
+            duato_ok = duato.search_escape(algo, transitions=tc).deadlock_free
             if theorem_ok and duato_ok:
                 return "nd-minimal", table
     return "cnd-ordered", _cnd_ordered_table(network, schedule)
