@@ -865,7 +865,8 @@ def main(argv: list[str] | None = None) -> int:
     pf.add_argument("--cases", type=int, default=200,
                     help="case budget (<= 0 = unbounded, use --seconds)")
     pf.add_argument("--seconds", type=float, default=None,
-                    help="wall-clock budget (machine-dependent case coverage)")
+                    help="wall-clock budget (machine-dependent case coverage); "
+                         "checked between chunks of cases, so started cases always finish")
     pf.add_argument("--families", default=None,
                     help="comma-separated generator families (default: all)")
     pf.add_argument("--stack", default="real",

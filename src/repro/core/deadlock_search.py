@@ -21,6 +21,15 @@ minimum head cid, and prunes on channel disjointness -- which is what makes
 the ring feasible: every lap-closing segment chain needs the shared ``cA``
 channel twice and dies immediately.
 
+Both searches run on channel-id bitmasks: a segment's held set is the
+integer :attr:`~repro.core.false_cycles.Segment.mask` (bit ``cid`` per held
+channel), computed once when the segment is built, so the held and waiting
+sets a DFS node carries are ints and the disjointness test is one ``&``.
+Masks are only the representation: the node order is the canonical order
+(:meth:`TrueCycleSearch.segments_from` order per head; head cid, then
+segment order, for :class:`AnyWaitConfigSearch`), the same as a search
+over ``Channel`` sets, so node counts and witnesses do not depend on it.
+
 Pre-cycle reachability (phase 2 of Section 7.2) is applied to each candidate
 before it is reported TRUE; candidates failing it are collected as
 UNDETERMINED, mirroring :class:`repro.core.false_cycles.CycleClassifier`.
@@ -28,12 +37,17 @@ UNDETERMINED, mirroring :class:`repro.core.false_cycles.CycleClassifier`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from ..topology.channel import Channel
 from .cwg import ChannelWaitingGraph
 from .cycles import Cycle
 from .false_cycles import Classification, CycleClass, CycleClassifier, Segment
+
+#: one channel's covering segments: their head cids (ascending) and, in the
+#: same order, ``(held mask, waiting mask, segment)``
+_Covers = tuple[list[int], list[tuple[int, int, Segment]]]
 
 
 @dataclass
@@ -151,21 +165,19 @@ class TrueCycleSearch:
 
             dfs(head)
         # Domination filter per waited channel: keep held-set-minimal segments.
-        by_wait: dict[Channel, list[tuple[tuple[Channel, ...], frozenset[Channel], set[int]]]] = {}
+        by_wait: dict[Channel, list[Segment]] = {}
         for (path_t, b), dests in raw.items():
-            by_wait.setdefault(b, []).append((path_t, frozenset(path_t), dests))
+            by_wait.setdefault(b, []).append(Segment(min(dests), path_t, b))
         out: list[Segment] = []
         for b, group in by_wait.items():
-            group.sort(key=lambda t: len(t[1]))
-            kept: list[tuple[tuple[Channel, ...], frozenset[Channel], set[int]]] = []
-            for path_t, held, dests in group:
-                if any(k_held <= held for _, k_held, _ in kept):
+            group.sort(key=lambda s: len(s.path))
+            kept: list[Segment] = []
+            for seg in group:
+                if any(k.mask & ~seg.mask == 0 for k in kept):
                     continue
-                kept.append((path_t, held, dests))
-            for path_t, held, dests in kept:
-                seg = Segment(min(dests), path_t, b)
-                self._alt_dests[(path_t, b)] = sorted(dests)
-                out.append(seg)
+                kept.append(seg)
+                self._alt_dests[(seg.path, b)] = sorted(raw[(seg.path, b)])
+            out.extend(kept)
         out.sort(key=lambda s: (len(s.path), s.waits_on.cid, s.dest))
         self._segments[head] = out
         return out
@@ -179,50 +191,56 @@ class TrueCycleSearch:
 
         for start in heads:
             chain: list[Segment] = []
-            reach = self._can_reach(start)
+            s = start.cid
+            reach = self._can_reach(s)
+            # Per head: the segments a cycle canonicalized at ``start`` may
+            # use, in segments_from order, as (held mask, closes, segment).
+            # Canonical form puts no head below the start channel, and a
+            # segment waiting outside ``reach`` cannot lead back to it.
+            allowed: dict[int, list[tuple[int, bool, Segment]]] = {}
 
-            def dfs(head: Channel, used: frozenset[Channel]) -> bool:
+            def dfs(head: Channel, used: int) -> bool:
                 nonlocal budget
                 budget -= 1
                 if budget <= 0:
                     outcome.exhaustive = False
                     return False
-                for seg in self.segments_from(head):
-                    # canonical form: no head below the start channel
-                    if seg.waits_on.cid < start.cid:
-                        continue
-                    if used & seg.held:
+                cands = allowed.get(head.cid)
+                if cands is None:
+                    cands = allowed[head.cid] = [
+                        (seg.mask, seg.waits_on.cid == s, seg)
+                        for seg in self.segments_from(head)
+                        if seg.waits_on.cid == s or reach >> seg.waits_on.cid & 1
+                    ]
+                for mask, closes, seg in cands:
+                    if used & mask:
                         continue  # violates pairwise channel-disjointness
-                    if seg.waits_on == start:
-                        chain.append(seg)
+                    chain.append(seg)
+                    if closes:
                         if self._accept(chain, outcome):
                             return True
-                        chain.pop()
-                        continue
-                    if seg.waits_on not in reach:
-                        continue  # cannot lead back to the start channel
-                    chain.append(seg)
-                    if dfs(seg.waits_on, used | seg.held):
+                    elif dfs(seg.waits_on, used | mask):
                         return True
                     chain.pop()
                 return False
 
-            if dfs(start, frozenset()):
+            if dfs(start, 0):
                 break
             if not outcome.exhaustive:
                 break
         outcome.nodes_explored = self.max_nodes - budget
         return outcome
 
-    def _can_reach(self, start: Channel) -> frozenset[Channel]:
-        """Channels with a CWG path back to ``start`` through cids >= start's.
+    def _can_reach(self, start: int) -> int:
+        """Cids with a CWG path back to ``start`` through cids >= it, as a mask.
 
         Any cycle canonicalized at ``start`` visits only such channels, so
         the DFS prunes every segment waiting outside this set.
         """
-        channel = self.cwg.algorithm.network.channel
-        cids = self.cwg.dep.reverse_reachable(start.cid, min_cid=start.cid)
-        return frozenset(channel(c) for c in cids)
+        mask = 0
+        for c in self.cwg.dep.reverse_reachable(start, min_cid=start):
+            mask |= 1 << c
+        return mask
 
     def _accept(self, chain: list[Segment], outcome: SearchOutcome) -> bool:
         """Phase-2 check a closed chain; record it appropriately.
@@ -308,6 +326,9 @@ class AnyWaitConfigSearch:
     configuration valid), so candidate segments head at waited-on channels
     and the member covering an uncovered wait may carry it anywhere along
     its path.  Configurations are canonicalized by their minimum head.
+    The segments carrying each channel are indexed once
+    (:meth:`_cover_index`), so a node scans only the covers of its lowest
+    uncovered wait.
     """
 
     def __init__(
@@ -326,34 +347,37 @@ class AnyWaitConfigSearch:
         self._waitable: frozenset[Channel] = frozenset(
             channel(b) for b in cwg.dep.target_cids()
         )
-        #: blocked-message segments (dest, path, full waiting set), per head
-        self._segments: dict[Channel, list[tuple[Segment, frozenset[Channel]]]] = {}
+        #: blocked-message segments (dest, path) with their full waiting-set
+        #: mask, per head
+        self._segments: dict[Channel, list[tuple[Segment, int]]] = {}
 
-    def segments_from(self, head: Channel) -> list[tuple[Segment, frozenset[Channel]]]:
+    def segments_from(self, head: Channel) -> list[tuple[Segment, int]]:
         """All blocked-message segments starting at ``head``.
 
         Unlike the cycle search there is no destination merging and no
         held-set domination: a longer path covers more waits, so neither
         reduction is sound here.  Each segment is paired with its full
-        waiting set; its ``waits_on`` is the set's minimum (for witness
-        display only).
+        waiting set as a cid bitmask; its ``waits_on`` is the set's minimum
+        (for witness display only).
         """
         cached = self._segments.get(head)
         if cached is not None:
             return cached
-        out: list[tuple[Segment, frozenset[Channel]]] = []
+        channel = self.cwg.algorithm.network.channel
+        out: list[tuple[Segment, int]] = []
         for dest in self.cwg.algorithm.network.nodes:
             dt = self.cwg.transitions[dest]
             if head not in dt.usable:
                 continue
+            wait_masks = dt.wait_masks
             path = [head]
             on_path = {head}
 
             def dfs(c: Channel) -> None:
-                waits = frozenset(dt.wait.get(c, ()))
+                waits = wait_masks.get(c.cid, 0)
                 if waits:
-                    seg = Segment(dest, tuple(path), min(waits, key=lambda ch: ch.cid))
-                    out.append((seg, waits))
+                    low = (waits & -waits).bit_length() - 1
+                    out.append((Segment(dest, tuple(path), channel(low)), waits))
                 if len(path) >= self.max_segment_len:
                     return
                 for nxt in sorted(dt.succ.get(c, ()), key=lambda ch: ch.cid):
@@ -371,45 +395,66 @@ class AnyWaitConfigSearch:
         self._segments[head] = out
         return out
 
+    def _cover_index(self, heads: list[Channel]) -> dict[int, _Covers]:
+        """Per channel cid: every segment whose path carries it.
+
+        Entries are ``(held mask, waiting mask, segment)`` ordered by head
+        cid, then :meth:`segments_from` order, with the head cids alongside
+        so a search canonicalized at ``start`` can skip the heads below it.
+        """
+        index: dict[int, _Covers] = {}
+        for h in heads:
+            for seg, waits in self.segments_from(h):
+                for c in seg.path:
+                    head_cids, entries = index.setdefault(c.cid, ([], []))
+                    head_cids.append(h.cid)
+                    entries.append((seg.mask, waits, seg))
+        return index
+
     def search(self) -> ConfigOutcome:
         """Find a deadlock configuration or prove none exists."""
         outcome = ConfigOutcome()
         budget = self.max_nodes
         heads = sorted(self._waitable, key=lambda c: c.cid)
+        covers: dict[int, _Covers] | None = None
+        no_covers: _Covers = ([], [])
 
         for start in heads:
-            chosen: list[tuple[Segment, frozenset[Channel]]] = []
+            chosen: list[Segment] = []
+            s = start.cid
 
-            def dfs(held: frozenset[Channel], pending: frozenset[Channel]) -> bool:
-                nonlocal budget
+            def dfs(held: int, pending: int) -> bool:
+                nonlocal budget, covers
                 budget -= 1
                 if budget <= 0:
                     outcome.exhaustive = False
                     return False
                 if not pending:
-                    return self._accept(chosen, held, outcome)
-                w = min(pending, key=lambda c: c.cid)
-                # every member of a canonical configuration heads at or
-                # above the start channel; the cover may carry ``w``
-                # anywhere along its path
-                for h in heads:
-                    if h.cid < start.cid:
+                    return self._accept(chosen, outcome)
+                if covers is None:
+                    covers = self._cover_index(heads)
+                # the lowest uncovered waiting channel; every member of a
+                # canonical configuration heads at or above the start
+                # channel, and the cover may carry ``w`` anywhere along its
+                # path
+                w = (pending & -pending).bit_length() - 1
+                head_cids, entries = covers.get(w, no_covers)
+                for i in range(bisect_left(head_cids, s), len(entries)):
+                    mask, waits, seg = entries[i]
+                    if held & mask:
                         continue
-                    for seg, waits in self.segments_from(h):
-                        if w not in seg.held or held & seg.held:
-                            continue
-                        nheld = held | seg.held
-                        chosen.append((seg, waits))
-                        if dfs(nheld, (pending | waits) - nheld):
-                            return True
-                        chosen.pop()
-                        if not outcome.exhaustive:
-                            return False
+                    nheld = held | mask
+                    chosen.append(seg)
+                    if dfs(nheld, (pending | waits) & ~nheld):
+                        return True
+                    chosen.pop()
+                    if not outcome.exhaustive:
+                        return False
                 return False
 
             for seg, waits in self.segments_from(start):
-                chosen.append((seg, waits))
-                if dfs(seg.held, waits - seg.held):
+                chosen.append(seg)
+                if dfs(seg.mask, waits & ~seg.mask):
                     outcome.nodes_explored = self.max_nodes - budget
                     return outcome
                 chosen.pop()
@@ -419,19 +464,15 @@ class AnyWaitConfigSearch:
         outcome.nodes_explored = self.max_nodes - budget
         return outcome
 
-    def _accept(
-        self,
-        chosen: list[tuple[Segment, frozenset[Channel]]],
-        held: frozenset[Channel],
-        outcome: ConfigOutcome,
-    ) -> bool:
+    def _accept(self, chosen: list[Segment], outcome: ConfigOutcome) -> bool:
         """Reachability-check a closed configuration (Section 7.2 phase 2)."""
-        config = [seg for seg, _ in chosen]
+        config = list(chosen)
+        held: frozenset[Channel] = frozenset().union(*(seg.held for seg in config))
         for seg in config:
             others = held - seg.held
             if not (self.classifier._startable_at_source(seg) or
                     self.classifier._prepath_avoiding(seg, others)):
-                outcome.undetermined.append(list(config))
+                outcome.undetermined.append(config)
                 return False
         outcome.deadlock = config
         return True

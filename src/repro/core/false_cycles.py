@@ -52,11 +52,25 @@ class CycleClass(enum.Enum):
 
 @dataclass
 class Segment:
-    """One edge's witness: the channels its message holds, in order."""
+    """One edge's witness: the channels its message holds, in order.
+
+    ``mask`` is the held set as a channel-id bitmask (bit ``cid`` set for
+    every channel on the path), computed once at construction: the searches
+    test channel-disjointness and grow their held sets on it.  ``held`` is
+    the same set as :class:`Channel` objects, for display and for the
+    phase-2 reachability check.
+    """
 
     dest: int
     path: tuple[Channel, ...]  # p_0 .. p_m, all held by the message
     waits_on: Channel
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mask = 0
+        for c in self.path:
+            mask |= 1 << c.cid
+        self.mask = mask
 
     @property
     def held(self) -> frozenset[Channel]:
@@ -199,20 +213,20 @@ class CycleClassifier:
         order = sorted(range(len(edges)), key=lambda i: len(per_edge[i]))
         chosen: list[Segment | None] = [None] * len(edges)
 
-        def search(pos: int, used: frozenset[Channel]) -> bool:
+        def search(pos: int, used: int) -> bool:
             if pos == len(order):
                 return True
             idx = order[pos]
             for seg in per_edge[idx]:
-                if used & seg.held:
+                if used & seg.mask:
                     continue
                 chosen[idx] = seg
-                if search(pos + 1, used | seg.held):
+                if search(pos + 1, used | seg.mask):
                     return True
                 chosen[idx] = None
             return False
 
-        if not search(0, frozenset()):
+        if not search(0, 0):
             return Classification(
                 cycle, CycleClass.FALSE_RESOURCE,
                 reason="no channel-disjoint assignment of witness segments exists",

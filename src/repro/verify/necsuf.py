@@ -23,7 +23,7 @@ at worst the verifier is incomplete and says so in the verdict.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from ..core.cwg import ChannelWaitingGraph, wait_connected
@@ -421,11 +421,13 @@ def _theorem3_config_decision(
     yet no reachable configuration occupies both waiting channels at once.
     The exhaustive configuration search settles both sides; only when it
     exceeds its budget (or hits a reachability-undetermined configuration)
-    is the non-authoritative ``fallback`` verdict returned.
+    is the non-authoritative ``fallback`` verdict returned; an exhausted
+    budget is named in its reason and evidence with the node count.
     """
     from ..core.deadlock_search import AnyWaitConfigSearch
 
-    outcome = AnyWaitConfigSearch(cwg, max_nodes=max(max_nodes // 10, 10_000)).search()
+    budget = max(max_nodes // 10, 10_000)
+    outcome = AnyWaitConfigSearch(cwg, max_nodes=budget).search()
     if outcome.deadlock is not None:
         return Verdict(
             algorithm.name, "Theorem 3", False,
@@ -452,6 +454,19 @@ def _theorem3_config_decision(
                 "messages occupies every member's full waiting set"
             ),
             evidence=evidence,
+        )
+    if not outcome.exhaustive:
+        return replace(
+            fallback,
+            reason=(
+                f"{fallback.reason}; the exact configuration search exhausted "
+                f"its budget of {budget:,} nodes ({outcome.nodes_explored:,} explored)"
+            ),
+            evidence={
+                **fallback.evidence,
+                "config_search_max_nodes": budget,
+                "nodes_explored": outcome.nodes_explored,
+            },
         )
     return fallback
 
