@@ -14,15 +14,24 @@ was for and the **pre-mask** channels it consulted.  Those consulted sets
 drive the session's sound invalidation rules -- a link going down or up can
 only change behavior observable through a query whose base route/waiting set
 contains that channel, and the first diverging query of any deterministic
-consumer (a transition walk, a coherence pair check) is one both the cached
+consumer (the session's transition walks) is one both the cached
 run and a fresh run perform.  Recording is off during verification proper,
 so the overlay behaves as a plain relation there.
+
+Base rows are memoized per overlay, keyed by ``(c_in.cid, dest)`` (the
+relation is a pure function of the input channel and the destination, as
+:class:`~repro.routing.relation.RouteTable` also relies on).  Deltas never
+invalidate the memo: table edits are consulted before it and the down mask
+is applied after it, and the recorder notes the pre-mask set on every
+query, memo hit or not.
 """
 
 from __future__ import annotations
 
 from ..routing.relation import RoutingAlgorithm
 from ..topology.channel import Channel
+
+_ROUTES, _WAITS = 0, 1
 
 _EMPTY: frozenset[Channel] = frozenset()
 
@@ -69,6 +78,14 @@ class OverlayRouting(RoutingAlgorithm):
         self.down: frozenset[Channel] = frozenset(down)
         self.edits: dict[str, tuple[frozenset[Channel], frozenset[Channel]]] = dict(edits or {})
         self._recorder: RouteRecorder | None = None
+        #: (slot, c_in cid, dest) -> the base relation's pre-mask set
+        self._rows: dict[tuple[int, int, int], frozenset[Channel]] = {}
+        # The default waiting set is the route set: share its memo slot.
+        self._wait_slot = (
+            _ROUTES
+            if type(base).waiting_channels is RoutingAlgorithm.waiting_channels
+            else _WAITS
+        )
 
     # ------------------------------------------------------------------
     def table_key(self, c_in: Channel, node: int, dest: int) -> str:
@@ -90,23 +107,28 @@ class OverlayRouting(RoutingAlgorithm):
     # the relation
     # ------------------------------------------------------------------
     def route(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        if node == dest:
-            return _EMPTY
-        hit = self.edits.get(self.table_key(c_in, node, dest)) if self.edits else None
-        routes = hit[0] if hit is not None else self.base.route(c_in, node, dest)
-        if self._recorder is not None:
-            self._recorder.note(dest, routes)
-        if self.down and routes:
-            return routes - self.down
-        return routes
+        return self._query(_ROUTES, c_in, node, dest)
 
     def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
+        return self._query(_WAITS, c_in, node, dest)
+
+    def _query(self, slot: int, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
+        """One route (``slot`` 0) or waiting (1) query: a table edit wins,
+        else the memoized base row; then record, then mask."""
         if node == dest:
             return _EMPTY
         hit = self.edits.get(self.table_key(c_in, node, dest)) if self.edits else None
-        waits = hit[1] if hit is not None else self.base.waiting_channels(c_in, node, dest)
+        if hit is not None:
+            got = hit[slot]
+        else:
+            base_slot = self._wait_slot if slot == _WAITS else _ROUTES
+            key = (base_slot, c_in.cid, dest)
+            got = self._rows.get(key)
+            if got is None:
+                fn = self.base.route if base_slot == _ROUTES else self.base.waiting_channels
+                got = self._rows[key] = fn(c_in, node, dest)
         if self._recorder is not None:
-            self._recorder.note(dest, waits)
-        if self.down and waits:
-            return waits - self.down
-        return waits
+            self._recorder.note(dest, got)
+        if self.down and got:
+            return got - self.down
+        return got

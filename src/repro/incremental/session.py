@@ -17,10 +17,10 @@ and keeps every artifact the verifiers consume hot across a stream of
   -- payload-only deltas transfer the Tarjan decomposition verbatim,
   structural deltas recompute it canonically while the dirty-SCC frontier
   bounds and audits the blast radius;
-* Duato's per-pair coherence/minimality cells, invalidated by the same
-  recorded (destination, channel) footprints and injected into
-  :func:`~repro.verify.duato.search_escape` as a drop-in
-  ``applicability_fn``.
+* Duato's applicability (coherence and minimal paths), decided by
+  :func:`~repro.verify.duato.search_escape` on those same transition
+  graphs -- the code path :meth:`IncrementalSession.full_check` runs cold,
+  so the two cannot diverge there.
 
 The correctness contract is *bit-identical equivalence*: for any delta
 sequence, :meth:`IncrementalSession.check` must produce the same verdicts
@@ -56,13 +56,6 @@ from ..pipeline.fingerprint import (
 )
 from ..pipeline.observability import StageMetrics
 from ..routing.catalog import make
-from ..routing.properties import (
-    PropertyReport,
-    minimal_path_pair,
-    prefix_closed_pair,
-    revisit_free_pair,
-    suffix_closed_pair,
-)
 from ..routing.relation import RoutingAlgorithm
 from ..topology.channel import Channel
 from ..verify import dally_seitz, search_escape, verify
@@ -70,13 +63,6 @@ from ..verify.dally_seitz import is_nonadaptive
 from ..verify.report import Verdict
 from .deltas import Delta, LinkDown, LinkUp, TableEdit, VcAdd, parse_table_key
 from .overlay import OverlayRouting, RouteRecorder
-
-#: the coherence sub-checks in the exact order :func:`is_coherent` runs them
-_COHERENCE_KINDS = (
-    ("prefix", "prefix-closed"),
-    ("suffix", "suffix-closed"),
-    ("revisit", "node-revisit-free"),
-)
 
 
 @dataclass
@@ -188,7 +174,6 @@ class IncrementalSession:
             down.add(c)
         self.overlay = OverlayRouting(self.base, down=frozenset(down))
         self.tc = TransitionCache(self.overlay)
-        self._dist = net.shortest_distances()
         #: dest -> pre-mask channel bitmask its transition walk consulted
         self._relevant: dict[int, int] = {}
         #: per-destination (src_cid, dst_cid) edge sets for both kernels
@@ -196,8 +181,6 @@ class IncrementalSession:
         self._cdg_edges: dict[int, set[tuple[int, int]]] = {}
         self._dep: DepGraph | None = None
         self._cdg_dep: DepGraph | None = None
-        #: (kind, src, dest) -> (report, consulted dests, consulted channels)
-        self._cells: dict[tuple[str, int, int], tuple[PropertyReport, frozenset[int], int]] = {}
         #: cached relation-fingerprint pieces; segments keyed by destination
         self._fp_header: bytes | None = None
         self._fp_segments: dict[int, bytes] = {}
@@ -300,11 +283,9 @@ class IncrementalSession:
                 # variant skips exactly this expansion.
                 bit = 1 << c.cid
                 dirty = {d for d, m in self._relevant.items() if m & bit}
-                self._invalidate_cells_channel(c.cid)
         elif isinstance(delta, TableEdit):
             dest = self._apply_edit(delta)
             dirty = {dest}
-            self._invalidate_cells_dest(dest)
         elif isinstance(delta, VcAdd):
             if self.spec is None:
                 raise ValueError("VcAdd needs a session built from a JobSpec")
@@ -371,79 +352,6 @@ class IncrementalSession:
         return dest
 
     # ------------------------------------------------------------------
-    # memoized Duato applicability (per-pair cells)
-    # ------------------------------------------------------------------
-    def _invalidate_cells_channel(self, cid: int) -> None:
-        bit = 1 << cid
-        self._cells = {k: v for k, v in self._cells.items() if not v[2] & bit}
-
-    def _invalidate_cells_dest(self, dest: int) -> None:
-        self._cells = {k: v for k, v in self._cells.items() if dest not in v[1]}
-
-    def _pair_cell(
-        self, kind: str, src: int, dest: int, max_hops: int | None
-    ) -> PropertyReport:
-        key = (kind, src, dest)
-        hit = self._cells.get(key)
-        if hit is not None:
-            self.metrics.count("cell_hits")
-            return hit[0]
-        rec = RouteRecorder()
-        self.overlay.begin_recording(rec)
-        try:
-            if kind == "prefix":
-                rep = prefix_closed_pair(self.overlay, src, dest, max_hops=max_hops)
-            elif kind == "suffix":
-                rep = suffix_closed_pair(self.overlay, src, dest, max_hops=max_hops)
-            elif kind == "revisit":
-                bound = (
-                    max_hops if max_hops is not None
-                    else self.base.network.num_nodes + 1
-                )
-                rep = revisit_free_pair(self.overlay, src, dest, max_hops=bound)
-            else:
-                rep = minimal_path_pair(self.overlay, src, dest, self._dist[src][dest])
-        finally:
-            self.overlay.end_recording()
-        self._cells[key] = (rep, frozenset(rec.dests), rec.mask)
-        self.metrics.count("cell_misses")
-        return rep
-
-    def _applicability(
-        self, algorithm: RoutingAlgorithm | None = None, *, max_hops: int | None = None
-    ) -> tuple[bool, str]:
-        """Memoizing twin of :func:`repro.verify.duato.applicability`.
-
-        Byte-identical messages, pair-by-pair evaluation in the exact order
-        the originals iterate, per-pair results cached across deltas (keyed
-        by the pair only -- one ``max_hops`` per session, which
-        :func:`search_escape` satisfies).
-        """
-        form = self.overlay.form
-        if form != "ND":
-            return False, f"routing relation has form {form}, Duato requires R(n, d)"
-        net = self.base.network
-        for kind, label in _COHERENCE_KINDS:
-            for src in net.nodes:
-                for dest in net.nodes:
-                    if src == dest:
-                        continue
-                    rep = self._pair_cell(kind, src, dest, max_hops)
-                    if not rep:
-                        return (
-                            False,
-                            f"not coherent: not {label}: {rep.counterexample}",
-                        )
-        for src in net.nodes:
-            for dest in net.nodes:
-                if src == dest:
-                    continue
-                rep = self._pair_cell("minimal", src, dest, max_hops)
-                if not rep:
-                    return False, f"no minimal path for some pair: {rep.counterexample}"
-        return True, ""
-
-    # ------------------------------------------------------------------
     # verification
     # ------------------------------------------------------------------
     @staticmethod
@@ -479,9 +387,7 @@ class IncrementalSession:
                 self.triage,
             )
         if key == "duato":
-            return search_escape(
-                self.overlay, transitions=self.tc, applicability_fn=self._applicability
-            )
+            return search_escape(self.overlay, transitions=self.tc)
         cdg_dep = self._cdg_dep
         assert cdg_dep is not None
         # nonadaptive is recomputed every check: it quantifies over *all*

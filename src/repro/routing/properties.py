@@ -13,6 +13,8 @@ read off the per-destination routing-state graphs
 (:class:`~repro.core.transitions.TransitionCache`), whose cost grows with
 the number of routing states; only when the certificate declines does the
 enumeration run, and it alone words every counterexample.
+:func:`provides_minimal_path` reads the same graphs and decides exactly,
+without enumerating.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .paths import enumerate_paths, has_route, path_nodes
 from .relation import RoutingAlgorithm
 
 if TYPE_CHECKING:
-    from ..core.transitions import TransitionCache
+    from ..core.transitions import DestinationTransitions, TransitionCache
 
 
 @dataclass
@@ -68,30 +70,76 @@ def is_minimal(algorithm: RoutingAlgorithm, *, max_hops: int | None = None) -> P
     return PropertyReport(True)
 
 
-def minimal_path_pair(algorithm: RoutingAlgorithm, src: int, dest: int, distance: int) -> PropertyReport:
-    """One pair of :func:`provides_minimal_path` (``distance`` = hop distance)."""
-    for path in enumerate_paths(algorithm, src, dest, max_hops=distance):
-        if len(path) == distance:
-            return PropertyReport(True)
-    return PropertyReport(False, f"no minimal path permitted {src} -> {dest}")
-
-
-def provides_minimal_path(algorithm: RoutingAlgorithm) -> PropertyReport:
+def provides_minimal_path(
+    algorithm: RoutingAlgorithm, *, transitions: TransitionCache | None = None
+) -> PropertyReport:
     """Duato's side condition: some permitted path per pair is minimal.
 
     (Required by Duato's N&S condition even for nonminimal algorithms;
     *not* required by the CWG condition.)
+
+    Decided on the per-destination state graphs (``transitions``, built
+    here when absent) by one backward sweep per destination ``d``: a state
+    at node ``n`` is *good* when ``n == d`` or some successor at distance
+    ``dist[n][d] - 1`` is good, i.e. a walk of exactly ``dist[n][d]`` hops
+    reaches ``d``.  ``(s, d)`` has a minimal permitted path iff ``inj(s)``
+    is good.  This is exact: such a walk is a shortest path, hence simple,
+    hence one the path enumeration yields, and every minimal path is such
+    a walk.  A destination with a transition that does not leave its
+    state's node over a link breaks that argument, so its pairs are
+    enumerated instead.  The lexicographically first failing ``(src,
+    dest)`` is reported.
     """
+    from ..core.transitions import TransitionCache  # importing repro.core is heavy
+
     net = algorithm.network
     dist = net.shortest_distances()
-    for src in net.nodes:
-        for dest in net.nodes:
+    leaving = [0] * net.num_nodes  # node -> cids of the link channels leaving it
+    for c in net.link_channels:
+        leaving[c.src] |= 1 << c.cid
+    first: tuple[int, int] | None = None
+    for dt in (transitions or TransitionCache(algorithm)).all_destinations():
+        dest = dt.dest
+        good = _minimal_states(dt, dist, leaving)
+        for src in net.nodes:
             if src == dest:
                 continue
-            rep = minimal_path_pair(algorithm, src, dest, dist[src][dest])
-            if not rep:
-                return rep
-    return PropertyReport(True)
+            d = dist[src][dest]
+            if good is None:
+                ok = any(len(p) == d for p in enumerate_paths(algorithm, src, dest, max_hops=d))
+            else:
+                ok = bool(good >> net.injection_channel(src).cid & 1)
+            if not ok and (first is None or (src, dest) < first):
+                first = (src, dest)
+    if first is None:
+        return PropertyReport(True)
+    return PropertyReport(False, f"no minimal path permitted {first[0]} -> {first[1]}")
+
+
+def _minimal_states(
+    dt: DestinationTransitions, dist: list[list[int]], leaving: list[int]
+) -> int | None:
+    """Cid bitmask of the states of ``dt`` from which a walk of exactly their
+    node's distance reaches the destination; ``None`` when some transition
+    does not leave its state's node over a link."""
+    dest = dt.dest
+    channel = dt.algorithm.network.channel
+    succ = dt.succ_masks
+    layers: dict[int, list[int]] = {}
+    for a, outs in succ.items():
+        node = channel(a).dst
+        if outs & ~leaving[node]:
+            return None
+        layers.setdefault(dist[node][dest], []).append(a)
+    good = prev = 0
+    for h in range(max(layers, default=-1) + 1):
+        cur = 0
+        for a in layers.get(h, ()):
+            if h == 0 or succ[a] & prev:
+                cur |= 1 << a
+        good |= cur
+        prev = cur
+    return good
 
 
 def _path_is_permitted(algorithm: RoutingAlgorithm, src: int, dest: int, path: tuple[Channel, ...]) -> bool:

@@ -18,15 +18,14 @@ reports "not applicable" otherwise -- this is exactly the gap (HPL, EFA,
 the incoherent example) that the supplied paper's condition closes.
 
 One :class:`~repro.core.transitions.TransitionCache` serves a whole
-decision: the coherence certificate and every candidate's ECDG read the same
-per-destination transition graphs, and a caller that already built them
-(the batch pipeline, for the fingerprint) passes its cache in.
+decision: the coherence certificate, the minimal-path sweep and every
+candidate's ECDG read the same per-destination transition graphs, and a
+caller that already built them (the batch pipeline for the fingerprint, an
+incremental session across deltas) passes its cache in.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from functools import partial
 from itertools import combinations
 
 from ..core.cycles import find_one_cycle
@@ -35,9 +34,6 @@ from ..deps.ecdg import EscapeSpec, ExtendedChannelDependencyGraph, escape_by_vc
 from ..routing.properties import is_coherent, provides_minimal_path
 from ..routing.relation import RoutingAlgorithm
 from .report import Verdict
-
-#: signature of the applicability hook :func:`search_escape` accepts
-ApplicabilityFn = Callable[..., tuple[bool, str]]
 
 
 def applicability(
@@ -48,15 +44,15 @@ def applicability(
 ) -> tuple[bool, str]:
     """Are Duato's hypotheses satisfied?  (form, coherence, minimal paths)
 
-    ``transitions`` is the cache the coherence certificate reads (built
-    here when absent).
+    ``transitions`` is the cache the coherence certificate and the
+    minimal-path sweep read (built here when absent).
     """
     if algorithm.form != "ND":
         return False, f"routing relation has form {algorithm.form}, Duato requires R(n, d)"
     coh = is_coherent(algorithm, max_hops=max_hops, transitions=transitions)
     if not coh:
         return False, f"not coherent: {coh.counterexample}"
-    minp = provides_minimal_path(algorithm)
+    minp = provides_minimal_path(algorithm, transitions=transitions)
     if not minp:
         return False, f"no minimal path for some pair: {minp.counterexample}"
     return True, ""
@@ -120,7 +116,6 @@ def search_escape(
     max_class_union: int = 2,
     ecdg_cls: type[ExtendedChannelDependencyGraph] = ExtendedChannelDependencyGraph,
     transitions: TransitionCache | None = None,
-    applicability_fn: ApplicabilityFn | None = None,
 ) -> Verdict:
     """Search the natural escape-set candidates for a certifying R1.
 
@@ -131,15 +126,13 @@ def search_escape(
     not a proof of deadlock (the complete search is exponential).
 
     One transition cache -- ``transitions``, or a fresh one -- serves the
-    applicability check and every candidate's ECDG.  ``applicability_fn``
-    substitutes for :func:`applicability` (same messages, called with
-    ``max_hops`` only); the incremental engine injects a memoizing variant
-    whose per-pair coherence cells survive across deltas.
+    applicability check and every candidate's ECDG.  The incremental
+    engine passes its session cache, whose dirty destinations it has
+    already rebuilt, so a re-verification decides exactly as a cold check.
     """
     if transitions is None:
         transitions = TransitionCache(algorithm)
-    check = applicability_fn or partial(applicability, transitions=transitions)
-    ok, why = check(algorithm, max_hops=max_hops)
+    ok, why = applicability(algorithm, max_hops=max_hops, transitions=transitions)
     if not ok:
         return Verdict(
             algorithm.name, "Duato", False, necessary_and_sufficient=False,

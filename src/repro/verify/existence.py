@@ -815,7 +815,7 @@ def _witness_tables(
         }
         algo = _build_witness(network, "nd-minimal", table)
         tc = TransitionCache(algo)
-        if is_coherent(algo, transitions=tc) and provides_minimal_path(algo):
+        if is_coherent(algo, transitions=tc) and provides_minimal_path(algo, transitions=tc):
             from . import duato, necsuf
 
             theorem_ok = necsuf.verify(algo).deadlock_free

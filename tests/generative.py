@@ -30,7 +30,9 @@ from repro.fuzz.generators import (
     faulty_variant,
     stable_bits,
 )
-from repro.routing.relation import WaitPolicy
+from repro.fuzz.table import TableCase
+from repro.pipeline.engine import catalog_specs
+from repro.routing.relation import RoutingAlgorithm, WaitPolicy
 
 __all__ = [
     "ArbitraryRouting",
@@ -41,8 +43,10 @@ __all__ = [
     "faulty_variant",
     "network_specs",
     "random_networks",
+    "registry_relations",
     "routed_networks",
     "stable_bits",
+    "table_relations",
 ]
 
 #: the single seed all generative randomness in the suite derives from
@@ -81,3 +85,60 @@ def routed_networks(draw, wait_policy: WaitPolicy | None = None):
     seed = derive_seed("route", draw(st.integers(min_value=0, max_value=2**16)))
     policy = wait_policy or draw(st.sampled_from([WaitPolicy.ANY, WaitPolicy.SPECIFIC]))
     return net, RandomMinimalRouting(net, seed, policy)
+
+
+@st.composite
+def table_relations(draw):
+    """A random ND or CND routing table on a small random network.
+
+    With ``minimal`` every entry offers only channels that shorten the
+    distance to the destination, which is where the certificate can hold.
+    """
+    net = build_random_network(*draw(network_specs()))
+    nd = draw(st.booleans())
+    minimal = draw(st.booleans())
+    dist = net.shortest_distances()
+    routes: dict[str, list[int]] = {}
+    inputs = [net.injection_channel(n) for n in net.nodes] + list(net.link_channels)
+    for dest in net.nodes:
+        for c_in in ([net.injection_channel(n) for n in net.nodes] if nd else inputs):
+            node = c_in.dst
+            if node == dest:
+                continue
+            options = [
+                c.cid for c in net.out_channels(node)
+                if not minimal or dist[c.dst][dest] < dist[node][dest]
+            ]
+            pick = draw(st.integers(min_value=0, max_value=2 ** len(options) - 1))
+            chosen = [cid for i, cid in enumerate(options) if pick >> i & 1]
+            if not chosen:
+                continue
+            key = f"n{node}->{dest}" if nd else (
+                f"c{c_in.cid}->{dest}" if c_in.is_link else f"i{node}->{dest}"
+            )
+            routes[key] = chosen
+    case = TableCase(
+        name=f"table-{derive_seed(nd, minimal, len(routes))}",
+        num_nodes=net.num_nodes,
+        channels=[(c.src, c.dst, c.vc) for c in net.link_channels],
+        nd=nd,
+        wait_policy="any",
+        routes=routes,
+    )
+    return case.build()
+
+
+def registry_relations() -> list[tuple[str, RoutingAlgorithm]]:
+    """Every registry scenario at two sizes (fixed topologies once)."""
+    seen = set()
+    out = []
+    for sizes in (
+        {"mesh_dims": (3, 3), "torus_dims": (3, 3), "hypercube_dim": 2},
+        {"mesh_dims": (4, 4), "torus_dims": (4, 4), "hypercube_dim": 3},
+    ):
+        for spec in catalog_specs(**sizes):
+            key = (spec.algorithm, spec.topology)
+            if key not in seen:
+                seen.add(key)
+                out.append((spec.algorithm, spec.build()))
+    return out

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.transitions import TransitionCache
 from repro.fuzz.generators import FAMILIES, CaseSpec, build_case, stable_bits
-from repro.fuzz.table import TableCase
-from repro.pipeline.engine import catalog_spec, catalog_specs
+from repro.pipeline.engine import catalog_spec
 from repro.routing.properties import (
     certifies_coherence,
     enumerate_coherence,
@@ -25,7 +23,7 @@ from repro.routing.properties import (
 )
 from repro.routing.relation import NodeDestRouting, RoutingAlgorithm
 from repro.topology import build_ring
-from tests.generative import SESSION_SEED, build_random_network, derive_seed, network_specs
+from tests.generative import SESSION_SEED, registry_relations, table_relations
 
 MASTER = stable_bits(SESSION_SEED, "coherence-certificate-tests")
 
@@ -42,24 +40,8 @@ def _same_as_enumeration(ra: RoutingAlgorithm) -> bool:
     return certified
 
 
-def _registry_relations() -> list[tuple[str, RoutingAlgorithm]]:
-    """Every registry scenario at two sizes (fixed topologies once)."""
-    seen = set()
-    out = []
-    for sizes in (
-        {"mesh_dims": (3, 3), "torus_dims": (3, 3), "hypercube_dim": 2},
-        {"mesh_dims": (4, 4), "torus_dims": (4, 4), "hypercube_dim": 3},
-    ):
-        for spec in catalog_specs(**sizes):
-            key = (spec.algorithm, spec.topology)
-            if key not in seen:
-                seen.add(key)
-                out.append((spec.algorithm, spec.build()))
-    return out
-
-
 def test_registry_matches_enumeration():
-    certified = {name for name, ra in _registry_relations() if _same_as_enumeration(ra)}
+    certified = {name for name, ra in registry_relations() if _same_as_enumeration(ra)}
     # the certificate decides the coherent scenarios itself
     assert "duato-mesh" in certified and "adaptive-mesh3d" in certified
 
@@ -81,47 +63,6 @@ def test_mutated_and_cnd_relations_are_covered():
         forms.add(ra.form)
         _same_as_enumeration(ra)
     assert forms == {"ND", "CND"}
-
-
-@st.composite
-def table_relations(draw):
-    """A random ND or CND routing table on a small random network.
-
-    With ``minimal`` every entry offers only channels that shorten the
-    distance to the destination, which is where the certificate can hold.
-    """
-    net = build_random_network(*draw(network_specs()))
-    nd = draw(st.booleans())
-    minimal = draw(st.booleans())
-    dist = net.shortest_distances()
-    routes: dict[str, list[int]] = {}
-    inputs = [net.injection_channel(n) for n in net.nodes] + list(net.link_channels)
-    for dest in net.nodes:
-        for c_in in ([net.injection_channel(n) for n in net.nodes] if nd else inputs):
-            node = c_in.dst
-            if node == dest:
-                continue
-            options = [
-                c.cid for c in net.out_channels(node)
-                if not minimal or dist[c.dst][dest] < dist[node][dest]
-            ]
-            pick = draw(st.integers(min_value=0, max_value=2 ** len(options) - 1))
-            chosen = [cid for i, cid in enumerate(options) if pick >> i & 1]
-            if not chosen:
-                continue
-            key = f"n{node}->{dest}" if nd else (
-                f"c{c_in.cid}->{dest}" if c_in.is_link else f"i{node}->{dest}"
-            )
-            routes[key] = chosen
-    case = TableCase(
-        name=f"table-{derive_seed(nd, minimal, len(routes))}",
-        num_nodes=net.num_nodes,
-        channels=[(c.src, c.dst, c.vc) for c in net.link_channels],
-        nd=nd,
-        wait_policy="any",
-        routes=routes,
-    )
-    return case.build()
 
 
 @settings(max_examples=60)

@@ -3,8 +3,9 @@
 The metamorphic battery (``test_incremental_equivalence.py``) checks the
 end-to-end contract; this file pins the mechanisms it rests on: the
 delta-aware Tarjan refresh and its differential tripwire, the dirty-SCC
-frontier, the transition-cache seams, delta (de)serialization, table-edit
-validation, and the planted ``stale_scc`` knob actually being unsound.
+frontier, the transition-cache seams, the overlay's base-row memo, delta
+(de)serialization, table-edit validation, and the planted ``stale_scc``
+knob actually being unsound.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import pytest
 
 from repro.core.cwg import ChannelWaitingGraph
 from repro.core.depgraph import DepGraph, dirty_components
-from repro.core.transitions import TransitionCache
+from repro.core.transitions import DestinationTransitions, TransitionCache
 from repro.deps.cdg import ChannelDependencyGraph
 from repro.incremental import (
     IncrementalSession,
@@ -29,6 +30,8 @@ from repro.incremental import (
     parse_delta,
     parse_table_key,
 )
+from repro.incremental.overlay import OverlayRouting, RouteRecorder
+from repro.pipeline.engine import catalog_spec
 from repro.routing import make
 from repro.topology import build_mesh
 
@@ -132,6 +135,66 @@ def test_from_depgraph_reuses_the_kernel_verbatim(cls):
     assert adopted.dep is built.dep
     assert adopted.dep.indptr == built.dep.indptr
     assert adopted.kind == built.kind
+
+
+# ----------------------------------------------------------------------
+# the overlay's base-row memo
+# ----------------------------------------------------------------------
+def _fresh_overlay(session: IncrementalSession) -> OverlayRouting:
+    ov = session.overlay
+    return OverlayRouting(session.base, down=ov.down, edits=dict(ov.edits))
+
+
+def _assert_overlay_matches_fresh(session: IncrementalSession) -> None:
+    """Every reachable query answers as on an overlay with an empty memo."""
+    ov, fresh = session.overlay, _fresh_overlay(session)
+    for dt in TransitionCache(fresh).all_destinations():
+        for c in dt.succ:
+            q = (c, c.dst, dt.dest)
+            assert ov.route(*q) == fresh.route(*q), q
+            assert ov.waiting_channels(*q) == fresh.waiting_channels(*q), q
+
+
+def _cold_dirty(session: IncrementalSession, cid: int) -> set[int]:
+    """Destinations whose recorded walk on a fresh overlay consults ``cid``."""
+    fresh = _fresh_overlay(session)
+    dirty = set()
+    for dest in fresh.network.nodes:
+        rec = RouteRecorder()
+        fresh.begin_recording(rec)
+        DestinationTransitions(fresh, dest)
+        fresh.end_recording()
+        if rec.mask >> cid & 1:
+            dirty.add(dest)
+    return dirty
+
+
+def _apply_and_compare(session: IncrementalSession, delta) -> None:
+    if isinstance(delta, (LinkDown, LinkUp)):
+        cid = session._link_index[(delta.src, delta.dst, delta.vc)].cid
+        want = _cold_dirty(session, cid)
+        assert want, f"{delta!r} touches no destination"
+        assert {d for d, m in session._relevant.items() if m >> cid & 1} == want
+        assert session.apply(delta)["dirty_destinations"] == len(want)
+    else:
+        session.apply(delta)
+    _assert_overlay_matches_fresh(session)
+    assert session.check(delta).digest == session.full_check().digest
+
+
+@pytest.mark.parametrize("name", ["duato-mesh", "west-first"])
+def test_overlay_memo_survives_every_delta_kind(name):
+    """duato-mesh overrides waiting_channels; west-first shares the route slot."""
+    session = IncrementalSession(spec=catalog_spec(name, mesh_dims=(3, 3)))
+    session.baseline()
+    _assert_overlay_matches_fresh(session)
+    for phase in range(2):
+        if phase:  # a vc change renumbers channels and drops the overrides
+            _apply_and_compare(session, VcAdd(1))
+        down, up = default_fault_pair(session)
+        edit, revert = default_table_edit(session)
+        for delta in (down, edit, up, revert, down):
+            _apply_and_compare(session, delta)
 
 
 # ----------------------------------------------------------------------
