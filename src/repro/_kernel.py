@@ -1,9 +1,11 @@
 """Backend gate for the vectorized (NumPy) kernels.
 
-Two hot paths in this repository exist in two semantically identical
+The checker's edge collection exists in two semantically identical
 implementations: a pure-Python reference (the code every proof of
 behavior-preservation is written against) and a vectorized NumPy kernel.
-This module is the single switch deciding which one runs:
+This module is the single switch deciding which one runs (and what
+:class:`~repro.routing.selection.RandomSelection` checks before drawing
+from NumPy):
 
 * ``REPRO_NO_NUMPY=1`` forces the pure path everywhere -- the escape hatch
   CI uses to prove the reference implementation still carries the whole
@@ -11,21 +13,17 @@ This module is the single switch deciding which one runs:
   extra pins NumPy; the base install does not need it for correctness);
 * ``REPRO_BACKEND=pure|numpy`` pins the backend explicitly;
 * otherwise :func:`backend` resolves to ``numpy`` whenever NumPy imports --
-  but note both current consumers deliberately do NOT use that default:
-  the simulator and the checker's edge collection each default to their
-  pure loops because measurement favors them (see EXPERIMENTS.md), and
-  consult only :func:`forced_backend` (plus, for the simulator, the
-  ``REPRO_SIM_NUMPY_MIN_CHANNELS`` auto-floor) to opt into the kernels.
+  but the edge collection deliberately does NOT use that default: it keeps
+  its pure loops because measurement favors them (see EXPERIMENTS.md), and
+  consults only :func:`forced_backend` to opt into the kernel.
 
-Both backends are pinned byte-identical by the golden-digest matrix, the
-verdict matrices, and the dedicated parity suite
-(``tests/test_backend_parity.py``); a divergence is a bug in the
-vectorized kernel, never a tolerated drift.
+Both backends are pinned byte-identical by the verdict matrices and the
+dedicated parity suite (``tests/test_backend_parity.py``); a divergence is
+a bug in the vectorized kernel, never a tolerated drift.
 
 The environment is re-read on every :func:`backend` call (it is two dict
 lookups) so tests can flip backends with ``monkeypatch.setenv`` without
-reloading modules.  Code that wants a per-object override (e.g.
-``SimConfig.backend``) passes it via ``override``.
+reloading modules.
 """
 
 from __future__ import annotations
@@ -46,8 +44,9 @@ __all__ = ["HAVE_NUMPY", "backend", "forced_backend", "use_numpy"]
 def forced_backend() -> str | None:
     """The backend the *environment* pins, or ``None`` when it is free.
 
-    Size-aware callers (the simulator) use this to distinguish "the user
-    demanded a backend" from "pick whatever is fastest here".
+    Callers that default to their pure loops (the checker's edge
+    collection) use this to tell "the user demanded a backend" from "pick
+    whatever is fastest here".
     """
     if os.environ.get("REPRO_NO_NUMPY") == "1":
         return "pure"
@@ -57,25 +56,20 @@ def forced_backend() -> str | None:
     return forced
 
 
-def backend(override: str | None = None) -> str:
+def backend() -> str:
     """Resolve the active kernel backend: ``"numpy"`` or ``"pure"``.
 
-    Resolution order: ``override`` argument, ``REPRO_NO_NUMPY``,
-    ``REPRO_BACKEND``, then ``numpy`` iff importable.
+    Resolution order: ``REPRO_NO_NUMPY``, ``REPRO_BACKEND``, then ``numpy``
+    iff importable.
     """
-    if override is None:
-        if os.environ.get("REPRO_NO_NUMPY") == "1":
-            return "pure"
-        override = os.environ.get("REPRO_BACKEND")
-    if override is not None:
-        if override not in ("numpy", "pure"):
-            raise ValueError(f"unknown kernel backend {override!r}")
-        if override == "numpy" and not HAVE_NUMPY:
-            raise RuntimeError("backend 'numpy' requested but numpy is not importable")
-        return override
-    return "numpy" if HAVE_NUMPY else "pure"
+    forced = forced_backend()
+    if forced is None:
+        return "numpy" if HAVE_NUMPY else "pure"
+    if forced == "numpy" and not HAVE_NUMPY:
+        raise RuntimeError("backend 'numpy' requested but numpy is not importable")
+    return forced
 
 
-def use_numpy(override: str | None = None) -> bool:
+def use_numpy() -> bool:
     """True when the resolved backend is the NumPy kernel."""
-    return backend(override) == "numpy"
+    return backend() == "numpy"

@@ -143,6 +143,14 @@ class NodeDestRouting(RoutingAlgorithm):
 
     Subclasses implement :meth:`route_nd`; the input channel is ignored,
     which makes the relation automatically suffix-closed (Definition 6 note).
+
+    Contract: an override of :meth:`waiting_channels` must ignore ``c_in``
+    too, so both sets are functions of ``(node, dest)`` alone.
+    :class:`RouteTable` computes one row per ``(node, dest)`` and serves it
+    to every input channel at that node, and the fuzzers' table form and
+    the incremental overlay key ND waiting sets the same way.  A relation
+    whose waiting set depends on the input channel is a general
+    ``R(c_in, n, d)`` relation and subclasses :class:`RoutingAlgorithm`.
     """
 
     form = "ND"
@@ -210,9 +218,19 @@ class RouteTable:
     allocator's ``(remaining distance, U-turn, vc, cid)`` priority key, and
     serves it from a flat list indexed by ``cid * num_nodes + dest``.
 
+    For a :class:`NodeDestRouting` relation both sets depend on ``(node,
+    dest)`` alone, so the relation is consulted once per *row* ``(node,
+    dest)`` and that row's entry serves every input channel at the node.
+    The one exception is an input whose source node some candidate leads
+    back to: the U-turn term of the sort key can reorder that row, so the
+    input gets its own entry, built exactly as for a general relation.
+    The gate is the class, not :attr:`RoutingAlgorithm.form`: wrappers copy
+    ``form="ND"`` while keying their waiting sets by input channel.
+
     Entries are filled lazily: only ``(c_in, dest)`` pairs traffic actually
     exercises are ever computed, so construction is O(1) even on large
-    networks.  ``hits`` / ``misses`` are exposed for observability.
+    networks.  ``hits`` / ``misses`` count entry lookups and ``rows`` the
+    relation evaluations behind the misses, for observability.
 
     Parameters
     ----------
@@ -232,8 +250,15 @@ class RouteTable:
         self._num_nodes = net.num_nodes
         self._dist = dist
         self._entries: list[RouteEntry | None] = [None] * (net.num_channels * net.num_nodes)
+        #: shared ``(node, dest)`` rows, indexed ``node * num_nodes + dest``;
+        #: ``None`` for relations that may depend on the input channel
+        self._rows: list[RouteEntry | None] | None = (
+            [None] * (net.num_nodes * net.num_nodes)
+            if isinstance(algorithm, NodeDestRouting) else None
+        )
         self.hits = 0
         self.misses = 0
+        self.rows = 0
 
     @property
     def dist(self) -> list[list[int]] | None:
@@ -248,12 +273,28 @@ class RouteTable:
             self.hits += 1
             return e
         self.misses += 1
-        e = self._build(c_in_cid, dest)
+        c_in = self._net.channel(c_in_cid)
+        prev = c_in.src if c_in.is_link else -1
+        rows = self._rows
+        if rows is None:
+            e = self._build(c_in, dest, prev)
+        else:
+            r = c_in.dst * self._num_nodes + dest
+            e = rows[r]
+            if e is None:
+                # no U-turn term: (distance, vc, cid), valid for any input
+                # that no candidate leads back to
+                e = rows[r] = self._build(c_in, dest, -1)
+            if prev >= 0 and self._dist is not None and (
+                    any(c.dst == prev for c in e.cand_channels)
+                    or any(c.dst == prev for c in e.wait_channels)):
+                e = self._build(c_in, dest, prev)
         self._entries[idx] = e
         return e
 
-    def _build(self, c_in_cid: int, dest: int) -> RouteEntry:
-        c_in = self._net.channel(c_in_cid)
+    def _build(self, c_in: Channel, dest: int, prev: int) -> RouteEntry:
+        """Evaluate the relation for ``c_in`` and sort with U-turns to ``prev`` last."""
+        self.rows += 1
         node = c_in.dst
         algo = self.algorithm
         permitted = algo.route(c_in, node, dest)
@@ -264,7 +305,6 @@ class RouteTable:
             waiting = algo.waiting_channels(c_in, node, dest)
         if self._dist is not None:
             dist = self._dist
-            prev = c_in.src if c_in.is_link else -1
             # progress first, then avoid immediate U-turns, then stable
             key = lambda c: (dist[c.dst][dest], c.dst == prev, c.vc, c.cid)  # noqa: E731
         else:
@@ -281,8 +321,10 @@ class RouteTable:
 
     def stats(self) -> dict[str, int]:
         """Cache-style counters for observability reports."""
-        filled = sum(1 for e in self._entries if e is not None)
-        return {"hits": self.hits, "misses": self.misses, "entries": filled}
+        # every miss fills exactly one slot, so the filled-entry count is the
+        # miss count -- no scan over the num_channels x num_nodes slots
+        return {"hits": self.hits, "misses": self.misses, "entries": self.misses,
+                "rows": self.rows}
 
 
 def as_cnd(algorithm: RoutingAlgorithm) -> RoutingAlgorithm:

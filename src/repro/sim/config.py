@@ -48,10 +48,3 @@ class SimConfig:
     stop_on_deadlock: bool = True
     #: RNG seed for traffic and stochastic selection
     seed: int = 1
-    #: engine kernel backend: "numpy", "pure", or None to resolve from the
-    #: environment (``REPRO_NO_NUMPY`` / ``REPRO_BACKEND``) and, failing
-    #: that, pick automatically by network size -- the vectorized transmit
-    #: precompute amortizes only past a few hundred channels.  Both
-    #: backends are byte-identical (the golden matrix and the parity suite
-    #: pin this); the knob is purely a performance choice.
-    backend: str | None = None

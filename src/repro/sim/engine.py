@@ -42,66 +42,34 @@ rather than per-flit objects and channel-keyed dictionaries:
 * routing decisions come from a :class:`~repro.routing.relation.RouteTable`
   that caches ``R(c_in, node, dest)`` pre-sorted by the allocator's
   priority key, so the relation is consulted once per ``(input channel,
-  destination)`` pair instead of once per blocked message per cycle;
+  destination)`` pair instead of once per blocked message per cycle --
+  and, for an ``R(n, d)`` relation, once per ``(node, destination)`` row
+  shared by every input channel at the node;
 * allocation is event-driven: a dirty set tracks exactly the messages
   whose decision could have changed (a header reached a queue front, a
   channel they wait on freed, they reached the front of a source queue),
   so quiescent cycles do no allocation work at all;
-* transmission visits only physical links with at least one owned virtual
-  channel.
+* transmission visits, in ascending order, only the physical links in a
+  busy set -- those with at least one owned virtual channel -- and walks
+  each link's virtual channels in a precomputed round-robin order;
+* undelivered messages sit in an insertion-ordered dict keyed by message
+  id (ids are assigned in ascending order), so delivering one is O(1).
 
 ``SimStats.digest()`` is byte-identical to the original per-object engine
 -- the golden matrix in ``tests/fixtures/sim_golden_digests.json`` pins
 this.  The channel-keyed ``owner`` / ``buffers`` mappings remain available
 as read-only views for tests and analysis code.
-
-NumPy kernel backend
---------------------
-On top of the SoA layout, the allocation and transmission phases exist in a
-second, vectorized form (opt-in via ``SimConfig.backend="numpy"``,
-``REPRO_BACKEND=numpy``, or ``REPRO_SIM_NUMPY_MIN_CHANNELS=<n>`` as an
-auto-selection floor):
-
-* **transmission** precomputes, in one batch of array operations over
-  persistent int32 mirrors of the owner/buffer-length/prev lists, each
-  physical link's round-robin first *eligible* virtual channel, then
-  applies moves sequentially in ascending link order.  Each move can
-  change the eligibility of exactly one virtual channel elsewhere -- its
-  upstream channel (gained room, or released) and the receiving channel's
-  downstream holder (gained a flit) -- so exactly those links, when they
-  lie ahead of the visit position, are flagged for a scalar rescan; links
-  behind it are skipped just as the reference's single ascending pass
-  never revisits them.  The result is flit-for-flit identical to the
-  reference loop;
-* **allocation** batches the first-free candidate scan over the whole
-  dirty set against the pre-phase state; since allocation only ever
-  *removes* free channels, a prescanned choice that is still free at apply
-  time is provably the channel the sequential reference would pick, and a
-  taken one triggers a scalar rescan of that message's pool.
-
-The backend defaults to the pure loops because measurement favors them at
-every size and load tested (see EXPERIMENTS.md): flags -- and with them
-scalar rescans -- scale with the number of flit moves, because moves
-cascade along held chains within a cycle, so the batch precompute mostly
-covers the links that end up *not* moving a flit.  The vectorized kernels
-are kept as a verified alternative implementation: the pure loops remain
-the reference and carry the whole suite under ``REPRO_NO_NUMPY=1``, while
-``tests/test_backend_parity.py`` and CI's ``perf-smoke`` job pin digest
-equality between the two backends.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from bisect import insort
 from collections import deque
 from collections.abc import Iterator, Mapping
 
 import numpy as np
 
-from .. import _kernel
-from ..routing.relation import RouteEntry, RouteTable, RoutingAlgorithm, WaitPolicy
+from ..routing.relation import RouteTable, RoutingAlgorithm, WaitPolicy
 from ..routing.selection import first_free
 from ..topology.channel import Channel
 from .config import SimConfig
@@ -116,9 +84,6 @@ Flit = tuple[int, bool, bool]
 #: packed-flit flag bits (internal layout: ``mid << 2 | HEAD | TAIL``)
 _HEAD = 2
 _TAIL = 1
-
-#: dirty-set size from which the allocator's batched prescan pays off
-_ALLOC_BATCH_MIN = 16
 
 
 class _OwnerView(Mapping):
@@ -181,8 +146,9 @@ class WormholeSimulator:
 
         self.cycle = 0
         self.messages: dict[int, Message] = {}
-        #: undelivered message ids, ascending (allocation order = oldest first)
-        self._active: list[int] = []
+        #: undelivered message ids as keys, in ascending insertion order
+        #: (allocation order = oldest first); delivery deletes in O(1)
+        self._active: dict[int, None] = {}
         self._next_mid = 0
         #: channels marked faulty (Definition 3's fault-tolerant status set);
         #: faulty channels are never allocated
@@ -212,13 +178,20 @@ class WormholeSimulator:
         #: physical links and their VCs, in deterministic order
         self._links: list[tuple[tuple[int, int], list[Channel]]] = self._group_links()
         self._link_vcs: list[list[int]] = [[c.cid for c in vcs] for _, vcs in self._links]
-        self._rr: list[int] = [0] * len(self._links)
+        #: per link, the round-robin order its VCs are tried in next cycle
+        self._rr: list[tuple[int, ...]] = [tuple(cids) for cids in self._link_vcs]
         self._link_of: list[int] = [-1] * num_ch
+        #: per cid, its link's VC order starting just after it: the link's
+        #: next round-robin order once that VC has sent a flit
+        self._rr_next: list[tuple[int, ...]] = [()] * num_ch
         for li, cids in enumerate(self._link_vcs):
-            for cid in cids:
+            for i, cid in enumerate(cids):
                 self._link_of[cid] = li
-        #: owned-VC count per physical link; idle links are skipped entirely
+                self._rr_next[cid] = tuple(cids[i + 1:] + cids[:i + 1])
+        #: owned-VC count per physical link
         self._link_owned: list[int] = [0] * len(self._links)
+        #: links with at least one owned VC; transmission visits only these
+        self._busy: set[int] = set()
 
         # -- event-driven allocation state --------------------------------
         #: messages whose routing decision could have changed since their
@@ -256,51 +229,7 @@ class WormholeSimulator:
         # even on a shared table that arrives warm
         self._rt_hits0 = self._route_table.hits
         self._rt_misses0 = self._route_table.misses
-
-        # -- kernel backend ------------------------------------------------
-        forced = self.config.backend or _kernel.forced_backend()
-        if forced is not None:
-            self.backend = _kernel.backend(forced)
-        else:
-            # the reference loops win at every size and load measured (see
-            # the module docstring), so auto means pure; the env floor lets
-            # a deployment opt whole size classes into the numpy kernels
-            min_ch = os.environ.get("REPRO_SIM_NUMPY_MIN_CHANNELS")
-            self.backend = (
-                "numpy"
-                if min_ch is not None and _kernel.HAVE_NUMPY
-                and num_ch >= int(min_ch)
-                else "pure"
-            )
-        self._np = self.backend == "numpy"
-        if self._np:
-            #: inverse of ``_prev`` over held chains (unique: a held channel
-            #: feeds at most one downstream channel of the same message)
-            self._next_of: list[int] = [-1] * num_ch
-            #: per-message length / flits-injected mirrors (grown on demand);
-            #: the only dense per-message state the eligibility batch gathers
-            self._mlen = np.zeros(256, np.int32)
-            self._minj = np.zeros(256, np.int32)
-            #: persistent int32 mirrors of the list state, updated in place
-            #: at every mutation site -- O(moves) scalar writes per cycle
-            #: instead of O(channels) list->array conversions per phase
-            self._owner_a = np.full(num_ch, -1, np.int32)
-            self._prev_a = np.full(num_ch, -1, np.int32)
-            self._buflen = np.zeros(num_ch, np.int32)
-            #: per-pool candidate-cid arrays for the batched allocator
-            self._pool_arrs: dict[tuple[int, ...], np.ndarray] = {}
-            # padded (link, vc-slot) matrix; rotation indices stay inside
-            # each row's real VC count, so padding is never read
-            nlinks = len(self._link_vcs)
-            kmax = max((len(v) for v in self._link_vcs), default=1)
-            self._vc_mat = np.zeros((nlinks, kmax), np.int32)
-            for li, vcs in enumerate(self._link_vcs):
-                self._vc_mat[li, :len(vcs)] = vcs
-            self._nvcs = np.asarray(
-                [len(v) for v in self._link_vcs], np.int32)[:, None]
-            self._row_idx = np.arange(nlinks)[:, None]
-            self._k_arange = np.arange(kmax, dtype=np.int32)[None, :]
-            self._rr_a = np.zeros(nlinks, np.int32)
+        self._rt_rows0 = self._route_table.rows
 
         # -- observability -------------------------------------------------
         #: messages visited by the allocator (event-driven wakeups)
@@ -334,14 +263,8 @@ class WormholeSimulator:
         )
         self._next_mid += 1
         self.messages[m.mid] = m
-        self._active.append(m.mid)
+        self._active[m.mid] = None
         self._wait_ver.append(0)
-        if self._np:
-            if m.mid >= len(self._mlen):
-                grow = np.zeros(len(self._mlen), np.int32)
-                self._mlen = np.concatenate([self._mlen, grow])
-                self._minj = np.concatenate([self._minj, grow])
-            self._mlen[m.mid] = length
         q = self.source_queues[src]
         q.append(m.mid)
         if len(q) == 1:  # at the queue front: may route next allocation
@@ -429,7 +352,9 @@ class WormholeSimulator:
                 owner[choice] = mid
                 self._prev[choice] = c_in_cid if held else -1
                 held.append(chan[choice])
-                self._link_owned[self._link_of[choice]] += 1
+                li = self._link_of[choice]
+                self._link_owned[li] += 1
+                self._busy.add(li)
                 m.hops += 1
                 m.waiting_for = None
                 m.last_progress = cycle
@@ -454,22 +379,19 @@ class WormholeSimulator:
         bufs = self._buf
         prev = self._prev
         messages = self.messages
-        link_vcs = self._link_vcs
+        rr_next = self._rr_next
+        link_of = self._link_of
         link_owned = self._link_owned
+        busy = self._busy
         rr = self._rr
         queues = self.source_queues
         dirty = self._dirty
         cycle = self.cycle
         hops = 0
-        for li in range(len(link_vcs)):
+        for li in sorted(busy):
             if not link_owned[li]:
-                continue
-            vcs = link_vcs[li]
-            n = len(vcs)
-            start = rr[li]
-            for k in range(n):
-                j = start + k
-                cid = vcs[j - n if j >= n else j]
+                continue  # released earlier in this pass
+            for cid in rr[li]:
                 mid = owner[cid]
                 if mid < 0:
                     continue
@@ -504,298 +426,17 @@ class WormholeSimulator:
                         owner[p] = -1
                         prev[cid] = prev[p]
                         m.held.pop(0)
-                        link_owned[self._link_of[p]] -= 1
+                        lp = link_of[p]
+                        link_owned[lp] -= 1
+                        if not link_owned[lp]:
+                            busy.discard(lp)
                         self._on_free(p)
                 if flit & _HEAD:  # header at a new queue front: must route
                     dirty.add(mid)
-                rr[li] = (start + k + 1) % n
+                rr[li] = rr_next[cid]
                 hops += 1
                 m.last_progress = cycle
                 break  # one flit per physical link per cycle
-        self.stats.flit_hops += hops
-
-    # ------------------------------------------------------------------
-    # vectorized phase kernels (numpy backend; byte-identical to the
-    # reference loops above -- see the module docstring for the argument)
-    # ------------------------------------------------------------------
-    def _pool_arr(self, pool: tuple[int, ...]) -> np.ndarray:
-        a = self._pool_arrs.get(pool)
-        if a is None:
-            a = self._pool_arrs[pool] = np.asarray(pool, np.int64)
-        return a
-
-    def _phase_allocate_np(self) -> None:
-        dirty = self._dirty
-        if not dirty:
-            self.alloc_idle_cycles += 1
-            return
-        mids = sorted(dirty)
-        dirty.clear()
-        messages = self.messages
-        owner = self._owner
-        faulty = self._faulty_mask
-        bufs = self._buf
-        queues = self.source_queues
-        table = self._route_table
-        chan = self._chan
-        specific = self._specific
-        fast_sel = self._fast_sel
-        cycle = self.cycle
-        wakeups = 0
-        # pass 1: the reference loop's filtering, collecting live requests
-        reqs: list[tuple[int, Message, int, bool, RouteEntry, tuple[int, ...]]] = []
-        for mid in mids:
-            m = messages[mid]
-            if m.header_arrived:
-                continue
-            held = m.held
-            if held:
-                lead = held[-1]
-                buf = bufs[lead.cid]
-                if not buf or not (buf[0] & _HEAD):
-                    continue  # header not at the queue front
-                c_in_cid = lead.cid
-                node = lead.dst
-            else:
-                q = queues[m.src]
-                if not q or q[0] != mid:
-                    continue
-                c_in_cid = self._inj_cid[m.src]
-                node = m.src
-            wakeups += 1
-            dest = m.dest
-            if node == dest:
-                m.header_arrived = True
-                m.waiting_for = None
-                insort(self._arrived, mid)
-                continue
-            entry = table.entry(c_in_cid, dest)
-            committed = specific and m.waiting_for is not None
-            pool = entry.wait_cids if committed else entry.cand_cids
-            reqs.append((mid, m, c_in_cid, bool(held), entry, pool))
-        self.alloc_wakeups += wakeups
-        if not reqs:
-            return
-        # batched first-free prescan against the pre-apply state: the free
-        # set only shrinks during this phase, so a prescanned choice that
-        # is still free at apply time is exactly the sequential pick
-        prescan: list[int] | None = None
-        if fast_sel and len(reqs) >= _ALLOC_BATCH_MIN:
-            arrs = [self._pool_arr(r[5]) for r in reqs]
-            cat = np.concatenate(arrs)
-            offs = np.zeros(len(arrs) + 1, np.int64)
-            np.cumsum([a.size for a in arrs], out=offs[1:])
-            fa = np.frombuffer(faulty, np.uint8)
-            free = (self._owner_a[cat] < 0) & (fa[cat] == 0)
-            fidx = np.flatnonzero(free)
-            if fidx.size:
-                pos = np.searchsorted(fidx, offs[:-1])
-                safe = np.minimum(pos, fidx.size - 1)
-                hit = (pos < fidx.size) & (fidx[safe] < offs[1:])
-                prescan = np.where(hit, cat[fidx[safe]], -1).tolist()
-            else:
-                prescan = [-1] * len(reqs)
-        for i, (mid, m, c_in_cid, held_link, entry, pool) in enumerate(reqs):
-            if fast_sel:
-                choice = -1 if prescan is None else prescan[i]
-                if prescan is None or (choice >= 0 and owner[choice] >= 0):
-                    # no prescan, or the choice was taken earlier this
-                    # phase: scan the pool against the live state
-                    choice = -1
-                    for cid in pool:
-                        if owner[cid] < 0 and not faulty[cid]:
-                            choice = cid
-                            break
-            else:
-                committed = specific and m.waiting_for is not None
-                cands = entry.wait_channels if committed else entry.cand_channels
-                free_fn = lambda c: owner[c.cid] < 0 and not faulty[c.cid]  # noqa: E731
-                picked = self.config.selection(chan[c_in_cid], cands, free_fn)
-                choice = -1 if picked is None else picked.cid
-            if choice >= 0:
-                owner[choice] = mid
-                self._owner_a[choice] = mid
-                pc = c_in_cid if held_link else -1
-                self._prev[choice] = pc
-                self._prev_a[choice] = pc
-                if held_link:
-                    self._next_of[c_in_cid] = choice
-                m.held.append(chan[choice])
-                self._link_owned[self._link_of[choice]] += 1
-                m.hops += 1
-                m.waiting_for = None
-                m.last_progress = cycle
-                if m.started is None:
-                    m.started = cycle
-                self._wait_ver[mid] += 1
-            else:
-                if m.waiting_for is None or not specific:
-                    m.waiting_for = entry.wait_set
-                pool_reg = entry.wait_cids if specific else entry.cand_cids
-                ver = self._wait_ver[mid] + 1
-                self._wait_ver[mid] = ver
-                waiters = self._waiters
-                for cid in pool_reg:
-                    waiters[cid].append((mid, ver))
-
-    def _scan_link_np(self, li: int) -> tuple[int, int] | None:
-        """Scalar RR rescan of one flagged link against the live state.
-
-        Identical to the reference transmit loop's per-link scan; used for
-        links whose eligibility may have changed since the batch precompute.
-        """
-        vcs = self._link_vcs[li]
-        n = len(vcs)
-        start = self._rr[li]
-        owner = self._owner
-        bufs = self._buf
-        prev = self._prev
-        depth = self.config.buffer_depth
-        messages = self.messages
-        for k in range(n):
-            j = start + k
-            cid = vcs[j - n if j >= n else j]
-            mid = owner[cid]
-            if mid < 0:
-                continue
-            if len(bufs[cid]) >= depth:
-                continue
-            p = prev[cid]
-            if p < 0:
-                m = messages[mid]
-                if m.flits_injected >= m.length:
-                    continue
-            elif not bufs[p]:
-                continue
-            return cid, k
-        return None
-
-    def _phase_transmit_np(self) -> None:
-        depth = self.config.buffer_depth
-        owner = self._owner
-        bufs = self._buf
-        prev = self._prev
-        owner_a = self._owner_a
-        prev_a = self._prev_a
-        buflen_a = self._buflen
-        # eligibility of every VC from the phase-entry state, in bulk
-        owned = owner_a >= 0
-        ocl = np.where(owned, owner_a, 0)
-        has_prev = prev_a >= 0
-        pcl = np.where(has_prev, prev_a, 0)
-        feed = np.where(has_prev, buflen_a[pcl] > 0,
-                        self._minj[ocl] < self._mlen[ocl])
-        elig = owned & (buflen_a < depth) & feed
-        # each link's first eligible VC in round-robin order
-        rr = self._rr
-        rr_a = self._rr_a
-        pos = (rr_a[:, None] + self._k_arange) % self._nvcs
-        cand = self._vc_mat[self._row_idx, pos]
-        em = elig[cand]
-        karr = em.argmax(axis=1)
-        sel = em.any(axis=1)
-        sel_b = sel.tobytes()
-        elig_idx = np.flatnonzero(sel)
-        elig_links = elig_idx.tolist()
-        k_e = karr[elig_idx].tolist()
-        choice_e = cand[elig_idx, karr[elig_idx]].tolist()
-
-        messages = self.messages
-        link_vcs = self._link_vcs
-        link_owned = self._link_owned
-        link_of = self._link_of
-        next_of = self._next_of
-        queues = self.source_queues
-        dirty = self._dirty
-        minj = self._minj
-        cycle = self.cycle
-        hops = 0
-        # Visit links in ascending order, exactly like the reference loop --
-        # but only the links that can possibly move a flit: those eligible
-        # at phase entry, plus those flagged when an earlier move changed
-        # their state.  Flags land only on links *ahead* of the current
-        # position (the reference pass never revisits a link it already
-        # passed), so the merged visit order is strictly ascending and
-        # unvisited links are exactly the links the reference loop would
-        # scan and skip.
-        flagged = bytearray(len(link_vcs))
-        flag_heap: list[int] = []
-        ei = 0
-        n_e = len(elig_links)
-        while True:
-            if ei < n_e and (not flag_heap or elig_links[ei] < flag_heap[0]):
-                li = elig_links[ei]
-                cid = choice_e[ei]
-                k = k_e[ei]
-                ei += 1
-            elif flag_heap:
-                li = heapq.heappop(flag_heap)
-                cid = -1
-            else:
-                break
-            if not link_owned[li]:
-                continue
-            if flagged[li] or cid < 0:
-                found = self._scan_link_np(li)
-                if found is None:
-                    continue
-                cid, k = found
-            # apply one flit move (mirrors the reference loop body)
-            mid = owner[cid]
-            m = messages[mid]
-            buf = bufs[cid]
-            p = prev[cid]
-            if p < 0:
-                fi = m.flits_injected
-                flit = (mid << 2) \
-                    | (_HEAD if fi == 0 else 0) \
-                    | (_TAIL if fi == m.length - 1 else 0)
-                buf.append(flit)
-                buflen_a[cid] += 1
-                m.flits_injected = fi + 1
-                minj[mid] = fi + 1
-                if flit & _TAIL:
-                    q = queues[m.src]
-                    if q and q[0] == mid:
-                        q.popleft()
-                        if q:  # next message reaches the queue front
-                            dirty.add(q[0])
-            else:
-                flit = bufs[p].popleft()
-                buf.append(flit)
-                buflen_a[p] -= 1
-                buflen_a[cid] += 1
-                lp = link_of[p]
-                if lp > li and not flagged[lp]:
-                    flagged[lp] = 1  # p gained room / may have drained
-                    if not sel_b[lp]:
-                        heapq.heappush(flag_heap, lp)
-                if flit & _TAIL:  # tail left prev: release it
-                    owner[p] = -1
-                    owner_a[p] = -1
-                    pp = prev[p]
-                    prev[cid] = pp
-                    prev_a[cid] = pp
-                    next_of[p] = -1
-                    if pp >= 0:
-                        next_of[pp] = cid
-                    m.held.pop(0)
-                    link_owned[lp] -= 1
-                    self._on_free(p)
-            nxt = next_of[cid]
-            if nxt >= 0:
-                ln = link_of[nxt]
-                if ln > li and not flagged[ln]:
-                    flagged[ln] = 1  # cid's consumer gained a flit
-                    if not sel_b[ln]:
-                        heapq.heappush(flag_heap, ln)
-            if flit & _HEAD:  # header at a new queue front: must route
-                dirty.add(mid)
-            nrr = (rr[li] + k + 1) % len(link_vcs[li])
-            rr[li] = nrr
-            rr_a[li] = nrr
-            hops += 1
-            m.last_progress = cycle
         self.stats.flit_hops += hops
 
     def _phase_eject(self) -> None:
@@ -808,7 +449,6 @@ class WormholeSimulator:
         stats = self.stats
         consumed_at = stats._consumed_at
         cycle = self.cycle
-        buflen_a = self._buflen if self._np else None
         done = False
         for mid in arrived:
             m = messages[mid]
@@ -821,25 +461,24 @@ class WormholeSimulator:
                 if not buf:
                     break
                 flit = buf.popleft()
-                if buflen_a is not None:
-                    buflen_a[lead_cid] -= 1
                 m.flits_consumed += 1
                 stats.consumed_flits += 1
                 consumed_at.append(cycle)
                 if flit & _TAIL:  # tail consumed: message delivered
                     self._owner[lead_cid] = -1
-                    if buflen_a is not None:
-                        self._owner_a[lead_cid] = -1
-                    self._link_owned[self._link_of[lead_cid]] -= 1
+                    li = self._link_of[lead_cid]
+                    self._link_owned[li] -= 1
+                    if not self._link_owned[li]:
+                        self._busy.discard(li)
                     held.pop()
                     assert not held, "tail consumed while channels still held"
                     m.finished = cycle
                     stats.note_delivered(m)
+                    del self._active[mid]
                     self._on_free(lead_cid)
                     done = True
                     break
         if done:
-            self._active = [mid for mid in self._active if messages[mid].finished is None]
             self._arrived = [mid for mid in arrived if messages[mid].finished is None]
 
     def _phase_traffic(self) -> None:
@@ -850,12 +489,8 @@ class WormholeSimulator:
     def step(self) -> None:
         """Advance one cycle."""
         self._phase_traffic()
-        if self._np:
-            self._phase_allocate_np()
-            self._phase_transmit_np()
-        else:
-            self._phase_allocate()
-            self._phase_transmit()
+        self._phase_allocate()
+        self._phase_transmit()
         self._phase_eject()
         interval = self.config.deadlock_check_interval
         if interval and self.cycle % interval == interval - 1 and self.deadlock is None:
@@ -885,7 +520,8 @@ class WormholeSimulator:
                 self.step()
                 if self.deadlock is not None and self.config.stop_on_deadlock:
                     return False
-            return False
+            # the last allowed cycle may be the one that delivered the rest
+            return not self._active
         finally:
             self.traffic = saved
 
@@ -945,6 +581,7 @@ class WormholeSimulator:
             "alloc_idle_cycles": self.alloc_idle_cycles,
             "route_table_hits": rt["hits"] - self._rt_hits0,
             "route_table_misses": rt["misses"] - self._rt_misses0,
+            "route_table_rows": rt["rows"] - self._rt_rows0,
             "route_table_entries": rt["entries"],
             "flit_hops": self.stats.flit_hops,
         }

@@ -4,9 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing import DimensionOrderMesh, EnhancedFullyAdaptive, HighestPositiveLast
+from repro.routing import (
+    DimensionOrderMesh,
+    DuatoFullyAdaptiveMesh,
+    EnhancedFullyAdaptive,
+    HighestPositiveLast,
+    make,
+)
+from repro.routing.selection import RoundRobinSelection, first_free
 from repro.sim import BernoulliTraffic, ScriptedTraffic, SimConfig, WormholeSimulator
-from repro.topology import build_hypercube, build_mesh
+from repro.topology import build_hypercube, build_mesh, build_torus
 
 
 def make_sim(net, ra, traffic, **cfg):
@@ -43,6 +50,17 @@ class TestSingleMessage:
             for m in sim.messages.values():
                 max_held = max(max_held, len(m.held))
         assert max_held == 4  # all 4 hops of the path
+
+    def test_drain_counts_its_last_cycle(self):
+        """A network that empties on drain's last allowed cycle has drained:
+        a 4-flit message across a 3x3 mesh needs exactly 8 cycles."""
+        net = build_mesh((3, 3), num_vcs=2)
+        results = []
+        for budget in (7, 8):
+            sim = make_sim(net, DuatoFullyAdaptiveMesh(net), ScriptedTraffic([]))
+            sim.inject_message(0, 8, 4)
+            results.append((sim.drain(budget), len(sim.in_flight), sim.cycle))
+        assert results == [(False, 1, 7), (True, 0, 8)]
 
     def test_rejects_bad_messages(self, mesh33):
         sim = make_sim(mesh33, DimensionOrderMesh(mesh33), ScriptedTraffic([]))
@@ -110,6 +128,61 @@ class TestInvariants:
             return [(m.mid, m.finished) for m in sim.messages.values()]
 
         assert run() == run()
+
+
+def _check_bookkeeping(sim):
+    """The engine's derived state agrees with the state it is derived from."""
+    owned = [sum(1 for cid in vcs if sim._owner[cid] >= 0) for vcs in sim._link_vcs]
+    assert sim._link_owned == owned
+    assert sim._busy == {li for li, n in enumerate(owned) if n}
+    undelivered = sorted(mid for mid, m in sim.messages.items() if m.finished is None)
+    assert list(sim._active) == undelivered
+
+
+#: (algorithm, network builder) per topology family
+_BOOKKEEPING_NETS = {
+    "mesh": ("duato-mesh", lambda: build_mesh((3, 3), num_vcs=2)),
+    "torus": ("duato-torus", lambda: build_torus((3, 3), num_vcs=3)),
+    "hypercube": ("duato-hypercube", lambda: build_hypercube(3, num_vcs=2)),
+}
+
+
+class TestBookkeeping:
+    """Busy links, per-link owned counts and the undelivered-message dict
+    must match the owner array and the messages after every ``step()``."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(family=st.sampled_from(sorted(_BOOKKEEPING_NETS)),
+           seed=st.integers(min_value=0, max_value=10_000),
+           rate=st.floats(min_value=0.05, max_value=0.4),
+           round_robin=st.booleans(),
+           fault_at=st.one_of(st.none(), st.integers(min_value=0, max_value=60)))
+    def test_invariants_after_every_step(self, family, seed, rate, round_robin, fault_at):
+        algorithm, build = _BOOKKEEPING_NETS[family]
+        net = build()
+        config = SimConfig(seed=seed, buffer_depth=2, deadlock_check_interval=16,
+                           selection=RoundRobinSelection() if round_robin else first_free)
+        sim = WormholeSimulator(make(algorithm, net),
+                                BernoulliTraffic(net, rate=rate, length=4, stop_at=80),
+                                config)
+        step = sim.step
+
+        def checked_step():
+            step()
+            _check_bookkeeping(sim)
+
+        sim.step = checked_step  # drain() steps through the instance too
+        failed = None
+        for cycle in range(100):
+            if fault_at is not None and cycle == fault_at:
+                idle = [c for c in net.link_channels if sim.owner[c] is None]
+                failed = idle[seed % len(idle)]
+                sim.fail_channel(failed)
+            if failed is not None and cycle == fault_at + 20:
+                sim.repair_channel(failed)
+            sim.step()
+        assert sim.drain(2000)
+        assert not sim._busy and not sim._active
 
 
 class TestFlowControl:
