@@ -44,7 +44,7 @@ def test_scaling_hpl_meshes(benchmark, once, table):
             rows.append((
                 dims, len(net.link_channels), len(cwg), len(cdg),
                 cwg_targets, cdg_targets,
-                find_one_cycle(cwg.graph()) is None,
+                find_one_cycle(cwg.dep) is None,
                 not cdg.is_acyclic(),
                 verdict.deadlock_free,
                 f"{dt:.2f}s",
@@ -119,8 +119,8 @@ def test_checker_smoke_quick(benchmark, once, table):
     the 3D rows when they were registered).  Doubles as the perf
     regression guard: wall time must stay within a generous factor of the
     recorded pre-kernel baseline in ``BASELINE.json`` -- loose enough for
-    runner-to-runner variance, tight enough to catch a return to the
-    exhaustive ``networkx`` cycle search, which costs an order of magnitude.
+    runner-to-runner variance, tight enough to catch a return to an
+    exhaustive cycle search, which costs an order of magnitude.
     """
     from conftest import load_baseline
 

@@ -26,7 +26,7 @@ def test_fig1_cwg_census(benchmark, once, table):
 
     def build():
         cwg = ChannelWaitingGraph(ra)
-        cycles = find_cycles(cwg.graph())
+        cycles = find_cycles(cwg.dep)
         classifier = CycleClassifier(cwg)
         return cwg, [(cy, classifier.classify(cy)) for cy in cycles]
 

@@ -28,13 +28,13 @@ def test_fig4_all_cycles_false(benchmark, once, table):
 
     cwg, outcome, verdict = once(benchmark, run)
     table("Figure 4: ring verification", ["check", "result"], [
-        ("CWG cyclic", find_one_cycle(cwg.graph()) is not None),
+        ("CWG cyclic", find_one_cycle(cwg.dep) is not None),
         ("True Cycle exists", outcome.true_cycle is not None),
         ("exhaustive proof", outcome.exhaustive),
         ("Theorem 2 verdict", "deadlock-free" if verdict else "deadlock"),
         ("naive acyclic-CWG checker", "rejects (ablation)" if not theorem1(ra, cwg=cwg) else "accepts"),
     ])
-    assert find_one_cycle(cwg.graph()) is not None
+    assert find_one_cycle(cwg.dep) is not None
     assert outcome.proves_no_true_cycle
     assert verdict.deadlock_free
     assert not theorem1(ra, cwg=cwg).deadlock_free  # the ablation gap

@@ -35,7 +35,7 @@ def test_sec8_reduction_trace(benchmark, once, table):
 
     # the surviving graph is wait-connected and only False-cyclic (Fig. 3)
     classifier = CycleClassifier(cwg)
-    remaining = find_cycles(cwg.graph(removed=res.removed))
+    remaining = find_cycles(res.cwg_prime(cwg))
     assert remaining and all(
         not classifier.classify(cy).possibly_true for cy in remaining
     )

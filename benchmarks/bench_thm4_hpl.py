@@ -26,7 +26,7 @@ def test_thm4_verification_sweep(benchmark, once, table):
             net = build_mesh(dims)
             hpl = HighestPositiveLast(net)
             cdg_cyclic = not ChannelDependencyGraph(hpl).is_acyclic()
-            cwg_acyclic = find_one_cycle(ChannelWaitingGraph(hpl).graph()) is None
+            cwg_acyclic = find_one_cycle(ChannelWaitingGraph(hpl).dep) is None
             v = verify(hpl)
             ds = dally_seitz(hpl)
             rows.append((dims, cdg_cyclic, cwg_acyclic, v.deadlock_free, ds.deadlock_free))

@@ -49,7 +49,7 @@ def incoherent_example() -> None:
     net = build_figure1_network()
     ra = IncoherentExample(net)
     cwg = ChannelWaitingGraph(ra)
-    cycles = find_cycles(cwg.graph())
+    cycles = find_cycles(cwg.dep)
     classifier = CycleClassifier(cwg)
     print(f"CWG: {len(cwg)} edges over {len(cwg.vertices)} channels; "
           f"{len(cycles)} simple cycles:")
@@ -92,7 +92,7 @@ def hpl_theorem4() -> None:
         net = build_mesh(dims)
         ra = HighestPositiveLast(net)
         cdg_cyclic = not ChannelDependencyGraph(ra).is_acyclic()
-        cwg_acyclic = find_one_cycle(ChannelWaitingGraph(ra).graph()) is None
+        cwg_acyclic = find_one_cycle(ChannelWaitingGraph(ra).dep) is None
         print(f"mesh{dims}: CDG cyclic={cdg_cyclic}, CWG acyclic={cwg_acyclic}, "
               f"{verify(ra)}")
 

@@ -21,8 +21,8 @@ Subcommands
                   incremental link-flap re-decision;
 ``reverify``      apply deltas (link faults/repairs, table edits, VC adds) to an
                   algorithm and incrementally re-verify after each one;
-``serve``         boot the sharded re-verification service and run a burst of
-                  link-flap jobs against it (the CI smoke mode);
+``serve``         re-verify a seeded stream of link-flap jobs across many
+                  algorithms, with sampled full-rebuild audits (the CI smoke mode);
 ``regen-golden``  rebuild the simulator golden-digest fixture (needs ``--force``).
 
 Examples::
@@ -44,7 +44,7 @@ Examples::
         --delta up:0>1@0 --compare-full
     python -m repro reverify --algorithm west-first \
         --delta down:0>1@0 --delta up:0>1@0 --compare-full
-    python -m repro serve --algorithms all --events 40 --workers 2 \
+    python -m repro serve --algorithms all --events 40 \
         --sample 0.2 --expect-hit-rate 0.3
     python -m repro regen-golden --force
 """
@@ -97,6 +97,19 @@ def _default_vcs(name: str) -> int:
     return CATALOG[name].min_vcs if name in CATALOG else 1
 
 
+def _build_algorithm(args):
+    """Resolve --algorithm/--topology/--dims/--vcs to ``(network, relation)``."""
+    from .routing import RoutingError
+
+    if args.vcs is None:
+        args.vcs = _default_vcs(args.algorithm)
+    net = _build_network(args)
+    try:
+        return net, make(args.algorithm, net)
+    except RoutingError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def cmd_catalog(args) -> int:
     width = max(len(n) for n in CATALOG)
     tw = max(len("topo"), *(len(e.family) for e in CATALOG.values()))
@@ -136,10 +149,7 @@ def cmd_scenarios(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import dally_seitz, search_escape, verify
 
-    if args.vcs is None:
-        args.vcs = _default_vcs(args.algorithm)
-    net = _build_network(args)
-    ra = make(args.algorithm, net)
+    net, ra = _build_algorithm(args)
     print(f"network: {net}")
     if args.all_conditions:
         print(dally_seitz(ra))
@@ -306,10 +316,7 @@ def cmd_lint(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    if args.vcs is None:
-        args.vcs = _default_vcs(args.algorithm)
-    net = _build_network(args)
-    ra = make(args.algorithm, net)
+    net, ra = _build_algorithm(args)
     g = _build_channel_graph(ra, args.graph)
     print(to_dot(g, title=f"{g.kind} of {ra.name} on {net.name}"))
     return 0
@@ -330,10 +337,7 @@ def _build_channel_graph(ra, kind: str):
 
 
 def cmd_graph_stats(args) -> int:
-    if args.vcs is None:
-        args.vcs = _default_vcs(args.algorithm)
-    net = _build_network(args)
-    ra = make(args.algorithm, net)
+    net, ra = _build_algorithm(args)
     g = _build_channel_graph(ra, args.graph)
     print(f"{args.graph.upper()} of {ra.name} on {net.name}")
     print(graph_stats_block(g))
@@ -343,10 +347,7 @@ def cmd_graph_stats(args) -> int:
 def cmd_simulate(args) -> int:
     from .sim import BernoulliTraffic, SimConfig, WormholeSimulator
 
-    if args.vcs is None:
-        args.vcs = _default_vcs(args.algorithm)
-    net = _build_network(args)
-    ra = make(args.algorithm, net)
+    net, ra = _build_algorithm(args)
     sim = WormholeSimulator(
         ra,
         BernoulliTraffic(net, rate=args.rate, pattern=args.pattern,
@@ -576,7 +577,7 @@ def cmd_exists(args) -> int:
 
 
 def cmd_reverify(args) -> int:
-    from .incremental import IncrementalSession, parse_delta
+    from .incremental import IncrementalSession, ReverifyJob, parse_delta, run_jobs
     from .pipeline import JobSpec
 
     if args.vcs is None:
@@ -592,19 +593,18 @@ def cmd_reverify(args) -> int:
         raise SystemExit(str(exc)) from None
     result = session.baseline()
     print(result.describe())
+    jobs = [ReverifyJob(i, args.algorithm, d) for i, d in enumerate(deltas, 1)]
     mismatches = 0
-    for delta in deltas:
-        try:
-            result = session.reverify(delta)
-        except ValueError as exc:
-            raise SystemExit(f"cannot apply {delta}: {exc}") from None
+    for outcome in run_jobs(jobs, {args.algorithm: session},
+                            verify_sample=1.0 if args.compare_full else 0.0):
+        if outcome.error is not None:
+            raise SystemExit(f"cannot apply {outcome.job.delta}: {outcome.error}")
+        result = outcome.result
         print(result.describe())
-        if args.compare_full:
-            full = session.full_check()
-            same = full.digest == result.digest
-            mismatches += not same
-            print(f"  full rebuild: digest {'matches' if same else 'MISMATCH'} "
-                  f"({full.seconds:.3f}s cold vs {result.seconds:.3f}s incremental)")
+        if outcome.audit is not None:
+            mismatches += not outcome.audit_ok
+            print(f"  full rebuild: digest {'matches' if outcome.audit_ok else 'MISMATCH'} "
+                  f"({outcome.audit.seconds:.3f}s cold vs {result.seconds:.3f}s incremental)")
     if mismatches:
         print(f"{mismatches} incremental verdict(s) diverged from full rebuilds")
         return 1
@@ -618,13 +618,16 @@ def cmd_reverify(args) -> int:
 def cmd_serve(args) -> int:
     import random
 
-    from .incremental import LinkDown, LinkUp
-    from .pipeline import build_topology, catalog_specs
-    from .serve import ReverifyJob, VerificationService
+    from .incremental import LinkDown, LinkUp, ReverifyJob, run_jobs
+    from .pipeline import StageMetrics, VerificationCache, build_topology, catalog_specs
 
+    if not 0.0 <= args.sample <= 1.0:
+        raise SystemExit(f"--sample must be within [0, 1], got {args.sample}")
     names = sorted(CATALOG)
     if args.algorithms and args.algorithms != "all":
         names = [n.strip() for n in args.algorithms.split(",") if n.strip()]
+        if not names:
+            raise SystemExit(f"--algorithms names no algorithm: {args.algorithms!r}")
         unknown = [n for n in names if n not in CATALOG]
         if unknown:
             raise SystemExit(f"unknown algorithms {unknown}; see `python -m repro catalog`")
@@ -652,20 +655,32 @@ def cmd_serve(args) -> int:
         delta = LinkUp(src, dst, vc) if is_down[target] else LinkDown(src, dst, vc)
         is_down[target] = not is_down[target]
         jobs.append(ReverifyJob(job_id, target, delta))
-    service = VerificationService(
-        specs, workers=args.workers, verify_sample=args.sample,
-    )
-    report = service.run_burst(jobs)
-    print(report.describe())
-    lat = report.metrics.get("observations", {}).get("serve_latency_seconds")
+    cache = VerificationCache(max_entries=256)
+    metrics = StageMetrics()
+    outcomes = list(run_jobs(jobs, {s.algorithm: s for s in specs}, cache=cache,
+                             verify_sample=args.sample, metrics=metrics))
+    errors = [o for o in outcomes if o.error is not None]
+    audited = [o for o in outcomes if o.audit is not None]
+    mismatches = [o for o in audited if not o.audit_ok]
+    stats = cache.stats()
+    print(f"serve: {len(outcomes)} jobs over {len(specs)} targets")
+    print(f"  cache hit rate {stats['hit_rate']:.3f} "
+          f"({stats['hits']} hits / {stats['misses']} misses)")
+    print(f"  audited {len(audited)} jobs against full rebuilds, "
+          f"{len(mismatches)} mismatches")
+    for o in errors:
+        print(f"  error: job {o.job.job_id} ({o.job.target}): {o.error}")
+    for o in mismatches:
+        print(f"  MISMATCH: job {o.job.job_id} ({o.job.target})")
+    lat = metrics.snapshot()["observations"].get("reverify_seconds")
     if lat:
-        print(f"  latency mean={lat['mean']:.4f}s min={lat['min']:.4f}s "
-              f"max={lat['max']:.4f}s over {int(lat['count'])} jobs")
-    ok = report.ok(min_hit_rate=args.expect_hit_rate)
-    if not ok and report.hit_rate < args.expect_hit_rate:
-        print(f"  hit rate {report.hit_rate:.3f} below required "
+        print(f"  reverify mean={lat['mean']:.4f}s min={lat['min']:.4f}s "
+              f"max={lat['max']:.4f}s over {int(lat['count'])} checks")
+    if stats["hit_rate"] < args.expect_hit_rate:
+        print(f"  hit rate {stats['hit_rate']:.3f} below required "
               f"{args.expect_hit_rate:.3f}")
-    return 0 if ok else 1
+        return 1
+    return 1 if errors or mismatches else 0
 
 
 def cmd_regen_golden(args) -> int:
@@ -917,13 +932,12 @@ def main(argv: list[str] | None = None) -> int:
 
     pe = sub.add_parser(
         "serve",
-        help="boot the sharded re-verification service on a burst of flap jobs",
+        help="re-verify a seeded stream of link-flap jobs with sampled audits",
     )
     pe.add_argument("--algorithms", default="all",
                     help="comma-separated catalog names (default: the whole catalog)")
     pe.add_argument("--events", type=int, default=40,
                     help="number of link-flap jobs to enqueue")
-    pe.add_argument("--workers", type=int, default=2, help="asyncio shard workers")
     pe.add_argument("--seed", type=int, default=0, help="event-stream RNG seed")
     pe.add_argument("--sample", type=float, default=0.1,
                     help="fraction of jobs audited against a cold full rebuild")

@@ -16,16 +16,13 @@ transition walk (shared with the CDG builder via
 :class:`~repro.core.depgraph.DepGraph` whose per-edge bitmask records the
 destinations that realize each edge; the False-Resource-Cycle classifier
 re-derives concrete witness paths from those destinations on demand.
-Channel-object views (``edge_dests``, ``graph()``) are adapters over the
-kernel and materialize lazily.
+The Channel-object view ``edge_dests`` is an adapter over the kernel and
+materializes lazily.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import Any
-
-import networkx as nx
 
 from ..routing.relation import RoutingAlgorithm
 from ..topology.channel import Channel
@@ -125,16 +122,6 @@ class ChannelWaitingGraph:
     @property
     def edges(self) -> list[tuple[Channel, Channel]]:
         return self.dep.channel_edges()
-
-    def graph(self, *, removed: Iterable[tuple[Channel, Channel]] = ()) -> nx.DiGraph:
-        """networkx view of the CWG, optionally with ``removed`` edges deleted."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self.vertices)
-        skip = set(removed)
-        for e in self.edges:
-            if e not in skip:
-                g.add_edge(*e)
-        return g
 
     def is_acyclic(self) -> bool:
         return self.dep.is_acyclic()

@@ -7,30 +7,22 @@ canonically rotated tuple of channels -- so they can live in sets and the
 reduction's bookkeeping (the paper's ``E_C`` / ``E_R`` / ``E_T`` sets) stays
 readable.
 
-Every function here accepts either a :class:`networkx.DiGraph` whose nodes
-are channels (the historical adapter view) or a
-:class:`~repro.core.depgraph.DepGraph` directly; both run on the integer
-kernel.  Acyclicity and single-witness extraction read Tarjan's SCC
-decomposition (no search on acyclic graphs); full enumeration is Johnson's
-algorithm confined to nontrivial components, which includes length-1
-self-loops: a message waiting on a channel it occupies itself is the
+Every function here takes a :class:`~repro.core.depgraph.DepGraph` and
+runs on its integer kernel.  Acyclicity and single-witness extraction read
+Tarjan's SCC decomposition (no search on acyclic graphs); full enumeration
+is Johnson's algorithm confined to nontrivial components, which includes
+length-1 self-loops: a message waiting on a channel it occupies itself is the
 ``N = 1`` deadlock of Definition 12.  A ``limit`` guards against the
 worst-case exponential cycle count the paper warns about.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Any, Union
-
-import networkx as nx
 
 from ..topology.channel import Channel
-from .depgraph import DepGraph, find_cycle_adj, iter_cycles_adj, tarjan_scc
-
-#: graphs the cycle routines operate on
-GraphLike = Union["nx.DiGraph", DepGraph]
+from .depgraph import DepGraph
 
 
 class CycleExplosion(RuntimeError):
@@ -68,30 +60,8 @@ class Cycle:
         return f"<Cycle {names} -> ...>"
 
 
-def _localize(graph: nx.DiGraph) -> tuple[list[Any], dict[int, list[int]]]:
-    """Index an nx graph's nodes as dense local ints: ``(nodes, adjacency)``.
-
-    Nodes are ordered by ``cid`` when they carry one (channels always do),
-    so results are independent of graph insertion order.
-    """
-    nodes = list(graph.nodes)
-    try:
-        nodes.sort(key=lambda n: n.cid)
-    except AttributeError:
-        nodes.sort(key=repr)
-    index = {n: i for i, n in enumerate(nodes)}
-    adj = {
-        index[u]: sorted(index[v] for v in graph.successors(u))
-        for u in nodes
-        if graph.out_degree(u)
-    }
-    return nodes, adj
-
-
-def iter_simple_cycles(graph: GraphLike, *, limit: int | None = 100_000) -> Iterator[Cycle]:
+def iter_simple_cycles(graph: DepGraph, *, limit: int | None = 100_000) -> Iterator[Cycle]:
     """Yield every simple cycle of ``graph`` as a canonical :class:`Cycle`.
-
-    ``graph`` may be an ``nx.DiGraph`` over channels or a ``DepGraph``.
 
     ``limit`` bounds how many cycles are yielded: the iterator yields
     **exactly** ``limit`` cycles and then raises :class:`CycleExplosion`
@@ -100,24 +70,16 @@ def iter_simple_cycles(graph: GraphLike, *, limit: int | None = 100_000) -> Iter
     of any cyclic graph while completing silently on an acyclic one, and
     ``limit=None`` disables the guard entirely.
     """
-    nodeof: Callable[[int], Channel]
-    raw: Iterator[list[int]]
-    if isinstance(graph, DepGraph):
-        nodeof = graph.network.channel
-        raw = graph.iter_cycle_cids()
-    else:
-        nodes, adj = _localize(graph)
-        nodeof = nodes.__getitem__
-        raw = iter_cycles_adj(adj)
+    channel = graph.network.channel
     count = 0
-    for cyc in raw:
+    for cyc in graph.iter_cycle_cids():
         if limit is not None and count >= limit:
             raise CycleExplosion(f"more than {limit} simple cycles; raise the limit explicitly")
-        yield Cycle.from_nodes(nodeof(i) for i in cyc)
+        yield Cycle.from_nodes(channel(i) for i in cyc)
         count += 1
 
 
-def find_cycles(graph: GraphLike, *, limit: int | None = 100_000) -> list[Cycle]:
+def find_cycles(graph: DepGraph, *, limit: int | None = 100_000) -> list[Cycle]:
     """All simple cycles, sorted shortest-first then by channel ids.
 
     Same ``limit`` contract as :func:`iter_simple_cycles`: raises
@@ -128,37 +90,18 @@ def find_cycles(graph: GraphLike, *, limit: int | None = 100_000) -> list[Cycle]
     return cycles
 
 
-def has_cycle(graph: GraphLike) -> bool:
+def has_cycle(graph: DepGraph) -> bool:
     """Fast acyclicity test (SCC decomposition, no enumeration)."""
-    if isinstance(graph, DepGraph):
-        return not graph.is_acyclic()
-    nodes, adj = _localize(graph)
-    n = len(nodes)
-    indptr = [0] * (n + 1)
-    indices: list[int] = []
-    for i in range(n):
-        nbrs = adj.get(i, ())
-        if i in nbrs:
-            return True
-        indices.extend(nbrs)
-        indptr[i + 1] = len(indices)
-    _, ncomp = tarjan_scc(n, indptr, indices)
-    return ncomp != n
+    return not graph.is_acyclic()
 
 
-def find_one_cycle(graph: GraphLike) -> Cycle | None:
+def find_one_cycle(graph: DepGraph) -> Cycle | None:
     """A single witness cycle, or ``None`` if the graph is acyclic.
 
     SCC-first: on an acyclic graph this is one Tarjan pass, and on a cyclic
     one the witness walk stays inside the first nontrivial component.
     """
-    if isinstance(graph, DepGraph):
-        cyc = graph.find_cycle_cids()
-        if cyc is None:
-            return None
-        return Cycle.from_nodes(graph.network.channel(i) for i in cyc)
-    nodes, adj = _localize(graph)
-    cyc = find_cycle_adj(set(range(len(nodes))), adj)
+    cyc = graph.find_cycle_cids()
     if cyc is None:
         return None
-    return Cycle.from_nodes(nodes[i] for i in cyc)
+    return Cycle.from_nodes(graph.network.channel(i) for i in cyc)

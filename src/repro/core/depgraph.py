@@ -22,12 +22,12 @@ Cycle questions are answered SCC-first: Tarjan's algorithm decomposes the
 graph once, acyclicity and single-cycle extraction read the decomposition
 directly, and only full enumeration falls back to Johnson's algorithm --
 run *inside* each nontrivial SCC, never on the whole graph.  On the acyclic
-CWGs that dominate the catalog this replaces the exhaustive
-``networkx``-based search (seconds on an 8x8 mesh) with a linear scan.
+CWGs that dominate the catalog this replaces an exhaustive cycle search
+(seconds on an 8x8 mesh) with a linear scan.
 
-Channel-level views (``edge_dests`` dicts, ``networkx`` graphs) remain
-available as adapters on the builder classes; this kernel is what the
-verifiers and the Section 8 reduction actually execute on.
+Channel-level views (``edge_dests`` dicts, :meth:`DepGraph.channel_edges`)
+are adapters for reports; this kernel is what the verifiers, the cycle
+routines and the Section 8 reduction actually execute on.
 """
 
 from __future__ import annotations

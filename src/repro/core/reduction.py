@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from ..topology.channel import Channel
 from .cwg import ChannelWaitingGraph
 from .cycles import find_cycles
+from .depgraph import DepGraph
 from .false_cycles import Classification, CycleClassifier
 
 Edge = tuple[Channel, Channel]
@@ -62,9 +63,14 @@ class ReductionResult:
     steps: list[ReductionStep] = field(default_factory=list)
     reason: str = ""
 
-    def cwg_prime_edges(self, cwg: ChannelWaitingGraph) -> list[Edge]:
-        """Edges of the resulting CWG' (original edges minus removals)."""
-        return [e for e in cwg.edges if e not in self.removed]
+    def cwg_prime(self, cwg: ChannelWaitingGraph) -> DepGraph:
+        """The resulting CWG' kernel: the CWG's edges minus the removals."""
+        net = cwg.algorithm.network
+        ch = net.channel
+        return DepGraph(net, {
+            (u, v): m for u, v, m in cwg.dep.iter_edges()
+            if (ch(u), ch(v)) not in self.removed
+        })
 
 
 class CWGReducer:

@@ -42,15 +42,10 @@ the consumers that still want objects.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
-from typing import TYPE_CHECKING
 
-from .._kernel import forced_backend
 from ..routing.relation import RoutingAlgorithm
 from ..topology.channel import Channel
 from .depgraph import bits, tarjan_scc
-
-if TYPE_CHECKING:
-    import numpy as np  # noqa: F401  (typing only)
 
 
 class DestinationTransitions:
@@ -197,9 +192,9 @@ class DestinationTransitions:
         forward=False upstream (over every state a state is reachable
         from).  Runs on the integer kernel: the state graph is indexed
         locally, Tarjan's decomposition (labels in reverse topological order
-        -- every inter-component edge points to a smaller label) replaces
-        the networkx condensation, and the accumulated bitmasks are OR-ed
-        along condensation edges.  Returns ``state cid -> accumulated
+        -- every inter-component edge points to a smaller label) gives the
+        condensation, and the accumulated bitmasks are OR-ed along
+        condensation edges.  Returns ``state cid -> accumulated
         bitmask``.
         """
         states = list(self.succ)
@@ -294,20 +289,7 @@ class TransitionCache:
         ``dt.downstream_wait_masks`` for the CWG's occupy-while-waiting
         edges.  Returns ``(src_cid, dst_cid) -> destination bitmask``, the
         exact input :class:`~repro.core.depgraph.DepGraph` takes.
-
-        Under the NumPy backend the per-destination masks are unpacked to
-        bit matrices and the destination bits accumulated with a grouped
-        bitwise OR; the pure path walks the set bits directly.  Both produce
-        the same dict (the payload per edge is order-independent and
-        :class:`~repro.core.depgraph.DepGraph` sorts edges on ingest).
-
-        The pure walk is the default: target masks are sparse (a state has
-        few out-neighbours), so the dense unpack measures slower from
-        ~12x12 meshes up and neutral below (see EXPERIMENTS.md).  The
-        NumPy kernel runs only when ``REPRO_BACKEND=numpy`` pins it.
         """
-        if forced_backend() == "numpy":
-            return self._collect_edge_dests_numpy(targets)
         edges: dict[tuple[int, int], int] = {}
         get = edges.get
         for dt in self.all_destinations():
@@ -317,61 +299,4 @@ class TransitionCache:
                 for b in bits(tmap[a]):
                     k = (a, b)
                     edges[k] = get(k, 0) | bit
-        return edges
-
-    def _collect_edge_dests_numpy(
-        self,
-        targets: Callable[[DestinationTransitions], Mapping[int, int]],
-    ) -> dict[tuple[int, int], int]:
-        import numpy as np
-
-        num_ch = self.algorithm.network.num_channels
-        nbytes = (num_ch + 7) // 8
-        src_parts: list[np.ndarray] = []
-        dst_parts: list[np.ndarray] = []
-        dest_parts: list[np.ndarray] = []
-        for dt in self.all_destinations():
-            cids = dt.usable_cids
-            if not cids:
-                continue
-            tmap = targets(dt)
-            packed = b"".join(tmap[a].to_bytes(nbytes, "little") for a in cids)
-            bitmat = np.unpackbits(
-                np.frombuffer(packed, np.uint8).reshape(len(cids), nbytes),
-                axis=1, bitorder="little",
-            )
-            rows, cols = np.nonzero(bitmat)
-            if rows.size == 0:
-                continue
-            src_parts.append(np.asarray(cids, np.int64)[rows])
-            dst_parts.append(cols.astype(np.int64))
-            dest_parts.append(np.full(rows.size, dt.dest, np.int64))
-        if not src_parts:
-            return {}
-        src = np.concatenate(src_parts)
-        dst = np.concatenate(dst_parts)
-        dest = np.concatenate(dest_parts)
-        key = src * num_ch + dst
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        dest = dest[order]
-        group_starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        uniq_key = key[group_starts]
-        # destination bitmasks in 64-bit lanes, OR-ed per edge group
-        nlanes = (int(dest.max()) >> 6) + 1
-        lane_vals: list[np.ndarray] = []
-        for lane in range(nlanes):
-            in_lane = (dest >> 6) == lane
-            vals = np.where(
-                in_lane, np.uint64(1) << (dest & 63).astype(np.uint64), np.uint64(0)
-            )
-            lane_vals.append(np.bitwise_or.reduceat(vals, group_starts))
-        edges: dict[tuple[int, int], int] = {}
-        srcs = (uniq_key // num_ch).tolist()
-        dsts = (uniq_key % num_ch).tolist()
-        for i, (a, b) in enumerate(zip(srcs, dsts)):
-            m = 0
-            for lane in range(nlanes):
-                m |= int(lane_vals[lane][i]) << (lane * 64)
-            edges[(a, b)] = m
         return edges

@@ -19,10 +19,6 @@ CDG over ``dt.succ``, the CWG over ``dt.downstream_wait``) and emit a
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
-import networkx as nx
-
 from ..core.depgraph import DepGraph, bits
 from ..core.transitions import TransitionCache
 from ..routing.relation import RoutingAlgorithm
@@ -112,15 +108,6 @@ class ChannelDependencyGraph:
     @property
     def edges(self) -> list[tuple[Channel, Channel]]:
         return self.dep.channel_edges()
-
-    def graph(self, *, removed: Iterable[tuple[Channel, Channel]] = ()) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.vertices)
-        skip = set(removed)
-        for e in self.edges:
-            if e not in skip:
-                g.add_edge(*e)
-        return g
 
     def is_acyclic(self) -> bool:
         return self.dep.is_acyclic()

@@ -29,8 +29,6 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Iterable
 
-import networkx as nx
-
 from ..core.depgraph import DepGraph, bits
 from ..core.transitions import TransitionCache
 from ..routing.relation import RoutingAlgorithm
@@ -134,15 +132,6 @@ class ExtendedChannelDependencyGraph:
     @property
     def edges(self) -> list[tuple[Channel, Channel]]:
         return self.dep.channel_edges()
-
-    def graph(self, *, removed: Iterable[tuple[Channel, Channel]] = ()) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.escape_union())
-        skip = set(removed)
-        for e in self.edges:
-            if e not in skip:
-                g.add_edge(*e)
-        return g
 
     def is_acyclic(self) -> bool:
         return self.dep.is_acyclic()

@@ -10,6 +10,9 @@ Dally--Seitz checkers rebuilding only what each delta's recorded footprint
 touches -- with a hard contract that every verdict is bit-identical to a
 cold full rebuild (:meth:`IncrementalSession.full_check`), which the
 metamorphic test battery and the fuzz campaign's incremental oracle pin.
+:func:`~repro.incremental.session.run_jobs` drives sessions through a
+stream of :class:`ReverifyJob` objects with sampled full-rebuild audits;
+the ``serve`` and ``reverify`` verbs both run on it.
 """
 
 from .deltas import (
@@ -34,9 +37,12 @@ from .overlay import OverlayRouting, RouteRecorder
 from .session import (
     FullCheckResult,
     IncrementalSession,
+    JobOutcome,
+    ReverifyJob,
     ReverifyResult,
     default_fault_pair,
     default_table_edit,
+    run_jobs,
 )
 
 __all__ = [
@@ -45,9 +51,11 @@ __all__ = [
     "ExistenceSession",
     "FullCheckResult",
     "IncrementalSession",
+    "JobOutcome",
     "LinkDown",
     "LinkUp",
     "OverlayRouting",
+    "ReverifyJob",
     "ReverifyResult",
     "RouteRecorder",
     "TableEdit",
@@ -60,5 +68,6 @@ __all__ = [
     "format_delta",
     "parse_delta",
     "parse_table_key",
+    "run_jobs",
     "semantic_digest",
 ]

@@ -38,7 +38,7 @@ entirely, so the session keeps verifying yesterday's graphs.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -565,3 +565,78 @@ def default_table_edit(session: IncrementalSession) -> tuple[TableEdit, TableEdi
         key, cids = fallback
         return TableEdit(key, routes=cids), TableEdit(key)
     raise ValueError("relation offers no editable table cell")
+
+
+# ----------------------------------------------------------------------
+# the job loop behind ``serve`` and ``reverify``
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ReverifyJob:
+    """Apply ``delta`` to ``target`` and re-verify; ``None`` re-checks."""
+
+    job_id: int
+    target: str
+    delta: Delta | None = None
+
+
+@dataclass(frozen=True)
+class JobOutcome:
+    """One job's answer: a result (plus its audit, if sampled) or an error."""
+
+    job: ReverifyJob
+    result: ReverifyResult | None = None
+    audit: FullCheckResult | None = None
+    error: str | None = None
+
+    @property
+    def audit_ok(self) -> bool | None:
+        """``None`` when not audited, else whether the full rebuild agreed."""
+        if self.audit is None or self.result is None:
+            return None
+        return self.audit.digest == self.result.digest
+
+
+def run_jobs(
+    jobs: Iterable[ReverifyJob],
+    targets: dict[str, JobSpec | IncrementalSession],
+    *,
+    cache: VerificationCache | None = None,
+    verify_sample: float = 0.0,
+    metrics: StageMetrics | None = None,
+) -> Iterator[JobOutcome]:
+    """Run ``jobs`` in order, yielding one :class:`JobOutcome` per job.
+
+    ``targets`` maps a name to its :class:`~repro.pipeline.engine.JobSpec`
+    or to a live session.  On a target's first job its spec is replaced by
+    a session (sharing ``cache`` and ``metrics``) that has checked its
+    baseline.  Every ``round(1 / verify_sample)``-th ``job_id`` is audited
+    against :meth:`IncrementalSession.full_check`.  An unknown target or a
+    delta the session rejects becomes the job's ``error``.
+    """
+    if not 0.0 <= verify_sample <= 1.0:
+        raise ValueError("verify_sample must be within [0, 1]")
+    stride = max(1, round(1.0 / verify_sample)) if verify_sample else 0
+    metrics = metrics if metrics is not None else StageMetrics()
+    for job in jobs:
+        try:
+            session = targets.get(job.target)
+            if session is None:
+                raise ValueError(f"unknown target {job.target!r}")
+            if not isinstance(session, IncrementalSession):
+                session = IncrementalSession(
+                    spec=session, cache=cache, metrics=metrics, triage=True
+                )
+                session.baseline()
+                targets[job.target] = session
+            result = session.check() if job.delta is None \
+                else session.reverify(job.delta)
+        except ValueError as exc:
+            yield JobOutcome(job, error=str(exc))
+            continue
+        audit = None
+        if stride and job.job_id % stride == 0:
+            audit = session.full_check()
+            metrics.count("serve:audits")
+            if audit.digest != result.digest:
+                metrics.count("serve:audit_mismatches")
+        yield JobOutcome(job, result, audit)

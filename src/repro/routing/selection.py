@@ -21,16 +21,12 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any, Protocol
 
-from .._kernel import HAVE_NUMPY, use_numpy
 from ..topology.channel import Channel
 
 if TYPE_CHECKING:
-    from ..sim.engine import WormholeSimulator
-
-if HAVE_NUMPY:
     import numpy as np
-else:  # pragma: no cover - exercised on numpy-free installs
-    np = None  # type: ignore[assignment]
+
+    from ..sim.engine import WormholeSimulator
 
 
 class SelectionFunction(Protocol):
@@ -70,18 +66,14 @@ def straight_first(c_in: Channel, candidates: Sequence[Channel], free: Callable[
 class RandomSelection:
     """Uniformly random free candidate, with an owned RNG for reproducibility.
 
-    The RNG rides the NumPy kernel gate (:mod:`repro._kernel`): under
-    ``REPRO_NO_NUMPY=1`` / ``REPRO_BACKEND=pure`` -- or when NumPy is simply
-    not installed -- construction refuses, exactly like every other
-    vectorized consumer, instead of silently ignoring the pinned backend.
+    The RNG is NumPy's (the ``fast`` extra), imported on construction so the
+    rest of the routing package, and the checker with it, never loads NumPy.
     """
 
-    def __init__(self, seed: "int | np.random.Generator" = 0) -> None:
-        if not use_numpy():  # honors REPRO_NO_NUMPY / REPRO_BACKEND=pure
-            raise RuntimeError(
-                "RandomSelection needs the numpy backend "
-                "(install the [fast] extra and do not force REPRO_BACKEND=pure)")
-        self.rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    def __init__(self, seed: int | np.random.Generator = 0) -> None:
+        from numpy.random import Generator, default_rng
+
+        self.rng = seed if isinstance(seed, Generator) else default_rng(seed)
 
     def __call__(
         self,

@@ -21,7 +21,7 @@ class TestExport:
     def test_dot_highlight_and_removed(self, figure1):
         ra = IncoherentExample(figure1)
         cwg = ChannelWaitingGraph(ra)
-        cy = find_cycles(cwg.graph())[0]
+        cy = find_cycles(cwg.dep)[0]
         dot = to_dot(cwg, highlight=cy.edges, removed=[cwg.edges[0]])
         assert "color=red" in dot
         assert "style=dashed" in dot
@@ -98,3 +98,8 @@ class TestCLI:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "--algorithm", "nope"])
+
+    @pytest.mark.parametrize("verb", ["verify", "dot", "graph-stats", "simulate"])
+    def test_algorithm_that_does_not_fit_the_topology_exits_cleanly(self, verb):
+        with pytest.raises(SystemExit, match="requires a hypercube"):
+            main([verb, "--algorithm", "e-cube", "--topology", "mesh", "--dims", "3,3"])

@@ -12,6 +12,7 @@ from repro.routing import (
     NodeDestRouting,
 )
 from repro.topology import build_figure1_network
+from tests.nx_reference import nx_view
 
 
 class TestFigure1CWG:
@@ -57,7 +58,7 @@ class TestFigure1CWG:
 
     def test_removed_edges_view(self, cwg, figure1):
         edge = self.e(figure1, "cA1", "cL2")
-        g = cwg.graph(removed=[edge])
+        g = nx_view(cwg.dep, removed=[edge])
         assert not g.has_edge(*edge)
         assert len(g.edges) == len(cwg) - 1
 
@@ -81,7 +82,7 @@ class TestCWGvsCDG:
 
         ra = HighestPositiveLast(mesh33)
         cwg = ChannelWaitingGraph(ra)
-        cdg_closure = nx.transitive_closure(ChannelDependencyGraph(ra).graph())
+        cdg_closure = nx.transitive_closure(nx_view(ChannelDependencyGraph(ra).dep))
         for (a, b) in cwg.edges:
             assert cdg_closure.has_edge(a, b)
 

@@ -1,12 +1,11 @@
 """Cycle enumeration and canonicalization."""
 
-import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import Cycle, CycleExplosion, find_cycles, find_one_cycle, has_cycle
-from repro.topology import Channel
+from repro.core import Cycle, CycleExplosion, DepGraph, find_cycles, find_one_cycle, has_cycle
+from repro.topology import Channel, Network
 
 
 def chans(n):
@@ -41,14 +40,21 @@ class TestCycle:
         assert Cycle.from_nodes(rotated) == Cycle.from_nodes(cs)
 
 
+def dep_graph(edges, n=6):
+    """A DepGraph over ``n`` parallel channels ``0 -> 1`` with the given arcs."""
+    net = Network()
+    net.add_nodes(2)
+    cs = net.add_link_channels(0, 1, n)
+    return DepGraph(net, {(i, j): 1 for i, j in edges}), cs
+
+
+def complete(n):
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
 class TestEnumeration:
     def graph(self, edges, n=6):
-        cs = chans(n)
-        g = nx.DiGraph()
-        g.add_nodes_from(cs)
-        for i, j in edges:
-            g.add_edge(cs[i], cs[j])
-        return g, cs
+        return dep_graph(edges, n)
 
     def test_finds_all_simple_cycles(self):
         g, cs = self.graph([(0, 1), (1, 0), (1, 2), (2, 1), (2, 2)])
@@ -70,12 +76,7 @@ class TestEnumeration:
 
     def test_explosion_limit(self):
         # complete digraph on 8 vertices has thousands of simple cycles
-        cs = chans(8)
-        g = nx.DiGraph()
-        for a in cs:
-            for b in cs:
-                if a != b:
-                    g.add_edge(a, b)
+        g, _ = dep_graph(complete(8), 8)
         with pytest.raises(CycleExplosion):
             find_cycles(g, limit=100)
         assert len(find_cycles(g, limit=None)) > 100
@@ -108,12 +109,7 @@ class TestEnumeration:
 
     def test_limit_none_is_unbounded(self):
         # complete digraph on 5 vertices: sum_{k=2..5} C(5,k)(k-1)! = 84
-        cs = chans(5)
-        g = nx.DiGraph()
-        for a in cs:
-            for b in cs:
-                if a != b:
-                    g.add_edge(a, b)
+        g, _ = dep_graph(complete(5), 5)
         assert len(find_cycles(g, limit=None)) == 84
         with pytest.raises(CycleExplosion):
             find_cycles(g, limit=83)

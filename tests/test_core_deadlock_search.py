@@ -26,7 +26,7 @@ class TestAgainstEnumeration:
         """Enumeration+classification and the direct search agree on
         existence of True Cycles."""
         cwg = ChannelWaitingGraph(IncoherentExample(figure1))
-        cycles = find_cycles(cwg.graph())
+        cycles = find_cycles(cwg.dep)
         classifier = CycleClassifier(cwg)
         any_true = any(classifier.classify(c).kind is CycleClass.TRUE for c in cycles)
         outcome = TrueCycleSearch(cwg).search()

@@ -16,7 +16,7 @@ from repro.routing.paths import path_nodes
 def setup(figure1):
     ra = IncoherentExample(figure1)
     cwg = ChannelWaitingGraph(ra)
-    cycles = find_cycles(cwg.graph())
+    cycles = find_cycles(cwg.dep)
     classifier = CycleClassifier(cwg)
     return figure1, cwg, cycles, classifier
 
@@ -110,7 +110,7 @@ class TestRingClassification:
         from repro.core.cycles import iter_simple_cycles
 
         checked = 0
-        for cy in iter_simple_cycles(cwg.graph(), limit=None):
+        for cy in iter_simple_cycles(cwg.dep, limit=None):
             cls = classifier.classify(cy)
             assert cls.kind is CycleClass.FALSE_RESOURCE
             checked += 1

@@ -40,7 +40,7 @@ class TestWorkedExample:
 
     def test_cwg_prime_has_only_false_cycles(self, reduced):
         cwg, reducer, res = reduced
-        g = cwg.graph(removed=res.removed)
+        g = res.cwg_prime(cwg)
         classifier = CycleClassifier(cwg)
         remaining = find_cycles(g)
         assert remaining  # the False Resource Cycle survives (paper Fig. 3)

@@ -1,7 +1,7 @@
 """Per-destination routing-state graphs (the substrate of all graph theory)."""
 
-from repro.core import DestinationTransitions, TransitionCache
-from repro.routing import DimensionOrderMesh, IncoherentExample
+from repro.core import DestinationTransitions, TransitionCache, bits
+from repro.routing import CATALOG, DimensionOrderMesh, IncoherentExample, make
 from repro.topology import build_mesh
 
 
@@ -68,3 +68,17 @@ class TestCache:
         for dt in cache.all_destinations():
             for c in dt.succ:
                 assert dt.wait[c] <= dt.succ[c]
+
+
+def test_mask_views_match_frozenset_adapters():
+    net = build_mesh((4, 4), num_vcs=CATALOG["duato-mesh"].min_vcs)
+    tc = TransitionCache(make("duato-mesh", net))
+    for dest in (0, 5, 12):
+        dt = tc[dest]
+        dw_masks = dt.downstream_wait_masks
+        up_masks = dt.upstream_masks
+        for cid in dt.usable_cids:
+            assert {c.cid for c in dt.downstream_wait[net.channel(cid)]} \
+                == set(bits(dw_masks[cid]))
+            assert {c.cid for c in dt.upstream[net.channel(cid)]} \
+                == set(bits(up_masks[cid]))

@@ -8,15 +8,22 @@ to independent straight-line reimplementations of the definitions:
 * CWG / CDG edges **and their per-edge destination witness sets** must match
   a naive per-state BFS builder bit for bit -- on the paper's Figure 4 ring
   and on the Figure 6 EFA hypercube, where the witness structure is richest;
-* cycle enumeration must match ``networkx.simple_cycles``;
-* the Section 8 reduction and the theorem/Duato verdicts must be identical
-  whether the consumers are fed the kernel or the legacy ``networkx`` view.
+* cycle enumeration must match ``networkx.simple_cycles`` on an nx view of
+  the same edges;
+* the Section 8 reduction's cycle list and the theorem/Duato verdicts must
+  match that reference and the verdicts pinned before the kernel existed.
 """
 
 import networkx as nx
 import pytest
 
-from repro.core import ChannelWaitingGraph, TransitionCache, find_cycles, find_one_cycle
+from repro.core import (
+    ChannelWaitingGraph,
+    Cycle,
+    TransitionCache,
+    find_cycles,
+    find_one_cycle,
+)
 from repro.core.reduction import CWGReducer
 from repro.deps import ChannelDependencyGraph, ExtendedChannelDependencyGraph, escape_by_vc
 from repro.routing import (
@@ -26,6 +33,7 @@ from repro.routing import (
     RingExample,
 )
 from repro.verify import dally_seitz, search_escape, verify
+from tests.nx_reference import nx_view
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +126,7 @@ class TestCycleEnumeration:
         cwg = ChannelWaitingGraph(IncoherentExample(figure1))
         ours = {tuple(c.cid for c in cy.channels) for cy in find_cycles(cwg.dep)}
         theirs = set()
-        for nodes in nx.simple_cycles(cwg.graph()):
+        for nodes in nx.simple_cycles(nx_view(cwg.dep)):
             k = min(range(len(nodes)), key=lambda i: nodes[i].cid)
             theirs.add(tuple(c.cid for c in nodes[k:] + nodes[:k]))
         assert ours == theirs
@@ -126,16 +134,28 @@ class TestCycleEnumeration:
     def test_nx_and_kernel_inputs_identical(self, figure1, mesh44):
         for ra in (IncoherentExample(figure1), HighestPositiveLast(mesh44)):
             cwg = ChannelWaitingGraph(ra)
-            assert find_cycles(cwg.graph()) == find_cycles(cwg.dep)
-            assert find_one_cycle(cwg.graph()) == find_one_cycle(cwg.dep)
+            g = nx_view(cwg.dep)
+            assert find_cycles(cwg.dep) == nx_sorted_cycles(g)
+            witness = find_one_cycle(cwg.dep)
+            if witness is None:
+                assert nx.is_directed_acyclic_graph(g)
+            else:
+                assert all(g.has_edge(*e) for e in witness.edges)
+
+
+def nx_sorted_cycles(g):
+    """``nx.simple_cycles`` in :func:`find_cycles` order."""
+    cycles = [Cycle.from_nodes(nodes) for nodes in nx.simple_cycles(g)]
+    cycles.sort(key=lambda cy: (len(cy), tuple(c.cid for c in cy.channels)))
+    return cycles
 
 
 class TestConsumersUnchanged:
     def test_reduction_identical_on_both_inputs(self, figure1):
         cwg = ChannelWaitingGraph(IncoherentExample(figure1))
         kernel_result = CWGReducer(cwg).run()
-        legacy_cycles = find_cycles(cwg.graph())
-        assert legacy_cycles == find_cycles(cwg.dep)
+        reference_cycles = nx_sorted_cycles(nx_view(cwg.dep))
+        assert reference_cycles == find_cycles(cwg.dep)
         # the reducer consumes the sorted cycle list, so equal inputs pin
         # the whole backtracking trajectory
         assert kernel_result.success is False or kernel_result.removed is not None

@@ -18,6 +18,7 @@ from repro.routing import (
 )
 from repro.sim import BernoulliTraffic, ScriptedTraffic, SimConfig, WormholeSimulator
 from repro.topology import build_mesh
+from tests.nx_reference import nx_view
 
 
 class TestRelationHelpers:
@@ -125,7 +126,7 @@ class TestCrossCuttingInvariants:
     def test_cwg_within_cdg_closure(self, name, mesh33):
         """Section 5: every waiting dependency is a usage dependency."""
         ra = make(name, mesh33)
-        closure = nx.transitive_closure(ChannelDependencyGraph(ra).graph())
+        closure = nx.transitive_closure(nx_view(ChannelDependencyGraph(ra).dep))
         for (a, b) in ChannelWaitingGraph(ra).edges:
             assert closure.has_edge(a, b)
 

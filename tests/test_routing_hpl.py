@@ -126,8 +126,8 @@ class TestStructure:
         assert not rep.holds
 
     def test_cyclic_cdg_acyclic_cwg(self, hpl):
-        assert find_one_cycle(ChannelDependencyGraph(hpl).graph()) is not None
-        assert find_one_cycle(ChannelWaitingGraph(hpl).graph()) is None
+        assert find_one_cycle(ChannelDependencyGraph(hpl).dep) is not None
+        assert find_one_cycle(ChannelWaitingGraph(hpl).dep) is None
 
     def test_wait_policy_variants(self, mesh33):
         assert HighestPositiveLast(mesh33).wait_policy is WaitPolicy.SPECIFIC

@@ -79,12 +79,6 @@ def test_vc_order_preferences():
     assert highest_vc_first(inj, cands, lambda c: False) is None
 
 
-def test_random_selection_refuses_pure_backend(monkeypatch, mesh_chans):
-    monkeypatch.setenv("REPRO_BACKEND", "pure")
-    with pytest.raises(RuntimeError, match="numpy backend"):
-        RandomSelection(3)
-
-
 # ----------------------------------------------------------------------
 # credit-based adaptive selection with escape fallback
 # ----------------------------------------------------------------------
