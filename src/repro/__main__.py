@@ -348,12 +348,12 @@ def cmd_simulate(args) -> int:
     from .sim import BernoulliTraffic, SimConfig, WormholeSimulator
 
     net, ra = _build_algorithm(args)
-    sim = WormholeSimulator(
-        ra,
-        BernoulliTraffic(net, rate=args.rate, pattern=args.pattern,
-                         length=args.length, stop_at=args.cycles),
-        SimConfig(seed=args.seed),
-    )
+    try:
+        traffic = BernoulliTraffic(net, rate=args.rate, pattern=args.pattern,
+                                   length=args.length, stop_at=args.cycles)
+    except ValueError as exc:
+        raise SystemExit(f"bad --rate: {exc}") from None
+    sim = WormholeSimulator(ra, traffic, SimConfig(seed=args.seed))
     sim.run(args.cycles)
     if sim.deadlock is not None:
         print(sim.deadlock.describe())
@@ -367,6 +367,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sim_sweep(args) -> int:
     from .sim import SweepRunner, grid_points, sweep_table, sweep_to_json
+    from .sim.traffic import check_rate
 
     names = [n.strip() for n in args.algorithms.split(",") if n.strip()]
     unknown = [n for n in names if n not in CATALOG]
@@ -377,6 +378,11 @@ def cmd_sim_sweep(args) -> int:
         seeds = tuple(int(x) for x in args.seeds.split(","))
     except ValueError as exc:
         raise SystemExit(f"bad --rates/--seeds: {exc}") from None
+    try:
+        for rate in rates:
+            check_rate(rate, args.length)
+    except ValueError as exc:
+        raise SystemExit(f"bad --rates: {exc}") from None
     points = grid_points(
         names,
         patterns=tuple(p.strip() for p in args.patterns.split(",") if p.strip()),
@@ -424,6 +430,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from pathlib import Path
+
     from .fuzz import (
         DEFAULT_FAMILIES,
         FAMILIES,
@@ -435,6 +443,9 @@ def cmd_fuzz(args) -> int:
     )
 
     if args.replay_corpus is not None:
+        if not Path(args.replay_corpus).is_dir():
+            # an empty replay would pass vacuously
+            raise SystemExit(f"corpus directory {args.replay_corpus!r} does not exist")
         report = replay_corpus(args.replay_corpus)
         print(replay_table(report))
         return 0 if report.ok else 1

@@ -359,10 +359,9 @@ def check_symmetric_links(ctx: AnalysisContext) -> Iterator[Diagnostic]:
       "a channel can wait on itself: a length-1 CWG cycle",
       "Definition 9 / Section 7.2")
 def check_self_waits(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    for u, v, mask in ctx.cwg.dep.iter_edges():
-        if u != v:
-            continue
-        dests = sorted(bits(mask))
+    dep = ctx.cwg.dep
+    for u in dep.self_loops():
+        dests = sorted(bits(dep.mask_of(u, u)))
         yield Diagnostic(
             rule="RH104", severity=Severity.WARNING,
             message=(

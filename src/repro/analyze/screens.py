@@ -146,7 +146,7 @@ def ordering_certificate_screen(cdg: ChannelDependencyGraph) -> ScreenResult:
         )
     labels, _ = cdg.dep.scc()
     violating = [
-        [u, v] for u, v, _m in cdg.dep.iter_edges() if labels[u] == labels[v]
+        [u, v] for u, v in cdg.dep.edge_cids() if labels[u] == labels[v]
     ]
     return ScreenResult(
         "ordering-certificate", "undecided",
@@ -172,7 +172,7 @@ def sink_elimination_screen(cwg: ChannelWaitingGraph) -> ScreenResult:
     outdeg = [dep.indptr[u + 1] - dep.indptr[u] for u in range(n)]
     preds: dict[int, list[int]] = {}
     self_loop = [False] * n
-    for u, v, _m in dep.iter_edges():
+    for u, v in dep.edge_cids():
         if u == v:
             self_loop[u] = True
         preds.setdefault(v, []).append(u)
@@ -241,7 +241,7 @@ def forced_cycle_screen(cwg: ChannelWaitingGraph) -> ScreenResult:
     for u in range(dep.num_vertices):
         counts[labels[u]] = counts.get(labels[u], 0) + 1
     hot = {u for u in range(dep.num_vertices) if counts[labels[u]] > 1}
-    hot.update(u for u, v, _m in dep.iter_edges() if u == v)
+    hot.update(dep.self_loops())
     nontrivial = sum(1 for c in counts.values() if c > 1)
     stats = {
         "nontrivial_sccs": nontrivial,

@@ -17,6 +17,11 @@ dependency types for the ECDG).  :class:`DepGraph` stores exactly that:
 * the per-edge payload is a single arbitrary-precision int used as a
   bitmask (destination ``d`` realizes a CWG/CDG edge iff bit ``d`` is set),
   so witness bookkeeping is bit arithmetic, not per-edge Python sets.
+  Graphs built from adjacency rows (:meth:`DepGraph.from_rows`, the CWG and
+  CDG builders) compute their payloads on demand: the verdict needs only
+  the structure until a cycle turns up, so an acyclic graph computes none,
+  and :meth:`DepGraph.mask_of` on an edge inside a strongly connected
+  component computes only the payloads of such edges.
 
 Cycle questions are answered SCC-first: Tarjan's algorithm decomposes the
 graph once, acyclicity and single-cycle extraction read the decomposition
@@ -33,7 +38,7 @@ routines and the Section 8 reduction actually execute on.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING
 
 from ..topology.channel import Channel
@@ -226,16 +231,27 @@ def iter_cycles_adj(adj: Mapping[int, list[int]]) -> Iterator[list[int]]:
         stack_sccs.extend(s for s in _scc_sets(scc, adj) if len(s) > 1)
 
 
+#: computes payloads on demand: given ``src_cid -> bitmask of target cids``,
+#: returns ``(src_cid, dst_cid) -> payload`` for each of those edges
+PayloadSource = Callable[[Mapping[int, int]], Mapping[tuple[int, int], int]]
+
+
 class DepGraph:
     """An integer-indexed dependency graph with per-edge payload bitmasks.
 
     Vertices are the channel ids of ``network`` (all of them -- builders
     decide which subset they consider "their" vertex set; isolated vertices
     cost nothing in CSR).  ``edge_masks`` maps ``(src_cid, dst_cid)`` to a
-    nonzero payload mask.
+    nonzero payload mask; :meth:`from_rows` builds the same structure from
+    adjacency rows with payloads computed on demand.
+
+    ``witnessed_edges`` counts the edge payloads computed on demand so far
+    (0 for a graph built with explicit masks, and for any graph whose
+    payloads nobody read).
     """
 
-    __slots__ = ("network", "num_vertices", "indptr", "indices", "masks",
+    __slots__ = ("network", "num_vertices", "indptr", "indices", "_masks",
+                 "_rows", "_payloads", "_cycle_masks", "witnessed_edges",
                  "_scc", "_rev", "_fingerprint")
 
     def __init__(self, network: Network, edge_masks: Mapping[tuple[int, int], int]) -> None:
@@ -251,12 +267,89 @@ class DepGraph:
             masks[i] = m
         for u in range(n):
             indptr[u + 1] += indptr[u]
+        self._init(network, indptr, indices, masks, None, None)
+
+    @classmethod
+    def from_rows(cls, network: Network, rows: list[int], payloads: PayloadSource) -> DepGraph:
+        """A graph with edge ``u -> v`` iff bit ``v`` of ``rows[u]`` is set.
+
+        ``payloads`` computes edge payloads when a consumer first reads
+        them.  The graph keeps ``rows``; callers must not mutate it.
+        """
+        n = network.num_channels
+        indptr = [0] * (n + 1)
+        indices: list[int] = []
+        for u in range(n):
+            r = rows[u]
+            if r:
+                indices.extend(bits(r))
+            indptr[u + 1] = len(indices)
+        self = cls.__new__(cls)
+        self._init(network, indptr, indices, None, rows, payloads)
+        return self
+
+    def _init(
+        self,
+        network: Network,
+        indptr: list[int],
+        indices: list[int],
+        masks: list[int] | None,
+        rows: list[int] | None,
+        payloads: PayloadSource | None,
+    ) -> None:
+        self.network = network
+        self.num_vertices = network.num_channels
         self.indptr = indptr
         self.indices = indices
-        self.masks = masks
+        self._masks = masks
+        self._rows = rows
+        self._payloads = payloads
+        self._cycle_masks: Mapping[tuple[int, int], int] | None = None
+        self.witnessed_edges = 0
         self._scc: tuple[list[int], int] | None = None
         self._rev: tuple[list[int], list[int]] | None = None
         self._fingerprint: str | None = None
+
+    # ------------------------------------------------------------------
+    # payloads (computed on first read for graphs built from rows)
+    # ------------------------------------------------------------------
+    def _compute(self, wanted: Mapping[int, int]) -> Mapping[tuple[int, int], int]:
+        assert self._payloads is not None
+        got = self._payloads(wanted) if wanted else {}
+        self.witnessed_edges += len(got)
+        return got
+
+    @property
+    def masks(self) -> list[int]:
+        """Every edge's payload mask, in CSR order."""
+        if self._masks is None:
+            assert self._rows is not None
+            got = self._compute({u: r for u, r in enumerate(self._rows) if r})
+            indptr, indices = self.indptr, self.indices
+            self._masks = [
+                got[(u, indices[i])]
+                for u in range(self.num_vertices)
+                for i in range(indptr[u], indptr[u + 1])
+            ]
+        return self._masks
+
+    def _cycle_payloads(self) -> Mapping[tuple[int, int], int]:
+        """Payloads of the edges whose endpoints share a strongly connected
+        component: every edge of every cycle, self-loops included."""
+        if self._cycle_masks is None:
+            assert self._rows is not None
+            labels, ncomp = self.scc()
+            members = [0] * ncomp
+            for v in range(self.num_vertices):
+                members[labels[v]] |= 1 << v
+            wanted: dict[int, int] = {}
+            for u, r in enumerate(self._rows):
+                if r:
+                    inside = r & members[labels[u]]
+                    if inside:
+                        wanted[u] = inside
+            self._cycle_masks = self._compute(wanted)
+        return self._cycle_masks
 
     # ------------------------------------------------------------------
     # structure
@@ -296,9 +389,20 @@ class DepGraph:
         return self._edge_index(u, v) >= 0
 
     def mask_of(self, u: int, v: int) -> int:
-        """Payload mask of edge ``(u, v)`` (0 when absent)."""
+        """Payload mask of edge ``(u, v)`` (0 when absent).
+
+        On a graph built from rows, an edge inside a strongly connected
+        component computes only the payloads of such edges; any other edge
+        computes them all.
+        """
         i = self._edge_index(u, v)
-        return self.masks[i] if i >= 0 else 0
+        if i < 0:
+            return 0
+        if self._masks is None:
+            labels, _ = self.scc()
+            if labels[u] == labels[v]:
+                return self._cycle_payloads()[(u, v)]
+        return self.masks[i]
 
     def target_cids(self) -> set[int]:
         """All cids that appear as an edge target."""
@@ -382,7 +486,8 @@ class DepGraph:
         stats["scc_frontier_violations"] = violations
         return stats
 
-    def _self_loops(self) -> list[int]:
+    def self_loops(self) -> list[int]:
+        """Cids with an edge to themselves (ascending)."""
         indptr, indices = self.indptr, self.indices
         return [
             u for u in range(self.num_vertices)
@@ -392,7 +497,7 @@ class DepGraph:
     def is_acyclic(self) -> bool:
         """True iff the graph has no directed cycle (self-loops included)."""
         labels, ncomp = self.scc()
-        return ncomp == self.num_vertices and not self._self_loops()
+        return ncomp == self.num_vertices and not self.self_loops()
 
     def topo_cids(self) -> list[int] | None:
         """The vertex ids in a topological order, or ``None`` if cyclic.
@@ -413,7 +518,7 @@ class DepGraph:
         search happens.  Deterministic (lowest-cid component member, lowest
         successor first).
         """
-        loops = self._self_loops()
+        loops = self.self_loops()
         if loops:
             return [loops[0]]
         labels, ncomp = self.scc()
@@ -526,7 +631,7 @@ class DepGraph:
         return {
             "vertices": self.num_vertices,
             "edges": self.num_edges,
-            "self_loops": len(self._self_loops()),
+            "self_loops": len(self.self_loops()),
             "sccs": ncomp,
             "nontrivial_sccs": len(nontrivial),
             "largest_scc": max(nontrivial, default=1),

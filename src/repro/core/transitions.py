@@ -29,23 +29,36 @@ and precomputes the derived sets the rest of :mod:`repro.core` consumes:
 Reachable-set computation runs on the SCC condensation so cyclic
 (nonminimal) relations cost the same as acyclic ones.
 
+For an ``R(n, d)`` relation (:func:`~repro.routing.relation.is_node_dest`)
+the walk evaluates the relation once per *row* -- once per node -- and every
+input channel at that node shares the answer.
+
 The canonical derived representation is *cid bitmasks* (``succ_masks``,
 ``wait_masks``, ``downstream_wait_masks``, ``upstream_masks``): one
 arbitrary-precision int per state, bit ``i`` set iff channel ``i`` is in the
-set.  The graph builders consume the masks directly
-(:meth:`TransitionCache.collect_edge_dests` never touches a
-:class:`~repro.topology.channel.Channel` object); the frozenset views
-(``downstream_wait`` / ``upstream``) are adapters materialized lazily for
-the consumers that still want objects.
+set.  The frozenset views (``downstream_wait`` / ``upstream``) are adapters
+materialized lazily for the consumers that still want objects.
+
+:class:`TransitionGraph` is the one builder behind the CWG, the CDG and the
+fuzzers' planted immediate-wait CWG: it ORs one per-state target mask per
+destination into a single adjacency row per source channel, and leaves the
+per-edge destination witnesses to :class:`DestinationWitnesses`, which the
+kernel consults only when a consumer reads them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from typing import Any, TypeVar
 
-from ..routing.relation import RoutingAlgorithm
+from ..routing.relation import RoutingAlgorithm, is_node_dest
 from ..topology.channel import Channel
-from .depgraph import bits, tarjan_scc
+from .depgraph import DepGraph, bits, tarjan_scc
+
+
+#: (vertex of each state, indptr, indices, labels, ncomp, order) -- see
+#: :meth:`DestinationTransitions._condensation`
+_Condensation = tuple[list[int], list[int], list[int], list[int], int, list[int]]
 
 
 class DestinationTransitions:
@@ -67,6 +80,10 @@ class DestinationTransitions:
         default_wait = (
             type(algorithm).waiting_channels is RoutingAlgorithm.waiting_channels
         )
+        #: node -> (routes, waits) for an R(n, d) relation, else ``None``
+        rows: dict[int, tuple[frozenset[Channel], frozenset[Channel]]] | None = (
+            {} if is_node_dest(algorithm) else None
+        )
         # Forward BFS from the injection channels over the routing relation.
         frontier: list[Channel] = list(self.starts)
         seen: set[Channel] = set(frontier)
@@ -78,10 +95,17 @@ class DestinationTransitions:
                     self.succ[c] = frozenset()
                     self.wait[c] = frozenset()
                     continue
+                row = rows.get(node) if rows is not None else None
+                if row is not None:
+                    # the row's first state already queued every output
+                    self.succ[c], self.wait[c] = row
+                    continue
                 out = algorithm.route(c, node, dest)
-                self.succ[c] = out
-                self.wait[c] = out if default_wait \
-                    else algorithm.waiting_channels(c, node, dest)
+                row = (out, out if default_wait
+                       else algorithm.waiting_channels(c, node, dest))
+                if rows is not None:
+                    rows[node] = row
+                self.succ[c], self.wait[c] = row
                 for o in out:
                     if o not in seen:
                         seen.add(o)
@@ -96,6 +120,9 @@ class DestinationTransitions:
         self._downstream_wait_masks: dict[int, int] | None = None
         self._upstream_masks: dict[int, int] | None = None
         self._downstream_node_masks: dict[int, int] | None = None
+        #: the walk shared each node's row among the node's states
+        self._node_rows = rows is not None
+        self._local: dict[bool, _Condensation] = {}
         self._downstream_wait: dict[Channel, frozenset[Channel]] | None = None
         self._upstream: dict[Channel, frozenset[Channel]] | None = None
 
@@ -104,11 +131,16 @@ class DestinationTransitions:
     # ------------------------------------------------------------------
     @staticmethod
     def _as_masks(sets: Mapping[Channel, frozenset[Channel]]) -> dict[int, int]:
+        # States sharing a row share its set object: convert each object once.
+        memo: dict[int, int] = {}
         out: dict[int, int] = {}
         for c, members in sets.items():
-            m = 0
-            for w in members:
-                m |= 1 << w.cid
+            m = memo.get(id(members))
+            if m is None:
+                m = 0
+                for w in members:
+                    m |= 1 << w.cid
+                memo[id(members)] = m
             out[c.cid] = m
         return out
 
@@ -184,52 +216,95 @@ class DestinationTransitions:
             self._upstream = self._materialize(self.upstream_masks)
         return self._upstream
 
+    def _condensation(self, by_node: bool) -> _Condensation:
+        """The state graph -- or, ``by_node``, the node graph -- on local
+        indices, with its SCC condensation (built once per kind).
+
+        The node graph has a vertex per node some state sits at and an arc
+        ``n -> o.dst`` per output ``o`` of the node's row; it stands for
+        the state graph when every state at a node shares the node's row,
+        which the walk guarantees for an ``R(n, d)`` relation.  Returns
+        ``(vertex of each state in succ order, indptr, indices, labels,
+        ncomp, order)``: Tarjan's component labels, in reverse topological
+        order (every inter-component arc points to a smaller label), and the
+        vertices by ascending label.
+        """
+        got = self._local.get(by_node)
+        if got is not None:
+            return got
+        indices: list[int] = []
+        indptr = [0]
+        if by_node:
+            pos: dict[int, int] = {}
+            outs: list[frozenset[Channel]] = []
+            vertex: list[int] = []
+            for c, out in self.succ.items():
+                v = pos.get(c.dst)
+                if v is None:
+                    v = pos[c.dst] = len(outs)
+                    outs.append(out)
+                vertex.append(v)
+            for out in outs:
+                indices.extend(dict.fromkeys(pos[o.dst] for o in out))
+                indptr.append(len(indices))
+        else:
+            pos = {c.cid: i for i, c in enumerate(self.succ)}
+            vertex = list(range(len(pos)))
+            # states sharing a row share its successor set: index it once
+            memo: dict[int, list[int]] = {}
+            for out in self.succ.values():
+                loc = memo.get(id(out))
+                if loc is None:
+                    loc = memo[id(out)] = [pos[o.cid] for o in out]
+                indices.extend(loc)
+                indptr.append(len(indices))
+        n = len(indptr) - 1
+        labels, ncomp = tarjan_scc(n, indptr, indices)
+        order = sorted(range(n), key=labels.__getitem__)
+        got = self._local[by_node] = (vertex, indptr, indices, labels, ncomp, order)
+        return got
+
     def _propagate(self, seed: Mapping[int, int], *, forward: bool) -> dict[int, int]:
         """Reflexive-transitive closure aggregation over the SCC condensation.
 
         Each state ``c`` contributes the bitmask ``seed[c.cid]``; forward=True
         accumulates it downstream (over every state reachable from a state),
         forward=False upstream (over every state a state is reachable
-        from).  Runs on the integer kernel: the state graph is indexed
-        locally, Tarjan's decomposition (labels in reverse topological order
-        -- every inter-component edge points to a smaller label) gives the
-        condensation, and the accumulated bitmasks are OR-ed along
-        condensation edges.  Returns ``state cid -> accumulated
-        bitmask``.
+        from).  Runs on the integer kernel (:meth:`_condensation`): the
+        accumulated bitmasks are OR-ed along condensation arcs, visiting
+        components in label order so every value read is final.  For an
+        ``R(n, d)`` relation a forward seed must be a function of the
+        state's node (both callers' are), and the node graph is used.
+        Returns ``state cid -> accumulated bitmask``.
         """
-        states = list(self.succ)
-        idx = {c: i for i, c in enumerate(states)}
-        n = len(states)
-        indptr = [0] * (n + 1)
-        indices: list[int] = []
-        if forward:
-            for i, c in enumerate(states):
-                for o in self.succ[c]:
-                    indices.append(idx[o])
-                indptr[i + 1] = len(indices)
-        else:
-            rev: list[list[int]] = [[] for _ in range(n)]
-            for i, c in enumerate(states):
-                for o in self.succ[c]:
-                    rev[idx[o]].append(i)
-            for i in range(n):
-                indices.extend(rev[i])
-                indptr[i + 1] = len(indices)
-        labels, ncomp = tarjan_scc(n, indptr, indices)
+        vertex, indptr, indices, labels, ncomp, order = self._condensation(
+            forward and self._node_rows)
+        cids = [c.cid for c in self.succ]
         comp_val = [0] * ncomp
-        for i, c in enumerate(states):
-            comp_val[labels[i]] |= seed[c.cid]
-        # Successor components always carry smaller labels, so visiting
-        # vertices by ascending component label reads only finalized values.
-        for i in sorted(range(n), key=lambda v: labels[v]):
-            li = labels[i]
-            acc = comp_val[li]
-            for p in range(indptr[i], indptr[i + 1]):
-                lj = labels[indices[p]]
-                if lj != li:
-                    acc |= comp_val[lj]
-            comp_val[li] = acc
-        return {c.cid: comp_val[labels[i]] for i, c in enumerate(states)}
+        for v, cid in zip(vertex, cids):
+            comp_val[labels[v]] |= seed[cid]
+        if forward:
+            # successors carry smaller labels: ascending order pulls from
+            # finished components
+            for i in order:
+                li = labels[i]
+                acc = comp_val[li]
+                for p in range(indptr[i], indptr[i + 1]):
+                    lj = labels[indices[p]]
+                    if lj != li:
+                        acc |= comp_val[lj]
+                comp_val[li] = acc
+        else:
+            # predecessors carry larger labels: descending order pushes
+            # finished components along
+            for i in reversed(order):
+                li = labels[i]
+                val = comp_val[li]
+                for p in range(indptr[i], indptr[i + 1]):
+                    lj = labels[indices[p]]
+                    if lj != li:
+                        comp_val[lj] |= val
+        return {cid: comp_val[labels[v]] for v, cid in zip(vertex, cids)}
 
     def reachable_from(self, start: Channel) -> frozenset[Channel]:
         """States reachable from ``start`` (inclusive)."""
@@ -276,27 +351,207 @@ class TransitionCache:
         for dest in self.algorithm.network.nodes:
             yield self[dest]
 
-    def collect_edge_dests(
-        self,
-        targets: Callable[[DestinationTransitions], Mapping[int, int]],
-    ) -> dict[tuple[int, int], int]:
-        """Per-edge destination bitmasks over every destination's state walk.
 
-        The one accumulation loop the CDG and CWG builders share:
-        ``targets(dt)`` maps a destination's transitions to the per-state
-        out-neighbour *bitmask* mapping that defines the edge set --
-        ``dt.succ_masks`` for the CDG's immediate dependencies,
-        ``dt.downstream_wait_masks`` for the CWG's occupy-while-waiting
-        edges.  Returns ``(src_cid, dst_cid) -> destination bitmask``, the
-        exact input :class:`~repro.core.depgraph.DepGraph` takes.
+#: maps a destination's transitions to the per-state out-neighbour masks that
+#: define a graph's edges (``succ_masks``, ``wait_masks``, ...)
+Targets = Callable[[DestinationTransitions], Mapping[int, int]]
+
+
+class DestinationWitnesses:
+    """Per-edge destination witnesses of a graph built from transition graphs.
+
+    A graph holds one of these instead of per-edge destination masks; the
+    kernel (:meth:`~repro.core.depgraph.DepGraph.mask_of`) calls it only
+    when a consumer reads a witness.  It keeps the
+    :class:`DestinationTransitions` the graph was built from, so a later
+    rebuild of the cache they came from (the incremental session's
+    dirty-destination walks) never changes an older graph's answers.  A
+    graph restored from the pipeline cache was built from no walk; it
+    passes its :class:`TransitionCache` and the witnesses read it on first
+    use.
+    """
+
+    __slots__ = ("_dts", "_targets")
+
+    def __init__(
+        self,
+        dts: Sequence[DestinationTransitions] | TransitionCache,
+        targets: Targets,
+    ) -> None:
+        self._dts = dts
+        self._targets = targets
+
+    def __call__(self, wanted: Mapping[int, int]) -> dict[tuple[int, int], int]:
+        """Destination bitmasks of the edges ``wanted`` names.
+
+        ``wanted`` maps a source cid to the bitmask of target cids whose
+        edges to witness; returns ``(src_cid, dst_cid) -> destination
+        bitmask`` for every such edge.
         """
-        edges: dict[tuple[int, int], int] = {}
-        get = edges.get
-        for dt in self.all_destinations():
+        dts = self._dts
+        if isinstance(dts, TransitionCache):
+            dts = self._dts = tuple(dts.all_destinations())
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        for dt in dts:
             bit = 1 << dt.dest
-            tmap = targets(dt)
-            for a in dt.usable_cids:
-                for b in bits(tmap[a]):
+            tmap = self._targets(dt)
+            usable = dt.usable_cids
+            for a in (wanted if len(wanted) < len(usable) else usable):
+                t = tmap.get(a, 0) & wanted.get(a, 0)
+                for b in bits(t):
                     k = (a, b)
-                    edges[k] = get(k, 0) | bit
-        return edges
+                    out[k] = get(k, 0) | bit
+        return out
+
+
+def adjacency_rows(
+    num_channels: int, dts: Sequence[DestinationTransitions], targets: Targets
+) -> list[int]:
+    """One adjacency bitmask per source cid: the OR of every destination's
+    per-state target mask at that channel (usable states only)."""
+    rows = [0] * num_channels
+    for dt in dts:
+        tmap = targets(dt)
+        for a in dt.usable_cids:
+            rows[a] |= tmap[a]
+    return rows
+
+
+_G = TypeVar("_G", bound="TransitionGraph")
+
+
+class TransitionGraph:
+    """A channel graph whose edges are read off the transition graphs.
+
+    Subclasses name :attr:`targets`: the per-state out-neighbour masks whose
+    union over destinations is the edge set (``dt.succ_masks`` for the
+    CDG's immediate dependencies, ``dt.downstream_wait_masks`` for the
+    CWG's occupy-while-waiting edges).  Construction ORs them into one
+    adjacency row per source channel and builds the
+    :class:`~repro.core.depgraph.DepGraph` from the rows; the destinations
+    realizing each edge are computed on demand (:class:`DestinationWitnesses`)
+    -- an acyclic graph never computes any, a cyclic one only those inside
+    its strongly connected components unless a consumer asks for all.
+    """
+
+    kind = "graph"
+    targets: Targets
+
+    def __init__(self, algorithm: RoutingAlgorithm, *, transitions: TransitionCache | None = None) -> None:
+        self.algorithm = algorithm
+        self.transitions = transitions or TransitionCache(algorithm)
+        dts = tuple(self.transitions.all_destinations())
+        net = algorithm.network
+        #: the integer-indexed kernel all checkers execute on
+        self.dep: DepGraph = DepGraph.from_rows(
+            net,
+            adjacency_rows(net.num_channels, dts, self.targets),
+            DestinationWitnesses(dts, self.targets),
+        )
+        self._edge_dests: dict[tuple[Channel, Channel], set[int]] | None = None
+
+    # ------------------------------------------------------------------
+    # Channel-level adapter views
+    # ------------------------------------------------------------------
+    @property
+    def edge_dests(self) -> dict[tuple[Channel, Channel], set[int]]:
+        """edge -> destinations whose traffic realizes it (adapter view)."""
+        if self._edge_dests is None:
+            channel = self.algorithm.network.channel
+            self._edge_dests = {
+                (channel(u), channel(v)): set(bits(m))
+                for u, v, m in self.dep.iter_edges()
+            }
+        return self._edge_dests
+
+    def destinations_for(self, edge: tuple[Channel, Channel]) -> frozenset[int]:
+        a, b = edge
+        return frozenset(bits(self.dep.mask_of(a.cid, b.cid)))
+
+    # ------------------------------------------------------------------
+    # content-addressed cache hooks (repro.pipeline)
+    # ------------------------------------------------------------------
+    def cache_payload(self) -> dict[str, Any]:
+        """JSON-safe adjacency ``{"adjacency": [[src_cid, [dst_cids...]], ...]}``."""
+        dep = self.dep
+        return {"adjacency": [
+            [u, dep.succ_cids(u)] for u in range(dep.num_vertices)
+            if dep.indptr[u] != dep.indptr[u + 1]
+        ]}
+
+    @classmethod
+    def from_cached_edges(
+        cls: type[_G],
+        algorithm: RoutingAlgorithm,
+        payload: dict[str, Any],
+        *,
+        transitions: TransitionCache | None = None,
+    ) -> _G:
+        """Rebuild a graph from :meth:`cache_payload` output without rerunning
+        the transition walks.  The payload must have been produced for an
+        identical ``(network, relation)`` pair -- the pipeline guarantees
+        that by fingerprinting both.  Witnesses read ``transitions`` on
+        first use.
+        """
+        net = algorithm.network
+        n = net.num_channels
+        rows = [0] * n
+        for u, targets in payload["adjacency"]:
+            for v in targets:
+                if not 0 <= v < n:
+                    raise ValueError(f"edge target {v} out of range")
+                rows[u] |= 1 << v
+        tc = transitions or TransitionCache(algorithm)
+        return cls.from_depgraph(
+            algorithm,
+            DepGraph.from_rows(net, rows, DestinationWitnesses(tc, cls.targets)),
+            transitions=tc,
+        )
+
+    @classmethod
+    def from_depgraph(
+        cls: type[_G],
+        algorithm: RoutingAlgorithm,
+        dep: DepGraph,
+        *,
+        transitions: TransitionCache | None = None,
+    ) -> _G:
+        """Wrap an already-assembled kernel (the incremental engine's seam).
+
+        ``dep`` must be this graph's kernel for exactly this ``algorithm``
+        -- the incremental session maintains it delta-by-delta and proves
+        the equivalence by digest against a cold build.
+        """
+        self = cls.__new__(cls)
+        self.algorithm = algorithm
+        self.transitions = transitions or TransitionCache(algorithm)
+        self.dep = dep
+        self._edge_dests = None
+        return self
+
+    # ------------------------------------------------------------------
+    @property
+    def vertices(self) -> list[Channel]:
+        """All link channels of the network (including unused ones)."""
+        return self.algorithm.network.link_channels
+
+    @property
+    def edges(self) -> list[tuple[Channel, Channel]]:
+        return self.dep.channel_edges()
+
+    def is_acyclic(self) -> bool:
+        return self.dep.is_acyclic()
+
+    def __contains__(self, edge: tuple[Channel, Channel]) -> bool:
+        a, b = edge
+        return self.dep.has_edge(a.cid, b.cid)
+
+    def __len__(self) -> int:
+        return self.dep.num_edges
+
+    def __repr__(self) -> str:
+        return (
+            f"<{self.kind} of {self.algorithm.name}: "
+            f"{len(self.vertices)} channels, {len(self.dep)} edges>"
+        )

@@ -55,9 +55,10 @@ Variants
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from ..core.cwg import ChannelWaitingGraph
 from ..core.depgraph import DepGraph
-from ..core.transitions import TransitionCache
 from ..deps.ecdg import DependencyType, ExtendedChannelDependencyGraph, _TYPE_BIT
 from ..routing.relation import RoutingAlgorithm
 from ..verify.duato import search_escape
@@ -81,16 +82,7 @@ class ImmediateWaitCWG(ChannelWaitingGraph):
     """
 
     kind = "CWG[immediate-wait]"
-
-    def __init__(self, algorithm: RoutingAlgorithm, *,
-                 transitions: TransitionCache | None = None) -> None:
-        self.algorithm = algorithm
-        self.transitions = transitions or TransitionCache(algorithm)
-        self.dep = DepGraph(
-            algorithm.network,
-            self.transitions.collect_edge_dests(lambda dt: dt.wait_masks),
-        )
-        self._edge_dests = None
+    targets = attrgetter("wait_masks")
 
 
 class NoIndirectECDG(ExtendedChannelDependencyGraph):

@@ -12,7 +12,9 @@ and keeps every artifact the verifiers consume hot across a stream of
   an induction on the deterministic query trace: the first diverging query
   is made by both the cached and a fresh walk, and its pre-mask set
   contains the changed channel);
-* the CWG and CDG kernels, re-merged from per-destination edge sets and
+* the CWG and CDG kernels, kept as one adjacency row per source channel:
+  a delta re-ORs only the rows the dirty destinations' walks touch (before
+  or after the rebuild), and each kernel is rebuilt from the rows and
   refreshed through :meth:`~repro.core.depgraph.DepGraph.refresh_scc_from`
   -- payload-only deltas transfer the Tarjan decomposition verbatim,
   structural deltas recompute it canonically while the dirty-SCC frontier
@@ -40,12 +42,18 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 from ..analyze.screens import triage, triage_verdict
 from ..core.cwg import ChannelWaitingGraph
 from ..core.depgraph import DepGraph, bits
-from ..core.transitions import DestinationTransitions, TransitionCache
+from ..core.transitions import (
+    DestinationTransitions,
+    DestinationWitnesses,
+    TransitionCache,
+    adjacency_rows,
+)
 from ..deps.cdg import ChannelDependencyGraph
 from ..pipeline.cache import VerificationCache, cached_verdict, verdicts_digest
 from ..pipeline.engine import CONDITIONS, DEFAULT_CONDITIONS, JobSpec, build_topology
@@ -176,9 +184,9 @@ class IncrementalSession:
         self.tc = TransitionCache(self.overlay)
         #: dest -> pre-mask channel bitmask its transition walk consulted
         self._relevant: dict[int, int] = {}
-        #: per-destination (src_cid, dst_cid) edge sets for both kernels
-        self._cwg_edges: dict[int, set[tuple[int, int]]] = {}
-        self._cdg_edges: dict[int, set[tuple[int, int]]] = {}
+        #: one adjacency bitmask per source cid, for each kernel
+        self._cwg_rows: list[int] = []
+        self._cdg_rows: list[int] = []
         self._dep: DepGraph | None = None
         self._cdg_dep: DepGraph | None = None
         #: cached relation-fingerprint pieces; segments keyed by destination
@@ -191,7 +199,7 @@ class IncrementalSession:
         with self.metrics.timer("incremental:rebuild"):
             for dest in net.nodes:
                 self._build_dt(dest)
-            stats = self._refresh_graphs()
+            stats = self._refresh_graphs(None)
         stats["dirty_destinations"] = net.num_nodes
         self._last_stats = stats
 
@@ -208,46 +216,49 @@ class IncrementalSession:
         self.tc.store(dest, dt)
         self._relevant[dest] = rec.mask
         self._fp_segments.pop(dest, None)
-        cw: set[tuple[int, int]] = set()
-        cd: set[tuple[int, int]] = set()
-        dw = dt.downstream_wait_masks
-        succ_masks = dt.succ_masks
-        for a in dt.usable_cids:
-            for b in bits(dw[a]):
-                cw.add((a, b))
-            for b in bits(succ_masks[a]):
-                cd.add((a, b))
-        self._cwg_edges[dest] = cw
-        self._cdg_edges[dest] = cd
 
-    def _refresh_graphs(self) -> dict[str, int]:
-        """Re-merge the per-destination edge sets and refresh both kernels."""
+    def _refresh_graphs(self, sources: set[int] | None) -> dict[str, int]:
+        """Re-OR the adjacency rows of ``sources`` (every row when ``None``)
+        and rebuild both kernels, refreshing their SCC decompositions."""
         net = self.base.network
-        cwg_masks: dict[tuple[int, int], int] = {}
-        cdg_masks: dict[tuple[int, int], int] = {}
-        for dest, edges in self._cwg_edges.items():
-            bit = 1 << dest
-            for k in edges:
-                cwg_masks[k] = cwg_masks.get(k, 0) | bit
-        for dest, edges in self._cdg_edges.items():
-            bit = 1 << dest
-            for k in edges:
-                cdg_masks[k] = cdg_masks.get(k, 0) | bit
+        dts = tuple(self.tc.all_destinations())
+        down = attrgetter("downstream_wait_masks")
+        succ = attrgetter("succ_masks")
+        old_cwg, old_cdg = self._cwg_rows, self._cdg_rows
+        if sources is None:
+            self._cwg_rows = adjacency_rows(net.num_channels, dts, down)
+            self._cdg_rows = adjacency_rows(net.num_channels, dts, succ)
+        else:
+            cwg_rows, cdg_rows = list(old_cwg), list(old_cdg)
+            maps = [(dt.downstream_wait_masks, dt.succ_masks) for dt in dts]
+            for a in sources:
+                cw = cd = 0
+                for dw, sm in maps:
+                    m = dw.get(a)
+                    if m is not None:
+                        cw |= m
+                        cd |= sm[a]
+                cwg_rows[a], cdg_rows[a] = cw, cd
+            self._cwg_rows, self._cdg_rows = cwg_rows, cdg_rows
         stats: dict[str, int] = {}
-        old, old_cdg = self._dep, self._cdg_dep
-        self._dep = DepGraph(net, cwg_masks)
-        self._cdg_dep = DepGraph(net, cdg_masks)
-        if old is not None and old_cdg is not None:
-            for prefix, new_dep, old_dep in (
-                ("cwg", self._dep, old),
-                ("cdg", self._cdg_dep, old_cdg),
+        old, old_cdg_dep = self._dep, self._cdg_dep
+        self._dep = DepGraph.from_rows(
+            net, self._cwg_rows, DestinationWitnesses(dts, down))
+        self._cdg_dep = DepGraph.from_rows(
+            net, self._cdg_rows, DestinationWitnesses(dts, succ))
+        if old is not None and old_cdg_dep is not None:
+            assert sources is not None  # a full rebuild starts from no graphs
+            for prefix, new_dep, old_dep, new_rows, old_rows in (
+                ("cwg", self._dep, old, self._cwg_rows, old_cwg),
+                ("cdg", self._cdg_dep, old_cdg_dep, self._cdg_rows, old_cdg),
             ):
+                # endpoints of every added or removed edge
                 touched: set[int] = set()
-                old_keys = {(u, v) for u, v, _ in old_dep.iter_edges()}
-                new_keys = {(u, v) for u, v, _ in new_dep.iter_edges()}
-                for u, v in old_keys.symmetric_difference(new_keys):
-                    touched.add(u)
-                    touched.add(v)
+                for a in sources:
+                    diff = old_rows[a] ^ new_rows[a]
+                    if diff:
+                        touched.add(a)
+                        touched.update(bits(diff))
                 for k, v2 in new_dep.refresh_scc_from(old_dep, touched).items():
                     stats[f"{prefix}_{k}"] = v2
                     self.metrics.count(f"{prefix}_{k}", v2)
@@ -303,9 +314,14 @@ class IncrementalSession:
             return dict(self._last_stats)
         else:
             raise TypeError(f"unknown delta {delta!r}")
+        # a dirty destination's walk may change the rows of every channel it
+        # visits before or after the rebuild
+        sources: set[int] = set()
         for d in sorted(dirty):
+            sources.update(self.tc[d].usable_cids)
             self._build_dt(d)
-        stats = self._refresh_graphs()
+            sources.update(self.tc[d].usable_cids)
+        stats = self._refresh_graphs(sources)
         stats["dirty_destinations"] = len(dirty)
         self.metrics.count("dirty_destinations", len(dirty))
         self._last_stats = stats

@@ -11,7 +11,9 @@ Three artifact layers are memoized, cheapest-to-rebuild last:
 
 * whole verdicts (``verdict:<condition>``) -- the big win for catalog
   re-sweeps;
-* CWG edge sets with their destination witnesses (``cwg``), restored via
+* CWG adjacency (``cwg/v2``: one target list per source channel; the
+  per-edge destination witnesses are recomputed on demand from the
+  transition graphs), restored via
   :meth:`repro.core.cwg.ChannelWaitingGraph.from_cached_edges`;
 * simple-cycle enumerations (``cycles``) and Section 8 reduction outcomes
   (``reduction``).
@@ -187,6 +189,11 @@ class VerificationCache:
 _RESTORE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, IndexError)
 
 
+#: stage key of the CWG payload; v2 holds adjacency only (v1 held per-edge
+#: destination lists, which a v2 reader never looks up)
+CWG_STAGE = "cwg/v2"
+
+
 def cached_cwg(
     algorithm: RoutingAlgorithm,
     cache: VerificationCache | None,
@@ -198,16 +205,16 @@ def cached_cwg(
     if cache is None:
         return ChannelWaitingGraph(algorithm, transitions=transitions)
     fp = fingerprint or algorithm.fingerprint(transitions=transitions)
-    payload = cache.get(fp, "cwg")
+    payload = cache.get(fp, CWG_STAGE)
     if payload is not None:
         try:
             return ChannelWaitingGraph.from_cached_edges(
                 algorithm, payload, transitions=transitions
             )
         except _RESTORE_ERRORS:
-            cache.note_corrupt(fp, "cwg")
+            cache.note_corrupt(fp, CWG_STAGE)
     cwg = ChannelWaitingGraph(algorithm, transitions=transitions)
-    cache.put(fp, "cwg", cwg.cache_payload())
+    cache.put(fp, CWG_STAGE, cwg.cache_payload())
     return cwg
 
 

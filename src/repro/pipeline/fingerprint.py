@@ -25,6 +25,8 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING
 
+from ..core.depgraph import bits
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.depgraph import DepGraph
     from ..core.transitions import DestinationTransitions, TransitionCache
@@ -97,12 +99,24 @@ def relation_header(algorithm: "RoutingAlgorithm") -> bytes:
 
 
 def relation_segment(dest: int, dt: "DestinationTransitions") -> bytes:
-    """Canonical bytes for one destination's routing table slice."""
+    """Canonical bytes for one destination's routing table slice.
+
+    One line per reachable state, ascending input cid: the state, its
+    permitted outputs and its waiting set, each set as ascending cids --
+    read off the cid bitmasks, formatting each distinct pair of sets once.
+    """
+    succ, wait = dt.succ_masks, dt.wait_masks
+    tails: dict[tuple[int, int], str] = {}
     lines = []
-    for c in sorted(dt.succ, key=lambda ch: ch.cid):
-        succ = ",".join(str(o.cid) for o in sorted(dt.succ[c], key=lambda ch: ch.cid))
-        wait = ",".join(str(w.cid) for w in sorted(dt.wait[c], key=lambda ch: ch.cid))
-        lines.append(f"{dest}:{c.cid} -> [{succ}] wait [{wait}]\n")
+    for c in sorted(succ):
+        key = (succ[c], wait[c])
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = (
+                f"[{','.join(map(str, bits(key[0])))}] "
+                f"wait [{','.join(map(str, bits(key[1])))}]\n"
+            )
+        lines.append(f"{dest}:{c} -> {tail}")
     return "".join(lines).encode()
 
 

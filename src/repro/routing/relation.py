@@ -163,6 +163,20 @@ class NodeDestRouting(RoutingAlgorithm):
         return self.route_nd(node, dest)
 
 
+def is_node_dest(algorithm: RoutingAlgorithm) -> bool:
+    """Do ``route`` and ``waiting_channels`` depend on ``(node, dest)`` alone?
+
+    True exactly for :class:`NodeDestRouting` instances, whose contract
+    makes both sets functions of the current node and the destination, so
+    a consumer may evaluate the relation once per *row* ``(node, dest)``
+    and serve the answer to every input channel at the node.  The gate is
+    the class, not :attr:`RoutingAlgorithm.form`: wrappers such as
+    :class:`RestrictedWaiting` copy ``form="ND"`` from the relation they
+    wrap while keying their waiting sets by input channel.
+    """
+    return isinstance(algorithm, NodeDestRouting)
+
+
 class RestrictedWaiting(RoutingAlgorithm):
     """Mixin/wrapper that narrows the waiting set of an existing algorithm.
 
@@ -224,8 +238,8 @@ class RouteTable:
     The one exception is an input whose source node some candidate leads
     back to: the U-turn term of the sort key can reorder that row, so the
     input gets its own entry, built exactly as for a general relation.
-    The gate is the class, not :attr:`RoutingAlgorithm.form`: wrappers copy
-    ``form="ND"`` while keying their waiting sets by input channel.
+    :func:`is_node_dest` is the gate, shared with the checker's
+    :class:`~repro.core.transitions.DestinationTransitions`.
 
     Entries are filled lazily: only ``(c_in, dest)`` pairs traffic actually
     exercises are ever computed, so construction is O(1) even on large
@@ -254,7 +268,7 @@ class RouteTable:
         #: ``None`` for relations that may depend on the input channel
         self._rows: list[RouteEntry | None] | None = (
             [None] * (net.num_nodes * net.num_nodes)
-            if isinstance(algorithm, NodeDestRouting) else None
+            if is_node_dest(algorithm) else None
         )
         self.hits = 0
         self.misses = 0

@@ -123,13 +123,30 @@ PATTERNS = {
 # ----------------------------------------------------------------------
 # sources
 # ----------------------------------------------------------------------
+def check_rate(rate: float, mean_length: float) -> None:
+    """Reject an offered load no Bernoulli source can produce.
+
+    Each node starts a message with probability ``rate / mean_length`` per
+    cycle, so ``rate`` must lie in ``[0, mean_length]``.  Raises
+    :class:`ValueError` otherwise (NaN included).
+    """
+    if not rate >= 0:
+        raise ValueError(f"injection rate must be non-negative, got {rate!r}")
+    if not rate <= mean_length:
+        raise ValueError(
+            f"injection rate {rate!r} exceeds the mean message length "
+            f"{mean_length:g}: the per-cycle injection probability would pass 1"
+        )
+
+
 class BernoulliTraffic:
     """Open-loop injection at a given flit rate with a destination pattern.
 
     Parameters
     ----------
     rate:
-        Offered load in flits per node per cycle (0..~saturation).
+        Offered load in flits per node per cycle (0..~saturation); at most
+        the mean message length (see :func:`check_rate`).
     pattern:
         Name from :data:`PATTERNS` or a ``pick(src, rng) -> dest`` callable.
     length:
@@ -150,6 +167,7 @@ class BernoulliTraffic:
         self.rate = rate
         self.length = length
         self.stop_at = stop_at
+        check_rate(rate, self._mean_length())
         if callable(pattern):
             self.pick = pattern
         else:

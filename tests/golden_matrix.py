@@ -43,6 +43,12 @@ session-default link channel through
 fast-path reuse flag, and incremental-vs-cold semantic-digest agreement.
 Regenerate (same caveat) with ``--write-existence`` /
 ``--write-existence-deltas``.
+
+And the **relation fingerprints** (``tests/fixtures/relation_fingerprints.json``):
+the pipeline's cache key for every registry scenario at the batch default
+sizes and at the benchmark's triage-off theorem sizes, checked by
+``test_relation_fingerprints.py``.  Regenerate (same caveat) with
+``--write-relation-fingerprints``.
 """
 
 from __future__ import annotations
@@ -364,6 +370,50 @@ def write_existence_delta_fixture() -> dict[str, dict]:
     return rows
 
 
+# ----------------------------------------------------------------------
+# relation fingerprints: the pipeline's cache key, pinned per scenario
+# ----------------------------------------------------------------------
+RELATION_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "relation_fingerprints.json"
+
+#: registry scenarios at the batch default sizes and at the sizes of the
+#: benchmark's triage-off theorem workload (unrestricted-minimal at 5x5)
+RELATION_SIZES = (
+    {},
+    {"mesh_dims": (8, 8), "torus_dims": (6, 6), "hypercube_dim": 5},
+)
+
+
+def relation_specs() -> dict[str, "JobSpec"]:
+    from repro.pipeline.engine import catalog_specs
+    from repro.routing.catalog import CATALOG
+
+    specs = {}
+    for sizes in RELATION_SIZES:
+        for spec in catalog_specs(**sizes):
+            if sizes and spec.algorithm == "unrestricted-minimal":
+                spec = catalog_specs([spec.algorithm], mesh_dims=(5, 5))[0]
+            specs[f"{spec.algorithm}@{spec.topology.describe()}"] = spec
+    assert len({key.split("@")[0] for key in specs}) == len(CATALOG)
+    return specs
+
+
+def run_relation_case(spec) -> str:
+    return spec.build().fingerprint()
+
+
+def load_relation_fixture() -> dict[str, str]:
+    with open(RELATION_FIXTURE) as f:
+        return json.load(f)
+
+
+def write_relation_fixture() -> dict[str, str]:
+    rows = {key: run_relation_case(spec) for key, spec in relation_specs().items()}
+    with open(RELATION_FIXTURE, "w") as f:
+        json.dump(rows, f, indent=2, sort_keys=True)
+        f.write("\n")
+    return rows
+
+
 def load_fixture() -> dict[str, str]:
     with open(FIXTURE) as f:
         return json.load(f)
@@ -395,6 +445,10 @@ if __name__ == "__main__":
                   f"cold={'ok' if cold_ok else 'MISMATCH'}")
         print(f"wrote {len(existence_scenarios())} existence delta rows to "
               f"{EXISTENCE_DELTA_FIXTURE}")
+    elif "--write-relation-fingerprints" in sys.argv:
+        for key, fp in write_relation_fixture().items():
+            print(f"{key:40} {fp}")
+        print(f"wrote relation fingerprints to {RELATION_FIXTURE}")
     elif "--write-deltas" in sys.argv:
         for name, row in write_delta_fixture().items():
             print(f"{name:24} baseline={row['baseline']['digest'][:12]}")

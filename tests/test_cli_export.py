@@ -95,6 +95,15 @@ class TestCLI:
         else:
             assert rc == 0  # this seed survived; theory still refutes it
 
+    @pytest.mark.parametrize("rate, match", [
+        ("-1", "bad --rate: injection rate must be non-negative"),
+        ("9", "bad --rate: injection rate 9.0 exceeds the mean message length 8"),
+    ])
+    def test_simulate_rejects_impossible_rates(self, rate, match):
+        with pytest.raises(SystemExit, match=match):
+            main(["simulate", "--algorithm", "e-cube-mesh", "--dims", "3,3",
+                  "--rate", rate, "--length", "8", "--cycles", "50"])
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "--algorithm", "nope"])

@@ -1,5 +1,7 @@
 """Per-destination routing-state graphs (the substrate of all graph theory)."""
 
+import pytest
+
 from repro.core import DestinationTransitions, TransitionCache, bits
 from repro.routing import CATALOG, DimensionOrderMesh, IncoherentExample, make
 from repro.topology import build_mesh
@@ -82,3 +84,34 @@ def test_mask_views_match_frozenset_adapters():
                 == set(bits(dw_masks[cid]))
             assert {c.cid for c in dt.upstream[net.channel(cid)]} \
                 == set(bits(up_masks[cid]))
+
+
+def _reach(dt, start):
+    """States reachable from ``start`` (inclusive), by plain search."""
+    seen, stack = {start}, [start]
+    while stack:
+        for o in dt.succ[stack.pop()]:
+            if o not in seen:
+                seen.add(o)
+                stack.append(o)
+    return seen
+
+
+@pytest.mark.parametrize("name, dims, vcs", [
+    ("duato-mesh", (3, 3), 2),            # R(n, d): the node graph
+    ("incoherent-example", None, 1),      # R(n, d) with a detour loop
+    ("highest-positive-last", (3, 3), 1),  # R(c_in, n, d): the state graph
+])
+def test_propagations_match_plain_reachability(name, dims, vcs):
+    from repro.topology import build_figure1_network
+
+    net = build_figure1_network() if dims is None else build_mesh(dims, num_vcs=vcs)
+    tc = TransitionCache(make(name, net))
+    for dt in tc.all_destinations():
+        for c in dt.succ:
+            down = _reach(dt, c)
+            up = {p for p in dt.succ if c in _reach(dt, p)}
+            assert set(bits(dt.downstream_wait_masks[c.cid])) \
+                == {w.cid for s in down for w in dt.wait[s]}
+            assert set(bits(dt.downstream_node_masks[c.cid])) == {s.dst for s in down}
+            assert set(bits(dt.upstream_masks[c.cid])) == {p.cid for p in up if p.is_link}

@@ -180,6 +180,14 @@ def test_cli_fuzz_replay_shipped_corpus_entry(tmp_path, capsys):
     assert "reproduced" in out
 
 
+def test_cli_fuzz_replay_missing_corpus_fails(tmp_path, capsys):
+    missing = tmp_path / "no-such-corpus"
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--replay-corpus", str(missing)])
+    assert exc.value.code == f"corpus directory {str(missing)!r} does not exist"
+    assert "entries" not in capsys.readouterr().out
+
+
 def test_cli_regen_golden_refuses_without_force(capsys):
     with pytest.raises(SystemExit, match="refusing to regenerate"):
         main(["regen-golden"])

@@ -107,3 +107,11 @@ def test_cli_sim_sweep_smoke(tmp_path, capsys):
 def test_cli_sim_sweep_rejects_unknown_algorithm():
     with pytest.raises(SystemExit):
         main(["sim-sweep", "--algorithms", "definitely-not-real"])
+
+
+@pytest.mark.parametrize("rates", ["0.1,-0.2", "0.1,12"])
+def test_cli_sim_sweep_rejects_impossible_rates(rates, capsys):
+    with pytest.raises(SystemExit, match="bad --rates: injection rate"):
+        main(["sim-sweep", "--algorithms", "e-cube-mesh", "--rates", rates,
+              "--length", "8"])
+    assert capsys.readouterr().out == ""

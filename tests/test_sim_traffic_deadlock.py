@@ -89,6 +89,20 @@ class TestSources:
         lengths = {l for c in range(200) for (_, _, l) in t.messages_for_cycle(c, rng)}
         assert lengths <= set(range(2, 7)) and len(lengths) >= 3
 
+    @pytest.mark.parametrize("rate, length, match", [
+        (-1.0, 8, "non-negative"),
+        (float("nan"), 8, "non-negative"),
+        (5.0, 4, "exceeds the mean message length 4"),
+        (4.5, (2, 6), "exceeds the mean message length 4"),
+    ])
+    def test_bernoulli_rejects_impossible_rates(self, mesh33, rate, length, match):
+        with pytest.raises(ValueError, match=match):
+            BernoulliTraffic(mesh33, rate=rate, length=length)
+
+    def test_bernoulli_accepts_the_boundary_rates(self, mesh33):
+        BernoulliTraffic(mesh33, rate=0.0, length=4)
+        BernoulliTraffic(mesh33, rate=4.0, length=4)
+
     def test_scripted(self):
         t = ScriptedTraffic([(3, 0, 1, 4), (3, 1, 2, 4), (7, 2, 0, 4)])
         rng = np.random.default_rng(0)
