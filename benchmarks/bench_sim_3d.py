@@ -82,35 +82,19 @@ def test_sim_3d_latency_vs_load(benchmark, once, table, sim_cycles):
 @pytest.mark.sim_smoke
 def test_sim_3d_smoke_quick(benchmark, once, table, sim_cycles):
     """CI tier: both 3D scenarios at one load point under their registered
-    selection policy (``credit``), with the cycles/sec regression guard
-    against the recorded full-sweep rate in ``BENCH_sim.json``."""
-    import time
-
-    from conftest import load_snapshot
-
+    selection policy (``credit``); latency and throughput checks only."""
     smoke_cycles = 800
 
     def sweep():
-        t0 = time.perf_counter()
-        out = {name: run_point(name, scenario.get(name).selection, 0.15,
-                               cycles=smoke_cycles)
-               for name in SCENARIOS}
-        return out, time.perf_counter() - t0
+        return {name: run_point(name, scenario.get(name).selection, 0.15,
+                                cycles=smoke_cycles)
+                for name in SCENARIOS}
 
-    points, seconds = once(benchmark, sweep)
+    points = once(benchmark, sweep)
     sim_cycles(smoke_cycles * len(SCENARIOS))
-    cps = smoke_cycles * len(SCENARIOS) / seconds
     table("SIM-3D smoke (3x3x3, uniform 0.15, credit selection)",
           ["scenario", "avg latency", "throughput"],
           [(n, f"{lat:8.1f}", f"{thpt:.4f}") for n, (lat, thpt) in points.items()])
     for name, (lat, thpt) in points.items():
         assert 3 < lat < 100, f"{name}: implausible smoke latency {lat}"
         assert thpt > 0.05, f"{name}: smoke throughput collapsed ({thpt})"
-
-    recorded = load_snapshot("sim").get("test_sim_3d_latency_vs_load", {})
-    recorded_cps = recorded.get("cycles_per_sec")
-    if recorded_cps:
-        assert cps >= recorded_cps / 5, (
-            f"simulator perf regression: 3D smoke ran {cps:.0f} cycles/sec vs "
-            f"{recorded_cps:.0f} recorded in BENCH_sim.json (tolerance 5x)"
-        )

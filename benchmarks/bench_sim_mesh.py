@@ -100,23 +100,15 @@ def test_sim_mesh_latency_vs_load(benchmark, once, table, sim_cycles, pattern):
 def test_sim_smoke_quick(benchmark, once, table, sim_cycles):
     """The ``--quick`` tier: two algorithms at one moderate load point.
 
-    Doubles as the perf regression guard for CI: simulated cycles/sec must
-    stay within a generous factor of the recorded ``BENCH_sim.json``
-    full-sweep rate.  The factor absorbs machine-to-machine variance (CI
-    runners vs the recording machine) while still catching an accidental
-    return to per-message-per-cycle scans, which costs an order of
-    magnitude.
+    Checks latency and throughput only.  The simulator's speed is guarded
+    by exact work counts (``tests/test_work_counters.py``), which do not
+    depend on the host.
     """
-    import time
-
-    from conftest import load_snapshot
-
     net = build_mesh(MESH)
     smoke_cycles = 800
     quick = {"e-cube": ALGOS["e-cube"], "hpl-min": ALGOS["hpl-min"]}
 
     def sweep():
-        t0 = time.perf_counter()
         out = {}
         for name, factory in quick.items():
             ra = factory(net)
@@ -131,23 +123,13 @@ def test_sim_smoke_quick(benchmark, once, table, sim_cycles):
             s = sim.stats.summary(cycles=smoke_cycles, num_nodes=net.num_nodes,
                                   warmup=200)
             out[name] = (s.avg_latency, s.throughput_flits_per_node_cycle)
-        return out, time.perf_counter() - t0
+        return out
 
-    (points, seconds) = once(benchmark, sweep)
+    points = once(benchmark, sweep)
     sim_cycles(smoke_cycles * len(quick))
-    cps = smoke_cycles * len(quick) / seconds
     table("SIM-MESH smoke (8x8 mesh, uniform 0.15)",
           ["algorithm", "avg latency", "throughput"],
           [(n, f"{lat:8.1f}", f"{thpt:.4f}") for n, (lat, thpt) in points.items()])
     for name, (lat, thpt) in points.items():
         assert 5 < lat < 100, f"{name}: implausible smoke latency {lat}"
         assert thpt > 0.10, f"{name}: smoke throughput collapsed ({thpt})"
-
-    recorded = load_snapshot("sim").get("test_sim_mesh_latency_vs_load[uniform]", {})
-    recorded_cps = recorded.get("cycles_per_sec")
-    if recorded_cps:
-        # generous tolerance: smoke must reach 1/5 of the recorded sweep rate
-        assert cps >= recorded_cps / 5, (
-            f"simulator perf regression: smoke ran {cps:.0f} cycles/sec vs "
-            f"{recorded_cps:.0f} recorded in BENCH_sim.json (tolerance 5x)"
-        )

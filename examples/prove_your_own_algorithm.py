@@ -43,8 +43,7 @@ class NaiveTorus(NodeDestRouting):
             if self._dist[c.dst][dest] == d - 1
         )
 
-    def waiting_channels(self, c_in, node, dest):
-        permitted = self.route_nd(node, dest)
+    def waiting_subset(self, c_in, node, dest, permitted):
         if not permitted:
             return permitted
         return frozenset([min(permitted, key=lambda c: c.cid)])
@@ -67,10 +66,9 @@ class RepairedTorus(NaiveTorus):
         adaptive = frozenset(c for c in super().route_nd(node, dest) if c.vc == 2)
         return adaptive | self.escape.route_nd(node, dest)
 
-    def waiting_channels(self, c_in, node, dest):
-        if node == dest:
-            return frozenset()
-        return self.escape.route_nd(node, dest)
+    def waiting_subset(self, c_in, node, dest, permitted):
+        # the escape part: the dateline pair at VC indices 0 and 1
+        return frozenset(c for c in permitted if c.vc < 2)
 
 
 def half_ring(net):

@@ -344,9 +344,28 @@ def cmd_graph_stats(args) -> int:
     return 0
 
 
+def _check_sim_inputs(cycles: int, length: int, seeds: tuple[int, ...], seed_flag: str) -> None:
+    """One-line exits for simulator inputs that would crash or print ``nan``."""
+    from .sim import SimConfig
+    from .sim.traffic import check_length
+
+    if cycles < 1:
+        raise SystemExit(f"bad --cycles: must be at least 1, got {cycles}")
+    try:
+        check_length(length)
+    except ValueError as exc:
+        raise SystemExit(f"bad --length: {exc}") from None
+    try:
+        for seed in seeds:
+            SimConfig(seed=seed)
+    except ValueError as exc:
+        raise SystemExit(f"bad {seed_flag}: {exc}") from None
+
+
 def cmd_simulate(args) -> int:
     from .sim import BernoulliTraffic, SimConfig, WormholeSimulator
 
+    _check_sim_inputs(args.cycles, args.length, (args.seed,), "--seed")
     net, ra = _build_algorithm(args)
     try:
         traffic = BernoulliTraffic(net, rate=args.rate, pattern=args.pattern,
@@ -378,6 +397,7 @@ def cmd_sim_sweep(args) -> int:
         seeds = tuple(int(x) for x in args.seeds.split(","))
     except ValueError as exc:
         raise SystemExit(f"bad --rates/--seeds: {exc}") from None
+    _check_sim_inputs(args.cycles, args.length, seeds, "--seeds")
     try:
         for rate in rates:
             check_rate(rate, args.length)

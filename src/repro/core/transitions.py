@@ -74,12 +74,6 @@ class DestinationTransitions:
         self.starts: list[Channel] = [
             net.injection_channel(n) for n in net.nodes if n != dest
         ]
-        # The default waiting set *is* the route set; skipping the second
-        # relation call halves the walk for every algorithm that does not
-        # override waiting_channels (same trick RouteTable._build uses).
-        default_wait = (
-            type(algorithm).waiting_channels is RoutingAlgorithm.waiting_channels
-        )
         #: node -> (routes, waits) for an R(n, d) relation, else ``None``
         rows: dict[int, tuple[frozenset[Channel], frozenset[Channel]]] | None = (
             {} if is_node_dest(algorithm) else None
@@ -100,9 +94,9 @@ class DestinationTransitions:
                     # the row's first state already queued every output
                     self.succ[c], self.wait[c] = row
                     continue
+                # one relation evaluation: route, then narrow to the waits
                 out = algorithm.route(c, node, dest)
-                row = (out, out if default_wait
-                       else algorithm.waiting_channels(c, node, dest))
+                row = (out, algorithm.waiting_subset(c, node, dest, out))
                 if rows is not None:
                     rows[node] = row
                 self.succ[c], self.wait[c] = row

@@ -245,14 +245,12 @@ class RandomMinimalRouting(NodeDestRouting):
         keep = [c for c in minimal if stable_bits(self.seed, node, dest, c.cid) & 1]
         return frozenset(keep or minimal)
 
-    def waiting_channels(self, c_in, node: int, dest: int):
-        permitted = sorted(self.route_nd(node, dest), key=lambda c: c.cid)
-        if not permitted:
-            return frozenset()
-        if self.wait_policy is WaitPolicy.SPECIFIC:
-            pick = stable_bits(self.seed, node, dest, "wait") % len(permitted)
-            return frozenset([permitted[pick]])
-        return frozenset(permitted)
+    def waiting_subset(self, c_in, node: int, dest: int, permitted):
+        if self.wait_policy is not WaitPolicy.SPECIFIC or not permitted:
+            return permitted
+        ordered = sorted(permitted, key=lambda c: c.cid)
+        pick = stable_bits(self.seed, node, dest, "wait") % len(ordered)
+        return frozenset([ordered[pick]])
 
 
 class ArbitraryRouting(RoutingAlgorithm):
@@ -286,15 +284,16 @@ class ArbitraryRouting(RoutingAlgorithm):
         key = self._state_key(c_in)
         return frozenset(_nonempty_subset(self.seed, out, "route", key, dest))
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        permitted = sorted(self.route(c_in, node, dest), key=lambda c: c.cid)
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
         if not permitted:
-            return frozenset()
+            return permitted
+        ordered = sorted(permitted, key=lambda c: c.cid)
         key = self._state_key(c_in)
         if self.wait_policy is WaitPolicy.SPECIFIC:
-            pick = stable_bits(self.seed, "wait", key, dest) % len(permitted)
-            return frozenset([permitted[pick]])
-        return frozenset(_nonempty_subset(self.seed, permitted, "waitset", key, dest))
+            pick = stable_bits(self.seed, "wait", key, dest) % len(ordered)
+            return frozenset([ordered[pick]])
+        return frozenset(_nonempty_subset(self.seed, ordered, "waitset", key, dest))
 
 
 class MutatedRouting(RoutingAlgorithm):
@@ -332,10 +331,10 @@ class MutatedRouting(RoutingAlgorithm):
         kept = full & self._kept(node, dest) if full else frozenset()
         return kept or full
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        permitted = self.route(c_in, node, dest)
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
         if not permitted:
-            return frozenset()
+            return permitted
         waits = self.inner.waiting_channels(c_in, node, dest) & permitted
         if waits:
             return waits

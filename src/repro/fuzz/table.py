@@ -294,6 +294,8 @@ class TableRouting(RoutingAlgorithm):
     def route(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
         return self._lookup(self.case.routes, c_in, node, dest)
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        waits = self._lookup(self.case.waits, c_in, node, dest)
-        return waits or self.route(c_in, node, dest)
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
+        # a table may list waits outside the route set: they are read from
+        # the case, not narrowed from ``permitted``
+        return self._lookup(self.case.waits, c_in, node, dest) or permitted

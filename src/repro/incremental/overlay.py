@@ -20,7 +20,9 @@ so the overlay behaves as a plain relation there.
 
 Base rows are memoized per overlay, keyed by ``(c_in.cid, dest)`` (the
 relation is a pure function of the input channel and the destination, as
-:class:`~repro.routing.relation.RouteTable` also relies on).  Deltas never
+:class:`~repro.routing.relation.RouteTable` also relies on).  A row holds
+the base's route set and, once asked for, the waiting set narrowed from it:
+one evaluation of the base relation per row.  Deltas never
 invalidate the memo: table edits are consulted before it and the down mask
 is applied after it, and the recorder notes the pre-mask set on every
 query, memo hit or not.
@@ -78,14 +80,9 @@ class OverlayRouting(RoutingAlgorithm):
         self.down: frozenset[Channel] = frozenset(down)
         self.edits: dict[str, tuple[frozenset[Channel], frozenset[Channel]]] = dict(edits or {})
         self._recorder: RouteRecorder | None = None
-        #: (slot, c_in cid, dest) -> the base relation's pre-mask set
-        self._rows: dict[tuple[int, int, int], frozenset[Channel]] = {}
-        # The default waiting set is the route set: share its memo slot.
-        self._wait_slot = (
-            _ROUTES
-            if type(base).waiting_channels is RoutingAlgorithm.waiting_channels
-            else _WAITS
-        )
+        #: (c_in cid, dest) -> the base relation's pre-mask [routes, waits],
+        #: waits ``None`` until first asked for
+        self._rows: dict[tuple[int, int], list[frozenset[Channel] | None]] = {}
 
     # ------------------------------------------------------------------
     def table_key(self, c_in: Channel, node: int, dest: int) -> str:
@@ -109,7 +106,10 @@ class OverlayRouting(RoutingAlgorithm):
     def route(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
         return self._query(_ROUTES, c_in, node, dest)
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
+        # ``permitted`` is already masked and may come from a table edit:
+        # the waits are read from the same cell, not narrowed from it
         return self._query(_WAITS, c_in, node, dest)
 
     def _query(self, slot: int, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
@@ -121,12 +121,15 @@ class OverlayRouting(RoutingAlgorithm):
         if hit is not None:
             got = hit[slot]
         else:
-            base_slot = self._wait_slot if slot == _WAITS else _ROUTES
-            key = (base_slot, c_in.cid, dest)
-            got = self._rows.get(key)
+            key = (c_in.cid, dest)
+            row = self._rows.get(key)
+            if row is None:
+                row = self._rows[key] = [self.base.route(c_in, node, dest), None]
+            got = row[slot]
             if got is None:
-                fn = self.base.route if base_slot == _ROUTES else self.base.waiting_channels
-                got = self._rows[key] = fn(c_in, node, dest)
+                # narrowed on first use only: a state some consumer merely
+                # routes (a path walk) never asks the base for its waits
+                got = row[_WAITS] = self.base.waiting_subset(c_in, node, dest, row[_ROUTES])
         if self._recorder is not None:
             self._recorder.note(dest, got)
         if self.down and got:

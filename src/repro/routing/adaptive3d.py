@@ -92,7 +92,6 @@ class MinimalAdaptive3D(NodeDestRouting):
     def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
         return self._routes[node * self._n + dest]
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        if node == dest:
-            return frozenset()
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
         return self._waits[node * self._n + dest]

@@ -46,35 +46,31 @@ class DuatoFullyAdaptiveMesh(NodeDestRouting):
         if network.max_vcs() < 2:
             raise RoutingError(f"{self.name} needs 2 virtual channels per link")
         self.ndims = len(network.meta["dims"])
-
-    def _escape_dim(self, deltas: list[int]) -> int:
-        for dim, delta in enumerate(deltas):
-            if delta != 0:
-                return dim
-        raise AssertionError("called with node == dest")
+        self._coords = [network.coord(n) for n in network.nodes]
+        #: per node, ``(channel, dim, sign, vc)`` of each output moving along
+        #: a dimension, in ``out_channels`` order: a row reads no ``meta`` dict
+        self._moves = [
+            [(c, c.meta["dim"], c.meta["sign"], c.vc)
+             for c in network.out_channels(n) if c.meta.get("dim") is not None]
+            for n in network.nodes
+        ]
 
     def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
         if node == dest:
             return frozenset()
-        here = self.network.coord(node)
-        there = self.network.coord(dest)
-        deltas = [t - h for h, t in zip(here, there)]
-        esc = self._escape_dim(deltas)
-        out: list[Channel] = []
-        for c in self.network.out_channels(node):
-            dim = c.meta.get("dim")
-            sign = c.meta.get("sign")
-            if dim is None or deltas[dim] * sign <= 0:
-                continue  # not a minimal move
-            if c.vc == 1 or (c.vc == 0 and dim == esc):
-                out.append(c)
-        return frozenset(out)
+        deltas = [t - h for h, t in zip(self._coords[node], self._coords[dest])]
+        for esc, delta in enumerate(deltas):
+            if delta:
+                break  # the escape class corrects the lowest differing dimension
+        # minimal moves: any on VC 1, the escape dimension's on VC 0
+        return frozenset([c for c, dim, sign, vc in self._moves[node]
+                          if deltas[dim] * sign > 0 and (vc == 1 or (vc == 0 and dim == esc))])
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        permitted = self.route_nd(node, dest)
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
         if not permitted:
-            return frozenset()
-        wait = frozenset(c for c in permitted if c.vc == 0)
+            return permitted
+        wait = frozenset([c for c in permitted if c.vc == 0])
         if not wait:
             raise RoutingError(f"{self.name}: escape channel missing at node {node}")
         return wait
@@ -141,7 +137,7 @@ class DuatoFullyAdaptiveTorus(NodeDestRouting):
                     out.add(c)
         return frozenset(out)
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        if node == dest:
-            return frozenset()
-        return frozenset(self.escape.route_nd(node, dest))
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
+        # the escape part: the dateline pair at VC indices 0 and 1
+        return frozenset([c for c in permitted if c.vc < 2])

@@ -88,8 +88,8 @@ class EnhancedFullyAdaptive(NodeDestRouting):
                     out.append(c)
         return frozenset(out)
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        permitted = self.route_nd(node, dest)
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
         if not permitted or self._wait_any:
             return permitted
         mu = self._needed(node, dest)[0]

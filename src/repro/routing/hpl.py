@@ -122,10 +122,10 @@ class HighestPositiveLast(RoutingAlgorithm):
                 out.extend(self._channels(node, dim, sign))
         return frozenset(out)
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        permitted = self.route(c_in, node, dest)
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
         if not permitted:
-            return frozenset()
+            return permitted
         if self._wait_any:
             # the Note variant: wait on any channel moving toward the destination
             deltas = self._deltas(node, dest)

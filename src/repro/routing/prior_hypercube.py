@@ -94,11 +94,10 @@ class DraperGhoshMECA(_HypercubeBase):
         out.extend(self._channels(node, needed[0], 1))
         return frozenset(out)
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        if node == dest:
-            return frozenset()
-        needed = differing_dimensions(node, dest)
-        return frozenset(self._channels(node, needed[0], 1))
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
+        # the second class: strict dimension order
+        return frozenset([c for c in permitted if c.vc == 1])
 
 
 class YangTsai(_HypercubeBase):
@@ -135,12 +134,10 @@ class YangTsai(_HypercubeBase):
         out.extend(self._channels(node, nxt, 1))
         return frozenset(out)
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        if node == dest:
-            return frozenset()
-        pos, neg = self._signed_needed(node, dest)
-        nxt = pos[0] if pos else neg[0]
-        return frozenset(self._channels(node, nxt, 1))
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
+        # class 1: the single next dimension in phase order
+        return frozenset([c for c in permitted if c.vc == 1])
 
 
 class LiStyleHypercube(_HypercubeBase):
@@ -183,8 +180,9 @@ class LiStyleHypercube(_HypercubeBase):
             out.extend(self._channels(node, dim, 0))
         return frozenset(out)
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        if node == dest:
-            return frozenset()
-        needed = differing_dimensions(node, dest)
-        return frozenset(self._channels(node, needed[0], 0))
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
+        # the lowest needed dimension's channel
+        diff = node ^ dest
+        mu_nbr = node ^ (diff & -diff)
+        return frozenset([c for c in permitted if c.dst == mu_nbr])

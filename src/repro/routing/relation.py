@@ -10,7 +10,11 @@ relations that ignore it.
 
 Waiting channels (Definition 8) are first-class: when every permitted output
 is busy, a blocked message waits on one or more *waiting channels*, which
-must be a subset of the permitted outputs.  Two waiting regimes exist:
+must be a subset of the permitted outputs.  A relation states its waiting
+set by *narrowing* the route set it was just asked for
+(:meth:`RoutingAlgorithm.waiting_subset`), so every consumer evaluates the
+relation once per routing decision: ``route`` first, then the hook on its
+answer.  Two waiting regimes exist:
 
 * :attr:`WaitPolicy.SPECIFIC` -- the algorithm designates a waiting channel
   and the message waits for that channel alone (Theorem 2 applies);
@@ -31,7 +35,8 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from operator import attrgetter
 from typing import NamedTuple
 
 from ..topology.channel import Channel
@@ -57,8 +62,12 @@ class RoutingAlgorithm(ABC):
     """Base class for all routing algorithms (Definition 4).
 
     Subclasses implement :meth:`route` and optionally override
-    :meth:`waiting_channels` (default: every permitted output is a waiting
+    :meth:`waiting_subset` (default: every permitted output is a waiting
     channel) and :attr:`wait_policy` (default: :attr:`WaitPolicy.ANY`).
+    :meth:`waiting_channels` is a convenience defined here once, as the hook
+    applied to ``route``; overriding it raises :class:`TypeError` at class
+    creation, since the consumers call ``route`` and the hook and would
+    silently ignore such an override.
 
     The class is deliberately stateless per-message: everything the relation
     may consult is the triple ``(c_in, node, dest)`` -- the paper's "only
@@ -71,6 +80,13 @@ class RoutingAlgorithm(ABC):
     wait_policy: WaitPolicy = WaitPolicy.ANY
     #: Human-readable algorithm name for reports.
     name: str = "routing"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "waiting_channels" in cls.__dict__:
+            raise TypeError(
+                f"{cls.__qualname__} overrides waiting_channels; override "
+                f"waiting_subset(c_in, node, dest, permitted) instead")
 
     def __init__(self, network: Network) -> None:
         if not network.frozen:
@@ -90,14 +106,26 @@ class RoutingAlgorithm(ABC):
         relation is broken, which verifiers will flag as not wait-connected).
         """
 
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
+        """Narrow ``permitted`` to the channels a blocked message waits on.
+
+        ``permitted`` is ``route(c_in, node, dest)``, already evaluated by
+        the caller.  The answer must be a subset of it and nonempty whenever
+        it is nonempty, or the algorithm is not wait-connected
+        (Definition 10) and therefore not deadlock-free.  The default
+        returns ``permitted`` itself -- the same object, which consumers
+        test with ``is`` to skip work.
+        """
+        return permitted
+
     def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
         """Channels the message may *wait on* when blocked (Definition 8).
 
-        Must be a subset of ``route(c_in, node, dest)`` and nonempty whenever
-        the route set is nonempty, or the algorithm is not wait-connected
-        (Definition 10) and therefore not deadlock-free.
+        The hook :meth:`waiting_subset` applied to ``route(c_in, node,
+        dest)``.  Defined here only; subclasses override the hook.
         """
-        return self.route(c_in, node, dest)
+        return self.waiting_subset(c_in, node, dest, self.route(c_in, node, dest))
 
     # ------------------------------------------------------------------
     # conveniences
@@ -144,12 +172,14 @@ class NodeDestRouting(RoutingAlgorithm):
     Subclasses implement :meth:`route_nd`; the input channel is ignored,
     which makes the relation automatically suffix-closed (Definition 6 note).
 
-    Contract: an override of :meth:`waiting_channels` must ignore ``c_in``
-    too, so both sets are functions of ``(node, dest)`` alone.
-    :class:`RouteTable` computes one row per ``(node, dest)`` and serves it
-    to every input channel at that node, and the fuzzers' table form and
-    the incremental overlay key ND waiting sets the same way.  A relation
-    whose waiting set depends on the input channel is a general
+    Contract: an override of :meth:`waiting_subset` must ignore ``c_in``
+    too, so both sets are functions of ``(node, dest)`` alone.  Consumers
+    (:class:`RouteTable`, the checker's
+    :class:`~repro.core.transitions.DestinationTransitions`) call
+    ``route`` and then the hook once per row ``(node, dest)`` and serve the
+    row to every input channel at that node, and the fuzzers' table form
+    and the incremental overlay key ND waiting sets the same way.  A
+    relation whose waiting set depends on the input channel is a general
     ``R(c_in, n, d)`` relation and subclasses :class:`RoutingAlgorithm`.
     """
 
@@ -164,7 +194,7 @@ class NodeDestRouting(RoutingAlgorithm):
 
 
 def is_node_dest(algorithm: RoutingAlgorithm) -> bool:
-    """Do ``route`` and ``waiting_channels`` depend on ``(node, dest)`` alone?
+    """Do ``route`` and ``waiting_subset`` depend on ``(node, dest)`` alone?
 
     True exactly for :class:`NodeDestRouting` instances, whose contract
     makes both sets functions of the current node and the destination, so
@@ -195,8 +225,9 @@ class RestrictedWaiting(RoutingAlgorithm):
     def route(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
         return self.inner.route(c_in, node, dest)
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        return self.inner.waiting_channels(c_in, node, dest)
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
+        return self.inner.waiting_subset(c_in, node, dest, permitted)
 
 
 class RouteEntry(NamedTuple):
@@ -232,6 +263,13 @@ class RouteTable:
     allocator's ``(remaining distance, U-turn, vc, cid)`` priority key, and
     serves it from a flat list indexed by ``cid * num_nodes + dest``.
 
+    Each entry costs one relation evaluation -- ``route``, then
+    :meth:`RoutingAlgorithm.waiting_subset` on its answer -- and one sort
+    of the candidates by an integer key equal in order to the tuple above.
+    The waiting tuple is the sorted candidates filtered by membership (the
+    candidate tuple itself when the waiting set *is* the route set); only a
+    broken relation whose waits leave its route set sorts them separately.
+
     For a :class:`NodeDestRouting` relation both sets depend on ``(node,
     dest)`` alone, so the relation is consulted once per *row* ``(node,
     dest)`` and that row's entry serves every input channel at the node.
@@ -242,9 +280,9 @@ class RouteTable:
     :class:`~repro.core.transitions.DestinationTransitions`.
 
     Entries are filled lazily: only ``(c_in, dest)`` pairs traffic actually
-    exercises are ever computed, so construction is O(1) even on large
-    networks.  ``hits`` / ``misses`` count entry lookups and ``rows`` the
-    relation evaluations behind the misses, for observability.
+    exercises are ever computed, so construction is O(channels) even on
+    large networks.  ``hits`` / ``misses`` count entry lookups and ``rows``
+    the relation evaluations behind the misses, for observability.
 
     Parameters
     ----------
@@ -260,16 +298,27 @@ class RouteTable:
     def __init__(self, algorithm: RoutingAlgorithm, *, dist: list[list[int]] | None = None) -> None:
         self.algorithm = algorithm
         net = algorithm.network
-        self._net = net
+        channels = net.channels
+        num_ch = len(channels)
         self._num_nodes = net.num_nodes
         self._dist = dist
-        self._entries: list[RouteEntry | None] = [None] * (net.num_channels * net.num_nodes)
+        self._entries: list[RouteEntry | None] = [None] * (num_ch * net.num_nodes)
         #: shared ``(node, dest)`` rows, indexed ``node * num_nodes + dest``;
         #: ``None`` for relations that may depend on the input channel
         self._rows: list[RouteEntry | None] | None = (
             [None] * (net.num_nodes * net.num_nodes)
             if is_node_dest(algorithm) else None
         )
+        # per-cid facts, so a miss never touches a Channel to index them
+        self._chan: Sequence[Channel] = channels
+        #: the node a channel leads to (an input's current node)
+        self._node: list[int] = [c.dst for c in channels]
+        #: an input's source node for the U-turn term, -1 off a link
+        self._prev: list[int] = [c.src if c.is_link else -1 for c in channels]
+        #: ``(vc, cid)`` as one rank below ``stride``; the sort key of a
+        #: candidate is ``(2 * distance + U-turn) * stride + rank``
+        self._rank: list[int] = [c.vc * num_ch + c.cid for c in channels]
+        self._stride = (max((c.vc for c in channels), default=0) + 1) * num_ch
         self.hits = 0
         self.misses = 0
         self.rows = 0
@@ -287,51 +336,54 @@ class RouteTable:
             self.hits += 1
             return e
         self.misses += 1
-        c_in = self._net.channel(c_in_cid)
-        prev = c_in.src if c_in.is_link else -1
+        prev = self._prev[c_in_cid]
         rows = self._rows
         if rows is None:
-            e = self._build(c_in, dest, prev)
+            e = self._build(c_in_cid, dest, prev)
         else:
-            r = c_in.dst * self._num_nodes + dest
+            r = self._node[c_in_cid] * self._num_nodes + dest
             e = rows[r]
             if e is None:
                 # no U-turn term: (distance, vc, cid), valid for any input
                 # that no candidate leads back to
-                e = rows[r] = self._build(c_in, dest, -1)
-            if prev >= 0 and self._dist is not None and (
-                    any(c.dst == prev for c in e.cand_channels)
-                    or any(c.dst == prev for c in e.wait_channels)):
-                e = self._build(c_in, dest, prev)
+                e = rows[r] = self._build(c_in_cid, dest, -1)
+            if prev >= 0 and self._dist is not None:
+                node = self._node
+                for cid in e.cand_cids + e.wait_cids:
+                    if node[cid] == prev:
+                        e = self._build(c_in_cid, dest, prev)
+                        break
         self._entries[idx] = e
         return e
 
-    def _build(self, c_in: Channel, dest: int, prev: int) -> RouteEntry:
-        """Evaluate the relation for ``c_in`` and sort with U-turns to ``prev`` last."""
+    def _build(self, c_in_cid: int, dest: int, prev: int) -> RouteEntry:
+        """Evaluate the relation for ``c_in_cid`` and sort with U-turns to ``prev`` last."""
         self.rows += 1
-        node = c_in.dst
+        c_in = self._chan[c_in_cid]
+        node = self._node[c_in_cid]
         algo = self.algorithm
         permitted = algo.route(c_in, node, dest)
-        if type(algo).waiting_channels is RoutingAlgorithm.waiting_channels:
-            # default waiting set == route set: skip the second route() call
-            waiting = permitted
+        waiting = algo.waiting_subset(c_in, node, dest, permitted)
+        dist = self._dist
+        if dist is None:
+            key = _CID
         else:
-            waiting = algo.waiting_channels(c_in, node, dest)
-        if self._dist is not None:
-            dist = self._dist
-            # progress first, then avoid immediate U-turns, then stable
-            key = lambda c: (dist[c.dst][dest], c.dst == prev, c.vc, c.cid)  # noqa: E731
-        else:
-            key = lambda c: c.cid  # noqa: E731
+            rank, stride = self._rank, self._stride
+
+            def key(c: Channel) -> int:
+                # progress first, then avoid immediate U-turns, then (vc, cid)
+                d = c.dst
+                return ((dist[d][dest] << 1) + (d == prev)) * stride + rank[c.cid]
         cands = tuple(sorted(permitted, key=key))
-        waits = tuple(sorted(waiting, key=key))
-        return RouteEntry(
-            cand_cids=tuple(c.cid for c in cands),
-            cand_channels=cands,
-            wait_cids=tuple(c.cid for c in waits),
-            wait_channels=waits,
-            wait_set=waiting if isinstance(waiting, frozenset) else frozenset(waiting),
-        )
+        cand_cids = tuple([c.cid for c in cands])
+        wait_set = waiting if isinstance(waiting, frozenset) else frozenset(waiting)
+        if waiting is permitted:
+            return RouteEntry(cand_cids, cands, cand_cids, cands, wait_set)
+        waits = tuple([c for c in cands if c in wait_set])
+        if len(waits) != len(wait_set):
+            # a broken relation waits outside its route set
+            waits = tuple(sorted(wait_set, key=key))
+        return RouteEntry(cand_cids, cands, tuple([c.cid for c in waits]), waits, wait_set)
 
     def stats(self) -> dict[str, int]:
         """Cache-style counters for observability reports."""
@@ -339,6 +391,10 @@ class RouteTable:
         # miss count -- no scan over the num_channels x num_nodes slots
         return {"hits": self.hits, "misses": self.misses, "entries": self.misses,
                 "rows": self.rows}
+
+
+#: the candidate order without a distance matrix: raw cid
+_CID = attrgetter("cid")
 
 
 def as_cnd(algorithm: RoutingAlgorithm) -> RoutingAlgorithm:

@@ -100,7 +100,8 @@ class RingExample(RoutingAlgorithm):
             out.append(self.cA)
         return frozenset(out)
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
         """The class/level channel only -- never ``cA``.
 
         A message at node 8 may *use* ``cA`` when it happens to be free but
@@ -110,6 +111,5 @@ class RingExample(RoutingAlgorithm):
         chain could close a lap through a single ``cA`` journey and the
         algorithm would genuinely deadlock.)
         """
-        permitted = self.route(c_in, node, dest)
         regular = frozenset(c for c in permitted if c != self.cA)
         return regular or permitted

@@ -46,8 +46,8 @@ class UnrestrictedMinimal(NodeDestRouting):
             if self._dist[c.dst][dest] == d - 1
         )
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        permitted = self.route_nd(node, dest)
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
         if self._wait_any or not permitted:
             return permitted
         return frozenset([min(permitted, key=lambda c: c.cid)])

@@ -48,3 +48,12 @@ class SimConfig:
     stop_on_deadlock: bool = True
     #: RNG seed for traffic and stochastic selection
     seed: int = 1
+
+    def __post_init__(self) -> None:
+        # each of these would otherwise stall silently (no buffer space, no
+        # consumption, no detector sweeps) or fail deep inside NumPy (seed)
+        for name, low in (("buffer_depth", 1), ("ejection_rate", 1),
+                          ("deadlock_check_interval", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")

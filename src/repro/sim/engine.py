@@ -44,7 +44,8 @@ rather than per-flit objects and channel-keyed dictionaries:
   priority key, so the relation is consulted once per ``(input channel,
   destination)`` pair instead of once per blocked message per cycle --
   and, for an ``R(n, d)`` relation, once per ``(node, destination)`` row
-  shared by every input channel at the node;
+  shared by every input channel at the node.  One consultation is one
+  ``route`` call plus the waiting hook on its answer, and one sort;
 * allocation is event-driven: a dirty set tracks exactly the messages
   whose decision could have changed (a header reached a queue front, a
   channel they wait on freed, they reached the front of a source queue),

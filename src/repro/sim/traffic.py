@@ -139,6 +139,18 @@ def check_rate(rate: float, mean_length: float) -> None:
         )
 
 
+def check_length(length: int | tuple[int, int]) -> None:
+    """Reject a message length no message can have.
+
+    Every message carries at least one flit (its header), so a fixed
+    length must be at least 1, and a ``(lo, hi)`` range must have
+    ``1 <= lo <= hi``.  Raises :class:`ValueError` otherwise.
+    """
+    lo, hi = length if isinstance(length, tuple) else (length, length)
+    if not 1 <= lo <= hi:
+        raise ValueError(f"message length must be at least 1 flit, got {length!r}")
+
+
 class BernoulliTraffic:
     """Open-loop injection at a given flit rate with a destination pattern.
 
@@ -151,7 +163,8 @@ class BernoulliTraffic:
         Name from :data:`PATTERNS` or a ``pick(src, rng) -> dest`` callable.
     length:
         Message length in flits (fixed), or a ``(lo, hi)`` tuple for
-        uniformly random lengths.
+        uniformly random lengths; at least one flit (see
+        :func:`check_length`).
     """
 
     def __init__(
@@ -167,6 +180,7 @@ class BernoulliTraffic:
         self.rate = rate
         self.length = length
         self.stop_at = stop_at
+        check_length(length)
         check_rate(rate, self._mean_length())
         if callable(pattern):
             self.pick = pattern

@@ -494,9 +494,12 @@ class _ReducedWaiting(RoutingAlgorithm):
     def route(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
         return self.inner.route(c_in, node, dest)
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        waits = self.inner.waiting_channels(c_in, node, dest)
-        return self.surviving.get((c_in.cid, dest), waits)
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
+        waits = self.surviving.get((c_in.cid, dest))
+        if waits is None:
+            return self.inner.waiting_subset(c_in, node, dest, permitted)
+        return waits
 
 
 class _NarrowedWaiting(RoutingAlgorithm):
@@ -518,8 +521,9 @@ class _NarrowedWaiting(RoutingAlgorithm):
     def route(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
         return self.inner.route(c_in, node, dest)
 
-    def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        waits = self.inner.waiting_channels(c_in, node, dest)
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
+        waits = self.inner.waiting_subset(c_in, node, dest, permitted)
         if not waits:
             return waits
         return frozenset([min(waits, key=self.key)])

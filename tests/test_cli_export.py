@@ -104,6 +104,20 @@ class TestCLI:
             main(["simulate", "--algorithm", "e-cube-mesh", "--dims", "3,3",
                   "--rate", rate, "--length", "8", "--cycles", "50"])
 
+    @pytest.mark.parametrize("flag, value, match", [
+        ("--seed", "-1", "bad --seed: seed must be >= 0, got -1"),
+        ("--cycles", "-5", "bad --cycles: must be at least 1, got -5"),
+        ("--cycles", "0", "bad --cycles: must be at least 1, got 0"),
+        ("--length", "0", "bad --length: message length must be at least 1 flit, got 0"),
+    ])
+    def test_simulate_rejects_inputs_that_crash_or_print_nan(self, flag, value, match, capsys):
+        args = {"--rate": "0.1", "--length": "8", "--cycles": "50", "--seed": "1"}
+        args[flag] = value
+        with pytest.raises(SystemExit, match=f"^{match}$"):
+            main(["simulate", "--algorithm", "e-cube-mesh", "--dims", "3,3",
+                  *[x for kv in args.items() for x in kv]])
+        assert capsys.readouterr().out == ""
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "--algorithm", "nope"])

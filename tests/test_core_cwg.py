@@ -105,20 +105,20 @@ class TestWaitConnected:
 
     def test_detects_missing_waiting_channel(self, figure1):
         class NoWait(IncoherentExample):
-            def waiting_channels(self, c_in, node, dest):
+            def waiting_subset(self, c_in, node, dest, permitted):
                 if node == 2 and dest == 0:
                     return frozenset()
-                return super().waiting_channels(c_in, node, dest)
+                return super().waiting_subset(c_in, node, dest, permitted)
 
         ok, why = wait_connected(NoWait(figure1))
         assert not ok and "no waiting channel" in why
 
     def test_detects_waiting_outside_route(self, figure1):
         class BadWait(IncoherentExample):
-            def waiting_channels(self, c_in, node, dest):
+            def waiting_subset(self, c_in, node, dest, permitted):
                 if node == 1 and dest == 0:
                     return frozenset([self.cH[1]])  # not a permitted output
-                return super().waiting_channels(c_in, node, dest)
+                return super().waiting_subset(c_in, node, dest, permitted)
 
         ok, why = wait_connected(BadWait(figure1))
         assert not ok and "subset" in why

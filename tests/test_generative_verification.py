@@ -67,9 +67,9 @@ class RandomDuatoStyle(NodeDestRouting):
                 out.append(c)
         return frozenset(out)
 
-    def waiting_channels(self, c_in, node, dest):
+    def waiting_subset(self, c_in, node, dest, permitted):
         if node == dest:
-            return frozenset()
+            return permitted
         return frozenset(self._escape(node, dest))
 
 
@@ -78,12 +78,12 @@ class RandomWaiting(RandomDuatoStyle):
 
     name = "random-waiting"
 
-    def waiting_channels(self, c_in, node, dest):
-        permitted = sorted(self.route_nd(node, dest), key=lambda c: c.cid)
+    def waiting_subset(self, c_in, node, dest, permitted):
         if not permitted:
-            return frozenset()
-        pick = _stable_bits(self.seed, node, dest, 999) % len(permitted)
-        return frozenset([permitted[pick]])
+            return permitted
+        ordered = sorted(permitted, key=lambda c: c.cid)
+        pick = _stable_bits(self.seed, node, dest, 999) % len(ordered)
+        return frozenset([ordered[pick]])
 
 
 @settings(max_examples=12, deadline=None)

@@ -18,6 +18,7 @@ from repro import scenario
 from repro.core.transitions import TransitionCache
 from repro.fuzz.generators import CaseSpec, EscapeWildRouting, build_case, stable_bits
 from repro.routing import make
+from repro.routing.ecube import DimensionOrderMesh
 from repro.routing.relation import NodeDestRouting, RouteEntry, RouteTable
 from repro.sim import BernoulliTraffic, SimConfig, WormholeSimulator
 from repro.topology import build_mesh
@@ -145,6 +146,25 @@ def test_uturn_inputs_get_their_own_order():
         row = _reference_entry(algo, algo.network.injection_channel(c_in.dst), dest, dist)
         reordered += table.entry(c_in.cid, dest) != row
     assert reordered > 0
+
+
+class _WaitsOffRoute(DimensionOrderMesh):
+    """A broken relation: it waits on every output, not only its route set."""
+
+    name = "waits-off-route"
+
+    def waiting_subset(self, c_in, node, dest, permitted):
+        if not permitted:
+            return permitted
+        return frozenset(self.network.out_channels(node))
+
+
+@pytest.mark.parametrize("ordered", [True, False], ids=["dist", "no-dist"])
+def test_waits_outside_the_route_set_are_sorted_on_their_own(ordered):
+    algo = _WaitsOffRoute(build_mesh((3, 3)))
+    table = _check_table(algo, algo.network.shortest_distances() if ordered else None)
+    wider = [e for e in table._entries if e is not None and e.wait_cids != e.cand_cids]
+    assert wider and all(len(e.wait_cids) > len(e.cand_cids) for e in wider)
 
 
 def test_perf_counters_report_rows():

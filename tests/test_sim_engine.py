@@ -213,6 +213,28 @@ class TestFlowControl:
             assert len(buf) <= 3
 
 
+class TestConfigValidation:
+    """Settings that would stall silently or crash are refused up front."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("buffer_depth", 0),             # no queue could ever hold a flit
+        ("ejection_rate", 0),            # nothing would ever be consumed
+        ("deadlock_check_interval", -1), # would disable the detector silently
+        ("seed", -1),                    # NumPy refuses it deep inside the run
+    ])
+    def test_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            SimConfig(**{field: value})
+
+    def test_boundary_values_run(self, mesh33):
+        cfg = SimConfig(buffer_depth=1, ejection_rate=1, deadlock_check_interval=0, seed=0)
+        sim = WormholeSimulator(DimensionOrderMesh(mesh33),
+                                ScriptedTraffic([(0, 0, 8, 5)]), cfg)
+        sim.run(1)
+        assert sim.drain(200)
+        assert sim.stats.consumed_flits == 5
+
+
 class TestStats:
     def test_summary_fields(self, mesh33):
         ra = DimensionOrderMesh(mesh33)

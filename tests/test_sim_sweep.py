@@ -109,6 +109,18 @@ def test_cli_sim_sweep_rejects_unknown_algorithm():
         main(["sim-sweep", "--algorithms", "definitely-not-real"])
 
 
+@pytest.mark.parametrize("flag, value, match", [
+    ("--seeds", "1,-1", "bad --seeds: seed must be >= 0, got -1"),
+    ("--cycles", "-5", "bad --cycles: must be at least 1, got -5"),
+    ("--length", "0", "bad --length: message length must be at least 1 flit, got 0"),
+])
+def test_cli_sim_sweep_rejects_inputs_that_crash_or_print_nan(flag, value, match, capsys):
+    with pytest.raises(SystemExit, match=f"^{match}$"):
+        main(["sim-sweep", "--algorithms", "e-cube-mesh", "--rates", "0.1",
+              "--jobs", "0", flag, value])
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("rates", ["0.1,-0.2", "0.1,12"])
 def test_cli_sim_sweep_rejects_impossible_rates(rates, capsys):
     with pytest.raises(SystemExit, match="bad --rates: injection rate"):

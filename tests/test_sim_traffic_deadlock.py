@@ -99,6 +99,12 @@ class TestSources:
         with pytest.raises(ValueError, match=match):
             BernoulliTraffic(mesh33, rate=rate, length=length)
 
+    @pytest.mark.parametrize("length", [0, -3, (0, 4), (3, 2)])
+    def test_bernoulli_rejects_lengths_below_one_flit(self, mesh33, length):
+        # blamed on the length, not on the rate it makes impossible
+        with pytest.raises(ValueError, match="message length must be at least 1 flit"):
+            BernoulliTraffic(mesh33, rate=0.1, length=length)
+
     def test_bernoulli_accepts_the_boundary_rates(self, mesh33):
         BernoulliTraffic(mesh33, rate=0.0, length=4)
         BernoulliTraffic(mesh33, rate=4.0, length=4)

@@ -1,4 +1,4 @@
-"""Work-counter guard: exact, host-independent counts of checker work.
+"""Work-counter guard: exact, host-independent counts of checker and simulator work.
 
 A wall-time guard depends on the machine; a count of work does not.  The
 fixed job set below (every mesh, torus and hypercube scenario of the
@@ -6,24 +6,41 @@ registry at the benchmark's ``--quick`` sizes, theorem only, triage off)
 is run with the relation and the checker's layer entry points wrapped by
 counters, and four counts are pinned exactly:
 
-* relation evaluations -- outermost ``route`` calls (a wrapper relation
-  delegating to its inner relation is one evaluation);
+* relation evaluations -- outermost ``route`` or ``route_nd`` calls (a
+  wrapper relation delegating to its inner relation is one evaluation, and
+  so is ``NodeDestRouting.route`` calling ``route_nd``; a ``route_nd`` call
+  made from anywhere else, such as a waiting hook recomputing its row,
+  counts as one more);
 * CWG edges built;
 * :class:`~repro.core.transitions.DestinationTransitions` builds;
 * True-Cycle / any-wait search nodes.
+
+The simulator's work is pinned the same way: duato-mesh on the
+benchmark's ``--quick`` network (``mesh:6x6:v2``) below saturation (1,000
+cycles at 0.05 flits/node/cycle) and past it (500 cycles at 0.25), with
+fixed seeds, pinning the run's ``perf_counters()`` -- route-table rows and
+misses, allocator wakeups, flit hops -- and the relation evaluations behind
+the rows.  These pins, not wall-time asserts, guard the simulator's speed.
 
 A change that does more work fails here on any host.  A change that does
 less updates the pins and says so.
 
 The gate tests pin the row rule itself: an ``R(n, d)`` relation is
 evaluated once per reachable ``(node, destination)`` row, and a wrapper
-that only copies ``form="ND"`` is still evaluated once per state.
+that only copies ``form="ND"`` is still evaluated once per state.  They
+also pin "route once, then narrow": a waiting set is derived from the route
+set the consumer just evaluated (``waiting_subset``), so neither the
+checker's transition walk nor the simulator's route table evaluates a
+relation twice for one decision, and no relation class overrides
+``waiting_channels``.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -33,16 +50,22 @@ from repro.core.transitions import DestinationTransitions, TransitionCache
 from repro.pipeline import run_job
 from repro.pipeline.engine import catalog_specs
 from repro.routing import RestrictedWaiting, make
-from repro.routing.relation import RoutingAlgorithm
+from repro.routing.duato_adaptive import DuatoFullyAdaptiveMesh
+from repro.routing.hpl import HighestPositiveLast
+from repro.routing.relation import NodeDestRouting, RouteTable, RoutingAlgorithm
 from repro.scenario import registry
+from repro.sim import BernoulliTraffic, SimConfig, WormholeSimulator
 from repro.topology import build_mesh
 
 #: the benchmark's --quick sizes
 QUICK = {"mesh_dims": (3, 3), "torus_dims": (4, 4), "hypercube_dim": 3}
 
-#: route_calls was 3,557 while the walk evaluated the relation per state
+#: route_calls was 3,557 while the walk evaluated the relation per state, and
+#: 2,204 before waiting sets were narrowed from the route set the consumer had
+#: just evaluated: 1,652 ``route`` calls (HPL's waiting set re-routing among
+#: them) plus 552 ``route_nd`` calls from waiting sets recomputing their rows
 PINNED = {
-    "route_calls": 1_652,
+    "route_calls": 1_478,
     "cwg_edges": 2_836,
     "dest_builds": 151,
     "search_nodes": 26,
@@ -55,20 +78,23 @@ def quick_jobs():
     return catalog_specs(names, conditions=("theorem",), triage=False, **QUICK)
 
 
-def _relation_classes():
+def _relation_methods():
+    """``(class, name)`` for every concrete ``route`` / ``route_nd`` a loaded
+    relation class defines itself."""
     todo, seen = [RoutingAlgorithm], set()
     while todo:
         for sub in todo.pop().__subclasses__():
             if sub not in seen:
                 seen.add(sub)
                 todo.append(sub)
-                fn = sub.__dict__.get("route")
-                if fn is not None and not getattr(fn, "__isabstractmethod__", False):
-                    yield sub
+                for name in ("route", "route_nd"):
+                    fn = sub.__dict__.get(name)
+                    if fn is not None and not getattr(fn, "__isabstractmethod__", False):
+                        yield sub, name
 
 
-def count_work(monkeypatch, jobs) -> Counter:
-    counts: Counter = Counter()
+def count_evaluations(monkeypatch, counts: Counter) -> None:
+    """Count outermost relation evaluations into ``counts["route_calls"]``."""
     busy = [False]
 
     def outermost_route(fn):
@@ -84,6 +110,14 @@ def count_work(monkeypatch, jobs) -> Counter:
                 busy[0] = False
         return wrapper
 
+    for cls, name in list(_relation_methods()):
+        monkeypatch.setattr(cls, name, outermost_route(cls.__dict__[name]))
+
+
+def count_work(monkeypatch, jobs) -> Counter:
+    counts: Counter = Counter()
+    count_evaluations(monkeypatch, counts)
+
     def after(fn, hook):
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
@@ -92,8 +126,6 @@ def count_work(monkeypatch, jobs) -> Counter:
             return result
         return wrapper
 
-    for cls in list(_relation_classes()):
-        monkeypatch.setattr(cls, "route", outermost_route(cls.__dict__["route"]))
     monkeypatch.setattr(ChannelWaitingGraph, "__init__", after(
         ChannelWaitingGraph.__init__,
         lambda g, _r: counts.update(cwg_edges=len(g))))
@@ -129,21 +161,21 @@ def _reachable_states(tc: TransitionCache) -> tuple[int, set[tuple[int, int]]]:
 
 
 def _counting(algorithm: RoutingAlgorithm) -> Counter:
-    """Count route / waiting_channels calls on this instance, per (node, dest)."""
+    """Count route / waiting_subset calls on this instance, per (node, dest)."""
     calls: Counter = Counter()
-    route, waiting = algorithm.route, algorithm.waiting_channels
+    route, waiting = algorithm.route, algorithm.waiting_subset
 
     def counted_route(c_in, node, dest):
         calls["route"] += 1
         calls[("route", node, dest)] += 1
         return route(c_in, node, dest)
 
-    def counted_waiting(c_in, node, dest):
+    def counted_waiting(c_in, node, dest, permitted):
         calls["waiting"] += 1
-        return waiting(c_in, node, dest)
+        return waiting(c_in, node, dest, permitted)
 
     algorithm.route = counted_route
-    algorithm.waiting_channels = counted_waiting
+    algorithm.waiting_subset = counted_waiting
     return calls
 
 
@@ -176,3 +208,134 @@ def test_row_memo_keeps_the_transition_graph(name):
         rows, states = DestinationTransitions(ra, dest), DestinationTransitions(per_state, dest)
         assert rows.succ == states.succ and list(rows.succ) == list(states.succ)
         assert rows.wait == states.wait
+
+
+# ----------------------------------------------------------------------
+# route once, then narrow
+# ----------------------------------------------------------------------
+class CountingDuatoMesh(DuatoFullyAdaptiveMesh):
+    """duato-mesh counting every evaluation of its row function."""
+
+    def __init__(self, network) -> None:
+        super().__init__(network)
+        self.evals: Counter = Counter()
+
+    def route_nd(self, node, dest):
+        self.evals[node, dest] += 1
+        return super().route_nd(node, dest)
+
+
+class CountingHPL(HighestPositiveLast):
+    """HPL (its route set depends on the input channel) counting evaluations."""
+
+    def __init__(self, network) -> None:
+        super().__init__(network)
+        self.evals: Counter = Counter()
+
+    def route(self, c_in, node, dest):
+        self.evals[c_in.cid, dest] += 1
+        return super().route(c_in, node, dest)
+
+
+def _fill(table: RouteTable, states) -> None:
+    for c_in, dest in states:
+        table.entry(c_in.cid, dest)
+
+
+def _states(algorithm: RoutingAlgorithm) -> list:
+    return [(c, dt.dest) for dt in TransitionCache(algorithm).all_destinations()
+            for c in dt.succ if c.dst != dt.dest]
+
+
+def test_transition_walk_evaluates_each_node_dest_row_once():
+    ra = CountingDuatoMesh(build_mesh((4, 4), num_vcs=2))
+    states, rows = _reachable_states(TransitionCache(ra))
+    assert states > len(rows)
+    assert set(ra.evals) == rows
+    assert set(ra.evals.values()) == {1}
+
+
+@pytest.mark.parametrize("ordered", [True, False], ids=["dist", "no-dist"])
+def test_route_table_fill_evaluates_each_node_dest_row_once(ordered):
+    net = build_mesh((4, 4), num_vcs=2)
+    states = _states(make("duato-mesh", net))
+    ra = CountingDuatoMesh(net)
+    table = RouteTable(ra, dist=net.shortest_distances() if ordered else None)
+    _fill(table, states)
+    rows = {(c.dst, d) for c, d in states}
+    assert table.misses == len(states) > len(rows)
+    # a minimal relation never leads back to an input's source: no U-turn builds
+    assert table.rows == len(rows)
+    assert set(ra.evals) == rows
+    assert set(ra.evals.values()) == {1}
+
+
+def test_input_channel_relation_is_evaluated_once_per_state():
+    net = build_mesh((3, 3))
+    ra = CountingHPL(net)
+    states = set()
+    for dt in TransitionCache(ra).all_destinations():
+        states |= {(c.cid, dt.dest) for c in dt.succ if c.dst != dt.dest}
+    assert set(ra.evals) == states
+    assert set(ra.evals.values()) == {1}
+    ra.evals.clear()
+    table = RouteTable(ra, dist=net.shortest_distances())
+    _fill(table, _states(HighestPositiveLast(net)))
+    assert table.rows == table.misses == len(states)
+    assert set(ra.evals) == states
+    assert set(ra.evals.values()) == {1}
+
+
+def test_overriding_waiting_channels_is_rejected():
+    with pytest.raises(TypeError, match="waiting_subset"):
+        class OldStyle(NodeDestRouting):
+            def route_nd(self, node, dest):
+                return frozenset()
+
+            def waiting_channels(self, c_in, node, dest):
+                return frozenset()
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_no_relation_class_overrides_waiting_channels():
+    """Only the base class defines ``waiting_channels``, anywhere in the tree."""
+    found = []
+    for top in ("src", "examples", "tests"):
+        for path in sorted((_ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.ClassDef) or node.name == "RoutingAlgorithm":
+                    continue
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "waiting_channels":
+                        found.append(f"{path.relative_to(_ROOT)}:{node.name}")
+    assert found == ["tests/test_work_counters.py:OldStyle"]
+
+
+# ----------------------------------------------------------------------
+# simulator work
+# ----------------------------------------------------------------------
+#: (rate, cycles, seed) -> pinned counts; relation evaluations ("route_calls")
+#: were 1,082 and 1,552, twice the rows, while duato-mesh's waiting set
+#: recomputed its route set
+SIM_PINNED = {
+    (0.05, 1000, 3): {"route_table_rows": 541, "route_table_misses": 722,
+                      "alloc_wakeups": 1_289, "flit_hops": 8_196, "route_calls": 541},
+    (0.25, 500, 5): {"route_table_rows": 776, "route_table_misses": 1_354,
+                     "alloc_wakeups": 2_801, "flit_hops": 17_133, "route_calls": 776},
+}
+
+
+@pytest.mark.parametrize("rate, cycles, seed", list(SIM_PINNED), ids=["light", "saturated"])
+def test_quick_sim_work_is_pinned(monkeypatch, rate, cycles, seed):
+    net = build_mesh((6, 6), num_vcs=2)
+    ra = make("duato-mesh", net)
+    counts: Counter = Counter()
+    count_evaluations(monkeypatch, counts)
+    traffic = BernoulliTraffic(net, rate=rate, length=8, stop_at=cycles)
+    sim = WormholeSimulator(ra, traffic, SimConfig(seed=seed))
+    sim.run(cycles)
+    assert sim.deadlock is None
+    counts.update(sim.perf_counters())
+    assert {k: counts[k] for k in SIM_PINNED[rate, cycles, seed]} == SIM_PINNED[rate, cycles, seed]
