@@ -10,15 +10,12 @@ overlay, fresh transition cache, no verdict store), assert the two digests
 are bit-identical, and report the per-algorithm and aggregate speedups.
 
 The aggregate (sum of cold seconds over sum of incremental seconds) is the
-acceptance bar: >= 10x.  The result lands in ``BENCH_checker.json`` under
-the ``incremental_vs_cold`` key, next to the auto-recorded wall times.
+acceptance bar: >= 10x.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.incremental import (
     IncrementalSession,
@@ -27,8 +24,6 @@ from repro.incremental import (
 )
 from repro.pipeline import VerificationCache, catalog_spec
 from repro.routing import CATALOG
-
-SNAPSHOT = Path(__file__).resolve().parent / "BENCH_checker.json"
 
 #: flap cycles per scenario -- repeats revisit known fingerprints, which is
 #: what the verdict store is for (faults in real fabrics flap, they don't
@@ -77,15 +72,6 @@ def _episode(name: str, cache: VerificationCache) -> dict | None:
     }
 
 
-def _record(summary: dict) -> None:
-    try:
-        data = json.loads(SNAPSHOT.read_text())
-    except (OSError, ValueError):
-        data = {}
-    data["incremental_vs_cold"] = summary
-    SNAPSHOT.write_text(json.dumps(dict(sorted(data.items())), indent=2) + "\n")
-
-
 def test_incremental_flap_sweep(benchmark, once, table):
     cache = VerificationCache(max_entries=1024)
     rows: dict[str, dict] = {}
@@ -114,15 +100,6 @@ def test_incremental_flap_sweep(benchmark, once, table):
     )
     print(f"verdict store: {cache.stats()}")
 
-    _record({
-        "algorithms": len(rows),
-        "events": sum(r["events"] for r in rows.values()),
-        "cold_seconds": round(cold, 3),
-        "incremental_seconds": round(inc, 3),
-        "aggregate_speedup": round(aggregate, 1),
-        "store_hit_rate": round(cache.hit_rate, 3),
-        "per_algorithm": rows,
-    })
     assert aggregate >= 10.0, (
         f"incremental sweep only x{aggregate:.1f} vs cold (need >= 10x)"
     )

@@ -48,7 +48,7 @@ def run_point(name: str, selection: str, rate: float,
 
 
 @pytest.mark.slow
-def test_sim_3d_latency_vs_load(benchmark, once, table, sim_cycles):
+def test_sim_3d_latency_vs_load(benchmark, once, table):
     rates = [0.05, 0.15, 0.25]
 
     def sweep():
@@ -58,7 +58,6 @@ def test_sim_3d_latency_vs_load(benchmark, once, table, sim_cycles):
         }
 
     grid = once(benchmark, sweep)
-    sim_cycles(CYCLES * len(rates) * len(SCENARIOS) * len(SELECTIONS))
     cols = [(n, s) for n in SCENARIOS for s in SELECTIONS]
     table("SIM-3D latency vs load (3x3x3, uniform traffic, "
           f"{LENGTH}-flit messages)",
@@ -80,7 +79,7 @@ def test_sim_3d_latency_vs_load(benchmark, once, table, sim_cycles):
 
 
 @pytest.mark.sim_smoke
-def test_sim_3d_smoke_quick(benchmark, once, table, sim_cycles):
+def test_sim_3d_smoke_quick(benchmark, once, table):
     """CI tier: both 3D scenarios at one load point under their registered
     selection policy (``credit``); latency and throughput checks only."""
     smoke_cycles = 800
@@ -91,7 +90,6 @@ def test_sim_3d_smoke_quick(benchmark, once, table, sim_cycles):
                 for name in SCENARIOS}
 
     points = once(benchmark, sweep)
-    sim_cycles(smoke_cycles * len(SCENARIOS))
     table("SIM-3D smoke (3x3x3, uniform 0.15, credit selection)",
           ["scenario", "avg latency", "throughput"],
           [(n, f"{lat:8.1f}", f"{thpt:.4f}") for n, (lat, thpt) in points.items()])

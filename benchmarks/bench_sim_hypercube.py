@@ -48,7 +48,7 @@ def run_point(net, algo_cls, pattern, rate, *, depth=4, seed=5):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("pattern", ["uniform", "bit-reverse"])
-def test_sim_hypercube_latency_vs_load(benchmark, once, table, sim_cycles, pattern):
+def test_sim_hypercube_latency_vs_load(benchmark, once, table, pattern):
     net = build_hypercube(DIM, num_vcs=2)
     rates = [0.1, 0.25, 0.4, 0.55]
 
@@ -59,7 +59,6 @@ def test_sim_hypercube_latency_vs_load(benchmark, once, table, sim_cycles, patte
         }
 
     grid = once(benchmark, sweep)
-    sim_cycles(CYCLES * len(rates) * len(ALGOS))
     rows = [
         (f"{r:.2f}",) + tuple(f"{grid[n][i][0]:8.1f}" for n in ALGOS)
         for i, r in enumerate(rates)
@@ -81,7 +80,7 @@ def test_sim_hypercube_latency_vs_load(benchmark, once, table, sim_cycles, patte
 
 
 @pytest.mark.slow
-def test_sim_buffer_depth_ablation(benchmark, once, table, sim_cycles):
+def test_sim_buffer_depth_ablation(benchmark, once, table):
     net = build_hypercube(DIM, num_vcs=2)
     depths = [1, 2, 4, 8]
 
@@ -92,7 +91,6 @@ def test_sim_buffer_depth_ablation(benchmark, once, table, sim_cycles):
         }
 
     out = once(benchmark, sweep)
-    sim_cycles(CYCLES * len(depths))
     table("Ablation: VC buffer depth (EFA, 5-cube, uniform load 0.25)",
           ["depth", "avg latency", "throughput"], [
               (d, f"{lat:8.1f}", f"{thpt:.4f}") for d, (lat, thpt) in out.items()

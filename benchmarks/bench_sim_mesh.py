@@ -56,7 +56,7 @@ def run_point(net, factory, pattern: str, rate: float, seed: int = 3):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("pattern", ["uniform", "transpose"])
-def test_sim_mesh_latency_vs_load(benchmark, once, table, sim_cycles, pattern):
+def test_sim_mesh_latency_vs_load(benchmark, once, table, pattern):
     net = build_mesh(MESH)
     rates = [0.05, 0.15, 0.25, 0.35]
 
@@ -67,7 +67,6 @@ def test_sim_mesh_latency_vs_load(benchmark, once, table, sim_cycles, pattern):
         }
 
     grid = once(benchmark, sweep)
-    sim_cycles(CYCLES * len(rates) * len(ALGOS))
     rows = [
         (f"{r:.2f}",) + tuple(f"{grid[n][i][0]:8.1f}" for n in ALGOS)
         for i, r in enumerate(rates)
@@ -97,7 +96,7 @@ def test_sim_mesh_latency_vs_load(benchmark, once, table, sim_cycles, pattern):
 
 
 @pytest.mark.sim_smoke
-def test_sim_smoke_quick(benchmark, once, table, sim_cycles):
+def test_sim_smoke_quick(benchmark, once, table):
     """The ``--quick`` tier: two algorithms at one moderate load point.
 
     Checks latency and throughput only.  The simulator's speed is guarded
@@ -126,7 +125,6 @@ def test_sim_smoke_quick(benchmark, once, table, sim_cycles):
         return out
 
     points = once(benchmark, sweep)
-    sim_cycles(smoke_cycles * len(quick))
     table("SIM-MESH smoke (8x8 mesh, uniform 0.15)",
           ["algorithm", "avg latency", "throughput"],
           [(n, f"{lat:8.1f}", f"{thpt:.4f}") for n, (lat, thpt) in points.items()])

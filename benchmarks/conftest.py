@@ -6,39 +6,14 @@ reproductions, not micro-benchmarks) and *prints* the reproduced rows so
 ``pytest benchmarks/ --benchmark-only -s`` doubles as the experiment log.
 EXPERIMENTS.md records the printed outputs against the paper's claims.
 
-Perf snapshots
---------------
-Every benchmark run also records machine-readable perf snapshots:
-``BENCH_sim.json`` (simulator-bound benches) and ``BENCH_checker.json``
-(verifier/checker benches) map each bench to its wall time, its speedup
-against the recorded pre-fast-path baseline (``BASELINE.json``), and -- for
-simulator benches that register their cycle counts via the ``sim_cycles``
-fixture -- simulated cycles per second.  Snapshots merge into the existing
-files, so running a subset (e.g. the ``sim_smoke`` tier) updates only the
-benches that actually ran and the perf trajectory stays comparable across
-PRs.
+Speed is measured by ``bench/`` (see ``bench/README.md``) and guarded by the
+exact work counts in ``tests/test_work_counters.py``; a bench here writes
+no file.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
-
-BENCH_DIR = Path(__file__).resolve().parent
-BASELINE_FILE = BENCH_DIR / "BASELINE.json"
-
-#: benches whose cost is dominated by the flit-level simulator
-SIM_FILES = ("bench_sim_mesh.py", "bench_sim_hypercube.py", "bench_sim_3d.py",
-             "bench_deadlock_empirical.py")
-
-#: bench name -> wall seconds of the passing "call" phase, this session
-_durations: dict[str, float] = {}
-#: bench name -> bench file name
-_files: dict[str, str] = {}
-#: bench name -> simulated cycles registered via the sim_cycles fixture
-_cycles: dict[str, int] = {}
 
 
 def run_once(benchmark, fn):
@@ -62,81 +37,3 @@ def print_table(title: str, headers: list[str], rows: list[tuple]) -> None:
 @pytest.fixture
 def table():
     return print_table
-
-
-# ----------------------------------------------------------------------
-# perf snapshots
-# ----------------------------------------------------------------------
-@pytest.fixture
-def sim_cycles(request):
-    """Register how many simulator cycles this bench ran (for cycles/sec)."""
-    name = request.node.nodeid.rpartition("::")[2]
-
-    def add(n: int) -> None:
-        _cycles[name] = _cycles.get(name, 0) + int(n)
-
-    return add
-
-
-def load_baseline() -> dict[str, float]:
-    try:
-        data = json.loads(BASELINE_FILE.read_text())
-    except (OSError, ValueError):
-        return {}
-    return {k: v for k, v in data.items() if isinstance(v, (int, float))}
-
-
-def load_snapshot(kind: str) -> dict[str, dict]:
-    """The checked-in snapshot (``kind`` is "sim" or "checker")."""
-    try:
-        data = json.loads((BENCH_DIR / f"BENCH_{kind}.json").read_text())
-    except (OSError, ValueError):
-        return {}
-    return {k: v for k, v in data.items() if isinstance(v, dict)}
-
-
-def pytest_runtest_logreport(report):
-    if report.when != "call" or not report.passed:
-        return
-    path, _, name = report.nodeid.partition("::")
-    fname = path.rpartition("/")[2]
-    if fname.startswith("bench_") and name:
-        _durations[name] = report.duration
-        _files[name] = fname
-
-
-def _snapshot_entry(name: str, baseline: dict[str, float], prior: dict[str, dict]) -> dict:
-    seconds = round(_durations[name], 3)
-    entry: dict = {"seconds": seconds}
-    base = baseline.get(name)
-    if base is None:
-        # No pre-fast-path baseline recorded (bench added later): fall back
-        # to the bench's first-ever recorded time so every entry carries a
-        # comparable baseline/speedup pair rather than silently omitting it.
-        prev = prior.get(name, {})
-        base = prev.get("baseline_seconds") or prev.get("seconds") or seconds
-    entry["baseline_seconds"] = base
-    entry["speedup"] = round(base / seconds, 2) if seconds > 0 else None
-    cycles = _cycles.get(name)
-    if cycles:
-        entry["cycles"] = cycles
-        entry["cycles_per_sec"] = round(cycles / seconds, 1) if seconds > 0 else None
-    return entry
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _durations:
-        return
-    baseline = load_baseline()
-    for kind in ("sim", "checker"):
-        merged = load_snapshot(kind)
-        updates = {
-            name: _snapshot_entry(name, baseline, merged)
-            for name in _durations
-            if (_files[name] in SIM_FILES) == (kind == "sim")
-        }
-        if not updates:
-            continue
-        merged.update(updates)
-        out = BENCH_DIR / f"BENCH_{kind}.json"
-        out.write_text(json.dumps(dict(sorted(merged.items())), indent=2) + "\n")

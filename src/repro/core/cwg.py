@@ -49,25 +49,32 @@ def wait_connected(
     Returns ``(holds, counterexample_description)``.  A state is a pair
     (input channel, node=channel head) reached by some message; at every
     state short of the destination, the waiting set must be a nonempty
-    subset of the route set.
+    subset of the route set.  Decided on the cid bitmasks; a Channel is
+    built only for the counterexample.
     """
     cache = transitions or TransitionCache(algorithm)
+    net = algorithm.network
+    heads = net.heads
     for dt in cache.all_destinations():
-        for c, out in dt.succ.items():
-            if c.dst == dt.dest:
+        dest = dt.dest
+        wait = dt.wait_masks
+        for a, out in dt.succ_masks.items():
+            if heads[a] == dest:
                 continue
-            w = dt.wait[c]
+            w = wait[a]
+            if w and out and not w & ~out:
+                continue
+            c = net.channel(a)
             if not w:
                 return False, (
-                    f"state (input={c!r}, node={c.dst}, dest={dt.dest}) has no waiting channel"
+                    f"state (input={c!r}, node={c.dst}, dest={dest}) has no waiting channel"
                 )
-            if not w <= out:
+            if w & ~out:
                 return False, (
-                    f"waiting set at (input={c!r}, node={c.dst}, dest={dt.dest}) "
+                    f"waiting set at (input={c!r}, node={c.dst}, dest={dest}) "
                     f"is not a subset of the route set"
                 )
-            if not out:
-                return False, (
-                    f"state (input={c!r}, node={c.dst}, dest={dt.dest}) has no output channel"
-                )
+            return False, (
+                f"state (input={c!r}, node={c.dst}, dest={dest}) has no output channel"
+            )
     return True, ""

@@ -8,19 +8,25 @@ is ``c``" (so the message sits at node ``c.dst``), the start states are the
 injection channels, and the transitions are exactly the routing relation
 ``R(c, c.dst, d)``.
 
-:class:`DestinationTransitions` materializes that graph once per destination
-and precomputes the derived sets the rest of :mod:`repro.core` consumes:
+:class:`DestinationTransitions` walks that graph once per destination, in
+channel-id space: states are keyed by cid, each channel's head node and
+link flag come from the frozen network (``Network.heads`` /
+``Network.link_mask``), and the walk itself fills the canonical
+representation -- *cid bitmasks*, one arbitrary-precision int per state,
+bit ``i`` set iff channel ``i`` is in the set:
 
-* ``usable`` -- link channels reachable from any injection channel, i.e.
-  channels some message headed to ``d`` can actually occupy;
-* ``wait[c]`` -- the waiting channels at state ``c`` (Definition 8);
-* ``downstream_wait[c]`` -- the union of ``wait`` over every state reachable
-  from ``c`` *including itself*: by Definition 9 (arbitrary message lengths),
-  these are precisely the channels some message occupying ``c`` may end up
-  waiting on, i.e. the CWG out-neighbourhood contributed by destination ``d``;
-* ``upstream[c]`` -- channels from which state ``c`` is reachable: channels a
-  message *blocked at* ``c`` might still hold, which is what the CWG'
-  reduction's wait-connectivity test needs;
+* ``succ_masks[c]`` / ``wait_masks[c]`` -- the permitted outputs and the
+  waiting channels (Definition 8) at state ``c``, states in BFS order;
+* ``usable_cids`` -- link channels reachable from any injection channel,
+  i.e. channels some message headed to ``d`` can actually occupy;
+* ``downstream_wait_masks[c]`` -- the union of ``wait`` over every state
+  reachable from ``c`` *including itself*: by Definition 9 (arbitrary
+  message lengths), these are precisely the channels some message occupying
+  ``c`` may end up waiting on, i.e. the CWG out-neighbourhood contributed by
+  destination ``d``;
+* ``upstream_masks[c]`` -- link channels from which state ``c`` is
+  reachable: channels a message *blocked at* ``c`` might still hold, which
+  is what the CWG' reduction's wait-connectivity test needs;
 * ``downstream_node_masks[c]`` -- the nodes of every state reachable from
   ``c``, itself included, as a node-id bitmask: what the coherence
   certificate in :mod:`repro.routing.properties` reads (``c`` can still
@@ -31,13 +37,13 @@ Reachable-set computation runs on the SCC condensation so cyclic
 
 For an ``R(n, d)`` relation (:func:`~repro.routing.relation.is_node_dest`)
 the walk evaluates the relation once per *row* -- once per node -- and every
-input channel at that node shares the answer.
+input channel at that node shares the row's mask pair.
 
-The canonical derived representation is *cid bitmasks* (``succ_masks``,
-``wait_masks``, ``downstream_wait_masks``, ``upstream_masks``): one
-arbitrary-precision int per state, bit ``i`` set iff channel ``i`` is in the
-set.  The frozenset views (``downstream_wait`` / ``upstream``) are adapters
-materialized lazily for the consumers that still want objects.
+``succ``, ``wait``, ``usable``, ``downstream_wait`` and ``upstream`` are
+Channel-keyed adapters over the masks, built on first read (in the walk's
+BFS order) for the consumers that still want objects; the graph builders,
+Definition 10, the coherence certificate and the relation fingerprint never
+read them.
 
 :class:`TransitionGraph` is the one builder behind the CWG, the CDG and the
 fuzzers' planted immediate-wait CWG: it ORs one per-state target mask per
@@ -68,90 +74,77 @@ class DestinationTransitions:
         self.algorithm = algorithm
         self.dest = dest
         net = algorithm.network
-        self.succ: dict[Channel, frozenset[Channel]] = {}
-        self.wait: dict[Channel, frozenset[Channel]] = {}
+        heads = net.heads
+        channels = net.channels
+        route, narrow = algorithm.route, algorithm.waiting_subset
         #: injection channels that start a journey to ``dest``
         self.starts: list[Channel] = [
             net.injection_channel(n) for n in net.nodes if n != dest
         ]
-        #: node -> (routes, waits) for an R(n, d) relation, else ``None``
-        rows: dict[int, tuple[frozenset[Channel], frozenset[Channel]]] | None = (
-            {} if is_node_dest(algorithm) else None
-        )
+        succ: dict[int, int] = {}
+        wait: dict[int, int] = {}
+        #: node -> (route mask, wait mask) for an R(n, d) relation, else ``None``
+        rows: dict[int, tuple[int, int]] | None = {} if is_node_dest(algorithm) else None
         # Forward BFS from the injection channels over the routing relation.
-        frontier: list[Channel] = list(self.starts)
-        seen: set[Channel] = set(frontier)
+        frontier = [c.cid for c in self.starts]
+        seen = set(frontier)
         while frontier:
-            nxt: list[Channel] = []
-            for c in frontier:
-                node = c.dst
+            nxt: list[int] = []
+            for a in frontier:
+                node = heads[a]
                 if node == dest:
-                    self.succ[c] = frozenset()
-                    self.wait[c] = frozenset()
+                    succ[a] = wait[a] = 0
                     continue
-                row = rows.get(node) if rows is not None else None
-                if row is not None:
-                    # the row's first state already queued every output
-                    self.succ[c], self.wait[c] = row
-                    continue
-                # one relation evaluation: route, then narrow to the waits
-                out = algorithm.route(c, node, dest)
-                row = (out, algorithm.waiting_subset(c, node, dest, out))
                 if rows is not None:
-                    rows[node] = row
-                self.succ[c], self.wait[c] = row
+                    row = rows.get(node)
+                    if row is not None:
+                        # the row's first state already queued every output
+                        succ[a], wait[a] = row
+                        continue
+                # one relation evaluation: route, then narrow to the waits
+                c = channels[a]
+                out = route(c, node, dest)
+                waits = narrow(c, node, dest, out)
+                m = 0
                 for o in out:
-                    if o not in seen:
-                        seen.add(o)
-                        nxt.append(o)
+                    b = o.cid
+                    m |= 1 << b
+                    if b not in seen:
+                        seen.add(b)
+                        nxt.append(b)
+                if waits is out:
+                    w = m
+                else:
+                    w = 0
+                    for o in waits:
+                        w |= 1 << o.cid
+                succ[a], wait[a] = m, w
+                if rows is not None:
+                    rows[node] = (m, w)
             frontier = nxt
-        #: link channels a message headed to ``dest`` can occupy
-        self.usable: frozenset[Channel] = frozenset(c for c in self.succ if c.is_link)
-        #: the same channels as sorted dense cids (the builders' index space)
-        self.usable_cids: list[int] = sorted(c.cid for c in self.usable)
-        self._succ_masks: dict[int, int] | None = None
-        self._wait_masks: dict[int, int] | None = None
+        #: ``state cid -> bitmask of successor cids``, states in BFS order
+        self.succ_masks: dict[int, int] = succ
+        #: ``state cid -> bitmask of immediate waiting-channel cids``
+        self.wait_masks: dict[int, int] = wait
+        links = net.link_mask
+        #: the link channels a message headed to ``dest`` can occupy, as
+        #: sorted dense cids (the builders' index space)
+        self.usable_cids: list[int] = sorted(a for a in succ if links >> a & 1)
         self._downstream_wait_masks: dict[int, int] | None = None
         self._upstream_masks: dict[int, int] | None = None
         self._downstream_node_masks: dict[int, int] | None = None
         #: the walk shared each node's row among the node's states
         self._node_rows = rows is not None
         self._local: dict[bool, _Condensation] = {}
+        self._succ: dict[Channel, frozenset[Channel]] | None = None
+        self._wait: dict[Channel, frozenset[Channel]] | None = None
+        self._usable: frozenset[Channel] | None = None
         self._downstream_wait: dict[Channel, frozenset[Channel]] | None = None
         self._upstream: dict[Channel, frozenset[Channel]] | None = None
 
     # ------------------------------------------------------------------
-    # cid-bitmask views (canonical for the graph builders)
+    # derived cid-bitmask views (canonical for the graph builders)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _as_masks(sets: Mapping[Channel, frozenset[Channel]]) -> dict[int, int]:
-        # States sharing a row share its set object: convert each object once.
-        memo: dict[int, int] = {}
-        out: dict[int, int] = {}
-        for c, members in sets.items():
-            m = memo.get(id(members))
-            if m is None:
-                m = 0
-                for w in members:
-                    m |= 1 << w.cid
-                memo[id(members)] = m
-            out[c.cid] = m
-        return out
-
-    @property
-    def succ_masks(self) -> dict[int, int]:
-        """``state cid -> bitmask of successor cids`` (all states)."""
-        if self._succ_masks is None:
-            self._succ_masks = self._as_masks(self.succ)
-        return self._succ_masks
-
-    @property
-    def wait_masks(self) -> dict[int, int]:
-        """``state cid -> bitmask of immediate waiting-channel cids``."""
-        if self._wait_masks is None:
-            self._wait_masks = self._as_masks(self.wait)
-        return self._wait_masks
-
     @property
     def downstream_wait_masks(self) -> dict[int, int]:
         """``state cid -> bitmask`` form of :attr:`downstream_wait`."""
@@ -163,7 +156,8 @@ class DestinationTransitions:
     def upstream_masks(self) -> dict[int, int]:
         """``state cid -> bitmask`` form of :attr:`upstream`."""
         if self._upstream_masks is None:
-            held = {c.cid: 1 << c.cid if c.is_link else 0 for c in self.succ}
+            links = self.algorithm.network.link_mask
+            held = {a: links & (1 << a) for a in self.succ_masks}
             self._upstream_masks = self._propagate(held, forward=False)
         return self._upstream_masks
 
@@ -172,24 +166,49 @@ class DestinationTransitions:
         """``state cid -> bitmask of node ids``: the node ``s.dst`` of every
         state ``s`` reachable from the state, itself included."""
         if self._downstream_node_masks is None:
-            at = {c.cid: 1 << c.dst for c in self.succ}
+            heads = self.algorithm.network.heads
+            at = {a: 1 << heads[a] for a in self.succ_masks}
             self._downstream_node_masks = self._propagate(at, forward=True)
         return self._downstream_node_masks
 
     # ------------------------------------------------------------------
-    # frozenset adapter views
+    # Channel adapter views, built on first read
     # ------------------------------------------------------------------
     def _materialize(self, masks: dict[int, int]) -> dict[Channel, frozenset[Channel]]:
+        """``state -> set`` over Channel objects, states in BFS order; states
+        with equal masks share one frozenset."""
         channel = self.algorithm.network.channel
         memo: dict[int, frozenset[Channel]] = {}
         out: dict[Channel, frozenset[Channel]] = {}
-        for c in self.succ:
-            m = masks[c.cid]
+        for a in self.succ_masks:
+            m = masks[a]
             fs = memo.get(m)
             if fs is None:
-                fs = memo[m] = frozenset(channel(b) for b in bits(m))
-            out[c] = fs
+                fs = memo[m] = frozenset([channel(b) for b in bits(m)])
+            out[channel(a)] = fs
         return out
+
+    @property
+    def succ(self) -> dict[Channel, frozenset[Channel]]:
+        """State -> permitted outputs (adapter view of :attr:`succ_masks`)."""
+        if self._succ is None:
+            self._succ = self._materialize(self.succ_masks)
+        return self._succ
+
+    @property
+    def wait(self) -> dict[Channel, frozenset[Channel]]:
+        """State -> waiting channels (adapter view of :attr:`wait_masks`)."""
+        if self._wait is None:
+            self._wait = self._materialize(self.wait_masks)
+        return self._wait
+
+    @property
+    def usable(self) -> frozenset[Channel]:
+        """Link channels a message headed to ``dest`` can occupy."""
+        if self._usable is None:
+            channel = self.algorithm.network.channel
+            self._usable = frozenset([channel(a) for a in self.usable_cids])
+        return self._usable
 
     @property
     def downstream_wait(self) -> dict[Channel, frozenset[Channel]]:
@@ -218,7 +237,7 @@ class DestinationTransitions:
         ``n -> o.dst`` per output ``o`` of the node's row; it stands for
         the state graph when every state at a node shares the node's row,
         which the walk guarantees for an ``R(n, d)`` relation.  Returns
-        ``(vertex of each state in succ order, indptr, indices, labels,
+        ``(vertex of each state in BFS order, indptr, indices, labels,
         ncomp, order)``: Tarjan's component labels, in reverse topological
         order (every inter-component arc points to a smaller label), and the
         vertices by ascending label.
@@ -228,28 +247,30 @@ class DestinationTransitions:
             return got
         indices: list[int] = []
         indptr = [0]
+        succ = self.succ_masks
         if by_node:
+            heads = self.algorithm.network.heads
             pos: dict[int, int] = {}
-            outs: list[frozenset[Channel]] = []
+            outs: list[int] = []
             vertex: list[int] = []
-            for c, out in self.succ.items():
-                v = pos.get(c.dst)
+            for a, out in succ.items():
+                v = pos.get(heads[a])
                 if v is None:
-                    v = pos[c.dst] = len(outs)
+                    v = pos[heads[a]] = len(outs)
                     outs.append(out)
                 vertex.append(v)
             for out in outs:
-                indices.extend(dict.fromkeys(pos[o.dst] for o in out))
+                indices.extend(dict.fromkeys([pos[heads[b]] for b in bits(out)]))
                 indptr.append(len(indices))
         else:
-            pos = {c.cid: i for i, c in enumerate(self.succ)}
+            pos = {a: i for i, a in enumerate(succ)}
             vertex = list(range(len(pos)))
-            # states sharing a row share its successor set: index it once
+            # states sharing a row share its successor mask: index it once
             memo: dict[int, list[int]] = {}
-            for out in self.succ.values():
-                loc = memo.get(id(out))
+            for out in succ.values():
+                loc = memo.get(out)
                 if loc is None:
-                    loc = memo[id(out)] = [pos[o.cid] for o in out]
+                    loc = memo[out] = [pos[b] for b in bits(out)]
                 indices.extend(loc)
                 indptr.append(len(indices))
         n = len(indptr) - 1
@@ -261,7 +282,7 @@ class DestinationTransitions:
     def _propagate(self, seed: Mapping[int, int], *, forward: bool) -> dict[int, int]:
         """Reflexive-transitive closure aggregation over the SCC condensation.
 
-        Each state ``c`` contributes the bitmask ``seed[c.cid]``; forward=True
+        Each state ``a`` contributes the bitmask ``seed[a]``; forward=True
         accumulates it downstream (over every state reachable from a state),
         forward=False upstream (over every state a state is reachable
         from).  Runs on the integer kernel (:meth:`_condensation`): the
@@ -273,10 +294,10 @@ class DestinationTransitions:
         """
         vertex, indptr, indices, labels, ncomp, order = self._condensation(
             forward and self._node_rows)
-        cids = [c.cid for c in self.succ]
+        cids = list(self.succ_masks)
         comp_val = [0] * ncomp
-        for v, cid in zip(vertex, cids):
-            comp_val[labels[v]] |= seed[cid]
+        for v, a in zip(vertex, cids):
+            comp_val[labels[v]] |= seed[a]
         if forward:
             # successors carry smaller labels: ascending order pulls from
             # finished components
@@ -298,19 +319,19 @@ class DestinationTransitions:
                     lj = labels[indices[p]]
                     if lj != li:
                         comp_val[lj] |= val
-        return {cid: comp_val[labels[v]] for v, cid in zip(vertex, cids)}
+        return {a: comp_val[labels[v]] for v, a in zip(vertex, cids)}
 
     def reachable_from(self, start: Channel) -> frozenset[Channel]:
         """States reachable from ``start`` (inclusive)."""
-        seen = {start}
-        stack = [start]
+        succ = self.succ_masks
+        seen = 1 << start.cid
+        stack = [start.cid]
         while stack:
-            c = stack.pop()
-            for o in self.succ.get(c, ()):
-                if o not in seen:
-                    seen.add(o)
-                    stack.append(o)
-        return frozenset(seen)
+            fresh = succ.get(stack.pop(), 0) & ~seen
+            seen |= fresh
+            stack.extend(bits(fresh))
+        channel = self.algorithm.network.channel
+        return frozenset([channel(a) for a in bits(seen)])
 
 
 class TransitionCache:

@@ -192,6 +192,8 @@ class IncrementalSession:
         #: cached relation-fingerprint pieces; segments keyed by destination
         self._fp_header: bytes | None = None
         self._fp_segments: dict[int, bytes] = {}
+        #: ``mask -> "a,b,c"`` text shared by every segment of the session
+        self._fp_text: dict[int, str] = {}
         pending = list(self._edits.values())
         self._edits = {}
         for edit in pending:
@@ -433,7 +435,7 @@ class IncrementalSession:
         for dest in self.overlay.network.nodes:
             seg = self._fp_segments.get(dest)
             if seg is None:
-                seg = relation_segment(dest, self.tc[dest])
+                seg = relation_segment(dest, self.tc[dest], self._fp_text)
                 self._fp_segments[dest] = seg
             h.update(seg)
         return h.hexdigest()

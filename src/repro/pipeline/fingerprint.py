@@ -98,26 +98,28 @@ def relation_header(algorithm: "RoutingAlgorithm") -> bytes:
     )
 
 
-def relation_segment(dest: int, dt: "DestinationTransitions") -> bytes:
+def relation_segment(dest: int, dt: "DestinationTransitions",
+                     text: dict[int, str]) -> bytes:
     """Canonical bytes for one destination's routing table slice.
 
     One line per reachable state, ascending input cid: the state, its
     permitted outputs and its waiting set, each set as ascending cids --
     read off the cid bitmasks, formatting each distinct pair of sets once.
+    ``text`` memoizes ``mask -> "a,b,c"``; callers pass one dict across a
+    relation's destinations, whose rows repeat the same sets.
     """
+    def fmt(mask: int) -> str:
+        t = text.get(mask)
+        if t is None:
+            t = text[mask] = ",".join(map(str, bits(mask)))
+        return t
+
     succ, wait = dt.succ_masks, dt.wait_masks
-    tails: dict[tuple[int, int], str] = {}
-    lines = []
-    for c in sorted(succ):
-        key = (succ[c], wait[c])
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = (
-                f"[{','.join(map(str, bits(key[0])))}] "
-                f"wait [{','.join(map(str, bits(key[1])))}]\n"
-            )
-        lines.append(f"{dest}:{c} -> {tail}")
-    return "".join(lines).encode()
+    tails = {key: f"[{fmt(key[0])}] wait [{fmt(key[1])}]\n"
+             for key in set(zip(succ.values(), wait.values()))}
+    return "".join(
+        [f"{dest}:{c} -> {tails[succ[c], wait[c]]}" for c in sorted(succ)]
+    ).encode()
 
 
 def fingerprint_relation(
@@ -137,6 +139,7 @@ def fingerprint_relation(
     h = _hasher()
     h.update(relation_header(algorithm))
     cache = transitions or TransitionCache(algorithm)
+    text: dict[int, str] = {}
     for dest in algorithm.network.nodes:
-        h.update(relation_segment(dest, cache[dest]))
+        h.update(relation_segment(dest, cache[dest], text))
     return h.hexdigest()

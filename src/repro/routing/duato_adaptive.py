@@ -24,6 +24,7 @@ necessary-and-sufficient conditions apply to it and must agree.
 from __future__ import annotations
 
 from ..topology.channel import Channel
+from ..topology.grid import direction_moves
 from ..topology.network import Network
 from .relation import NodeDestRouting, RoutingError, WaitPolicy
 from .torus_vc import DallySeitzTorus
@@ -46,19 +47,18 @@ class DuatoFullyAdaptiveMesh(NodeDestRouting):
         if network.max_vcs() < 2:
             raise RoutingError(f"{self.name} needs 2 virtual channels per link")
         self.ndims = len(network.meta["dims"])
-        self._coords = [network.coord(n) for n in network.nodes]
         #: per node, ``(channel, dim, sign, vc)`` of each output moving along
-        #: a dimension, in ``out_channels`` order: a row reads no ``meta`` dict
+        #: a dimension, from :func:`direction_moves`: a row reads no ``meta`` dict
         self._moves = [
-            [(c, c.meta["dim"], c.meta["sign"], c.vc)
-             for c in network.out_channels(n) if c.meta.get("dim") is not None]
-            for n in network.nodes
+            [(c, dim, sign, c.vc) for (dim, sign), chans in by_dir.items() for c in chans]
+            for by_dir in direction_moves(network)
         ]
 
     def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
         if node == dest:
             return frozenset()
-        deltas = [t - h for h, t in zip(self._coords[node], self._coords[dest])]
+        coords = self.network.coords
+        deltas = [t - h for h, t in zip(coords[node], coords[dest])]
         for esc, delta in enumerate(deltas):
             if delta:
                 break  # the escape class corrects the lowest differing dimension

@@ -29,6 +29,7 @@ negative direction:
 from __future__ import annotations
 
 from ..topology.channel import Channel
+from ..topology.grid import direction_moves
 from ..topology.network import Network
 from .relation import RoutingAlgorithm, RoutingError, WaitPolicy
 
@@ -60,28 +61,23 @@ class HighestPositiveLast(RoutingAlgorithm):
         self.misroute = misroute
         self.wait_policy = WaitPolicy.ANY if wait_any else WaitPolicy.SPECIFIC
         self._wait_any = wait_any
+        #: per node, ``(dim, sign) -> channels`` in ``out_channels`` order
+        self._moves = direction_moves(network)
+        #: per cid, a link channel's ``(dim, sign)``; ``None`` off a link
+        self._dir: list[tuple[int, int] | None] = [None] * network.num_channels
+        for by_dir in self._moves:
+            for key, chans in by_dir.items():
+                for c in chans:
+                    self._dir[c.cid] = key
 
     # ------------------------------------------------------------------
     def _deltas(self, node: int, dest: int) -> list[int]:
-        here = self.network.coord(node)
-        there = self.network.coord(dest)
-        return [t - h for h, t in zip(here, there)]
+        coords = self.network.coords
+        return [t - h for h, t in zip(coords[node], coords[dest])]
 
-    def _channels(self, node: int, dim: int, sign: int) -> list[Channel]:
-        return [
-            c
-            for c in self.network.out_channels(node)
-            if c.meta.get("dim") == dim and c.meta.get("sign") == sign
-        ]
-
-    def _turn_allowed(self, c_in: Channel, dim: int, sign: int, deltas: list[int]) -> bool:
-        """Apply the 180-degree turn restrictions given the input channel."""
-        if not c_in.is_link:
-            return True  # at the source: no turn yet
-        in_dim = c_in.meta.get("dim")
-        in_sign = c_in.meta.get("sign")
-        if in_dim != dim or in_sign == sign:
-            return True  # not a 180-degree turn
+    def _u_turn_allowed(self, dim: int, sign: int, deltas: list[int]) -> bool:
+        """The 180-degree turn restriction, for an input moving along
+        ``dim`` against ``sign``."""
         if sign > 0:
             # negative -> positive: allowed iff the positive hop is needed
             return deltas[dim] > 0
@@ -116,31 +112,41 @@ class HighestPositiveLast(RoutingAlgorithm):
                 # ``low`` would violate increasing dimension order.
                 for q in range(low, self.ndims):
                     cand.append((q, -1))
+        # the direction the message arrived in; None at the source (no turn yet)
+        came = self._dir[c_in.cid]
+        moves = self._moves[node]
         out: list[Channel] = []
         for dim, sign in cand:
-            if self._turn_allowed(c_in, dim, sign, deltas):
-                out.extend(self._channels(node, dim, sign))
+            here = moves.get((dim, sign))
+            if not here:
+                continue
+            if came is not None and came[0] == dim and came[1] != sign \
+                    and not self._u_turn_allowed(dim, sign, deltas):
+                continue
+            out.extend(here)
         return frozenset(out)
 
     def waiting_subset(self, c_in: Channel, node: int, dest: int,
                        permitted: frozenset[Channel]) -> frozenset[Channel]:
         if not permitted:
             return permitted
+        deltas = self._deltas(node, dest)
         if self._wait_any:
             # the Note variant: wait on any channel moving toward the destination
-            deltas = self._deltas(node, dest)
-            toward = frozenset(
+            dirs = self._dir
+            toward = frozenset([
                 c for c in permitted
-                if deltas[c.meta["dim"]] * c.meta["sign"] > 0
-            )
+                if deltas[dirs[c.cid][0]] * dirs[c.cid][1] > 0
+            ])
             return toward or permitted
-        deltas = self._deltas(node, dest)
         negs = [d for d in range(self.ndims) if deltas[d] < 0]
         if negs:
             dim, sign = max(negs), -1
         else:
             dim, sign = min(d for d in range(self.ndims) if deltas[d] > 0), +1
-        wait = frozenset(c for c in permitted if c.meta.get("dim") == dim and c.meta.get("sign") == sign)
+        # the designated direction's channels at this node, as permitted
+        here = self._moves[node].get((dim, sign), ())
+        wait = frozenset([c for c in here if c in permitted])
         if not wait:
             raise RoutingError(
                 f"{self.name}: designated waiting channel dim={dim} sign={sign} "

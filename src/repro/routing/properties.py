@@ -19,6 +19,7 @@ without enumerating.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -117,17 +118,17 @@ def provides_minimal_path(
 
 
 def _minimal_states(
-    dt: DestinationTransitions, dist: list[list[int]], leaving: list[int]
+    dt: DestinationTransitions, dist: Sequence[Sequence[int]], leaving: list[int]
 ) -> int | None:
     """Cid bitmask of the states of ``dt`` from which a walk of exactly their
     node's distance reaches the destination; ``None`` when some transition
     does not leave its state's node over a link."""
     dest = dt.dest
-    channel = dt.algorithm.network.channel
+    heads = dt.algorithm.network.heads
     succ = dt.succ_masks
     layers: dict[int, list[int]] = {}
     for a, outs in succ.items():
-        node = channel(a).dst
+        node = heads[a]
         if outs & ~leaving[node]:
             return None
         layers.setdefault(dist[node][dest], []).append(a)
@@ -319,26 +320,27 @@ def certifies_coherence(algorithm: RoutingAlgorithm, transitions: TransitionCach
     from ..core.depgraph import bits
 
     net = algorithm.network
+    heads, links, channel = net.heads, net.link_mask, net.channel
     need: dict[int, dict[int, int]] = {}  # a -> m -> cids c required in R(a, a.dst, m)
     for dt in transitions.all_destinations():
         dest_bit = 1 << dt.dest
         succ = dt.succ_masks
         reach = dt.downstream_node_masks
-        for a, outs in dt.succ.items():
+        for a, outs in succ.items():
             if not outs:
                 continue
-            here = a.dst
-            fresh = succ[net.injection_channel(here).cid] if a.is_link else succ[a.cid]
-            row = need.get(a.cid)
+            here = heads[a]
+            fresh = succ[net.injection_channel(here).cid] if links >> a & 1 else outs
+            row = need.get(a)
             if row is None:
-                row = need[a.cid] = {}
-            for c in outs:
-                later = reach[c.cid]
+                row = need[a] = {}
+            for c in bits(outs):
+                later = reach[c]
                 if not later & dest_bit:
                     continue
-                if later >> here & 1 or c.src != here or not fresh >> c.cid & 1:
+                if later >> here & 1 or channel(c).src != here or not fresh >> c & 1:
                     return False
-                bit = 1 << c.cid
+                bit = 1 << c
                 for m in bits(later ^ dest_bit):
                     row[m] = row.get(m, 0) | bit
     for a, row in need.items():

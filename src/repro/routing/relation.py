@@ -295,7 +295,7 @@ class RouteTable:
         candidates are in raw cid order.
     """
 
-    def __init__(self, algorithm: RoutingAlgorithm, *, dist: list[list[int]] | None = None) -> None:
+    def __init__(self, algorithm: RoutingAlgorithm, *, dist: Sequence[Sequence[int]] | None = None) -> None:
         self.algorithm = algorithm
         net = algorithm.network
         channels = net.channels
@@ -324,7 +324,7 @@ class RouteTable:
         self.rows = 0
 
     @property
-    def dist(self) -> list[list[int]] | None:
+    def dist(self) -> Sequence[Sequence[int]] | None:
         """The distance matrix the candidate ordering was built with."""
         return self._dist
 

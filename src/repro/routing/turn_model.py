@@ -16,6 +16,7 @@ comparisons); all have Duato's ``R(n, d)`` form and are coherent.
 from __future__ import annotations
 
 from ..topology.channel import Channel
+from ..topology.grid import direction_moves
 from ..topology.network import Network
 from .relation import NodeDestRouting, RoutingError, WaitPolicy
 
@@ -28,18 +29,15 @@ class _MeshTurnBase(NodeDestRouting):
         if network.meta.get("topology") not in ("mesh", "hypercube"):
             raise RoutingError(f"{self.name} requires a mesh network")
         self.ndims = len(network.meta["dims"])
+        #: per node, ``(dim, sign) -> channels`` in ``out_channels`` order
+        self._moves = direction_moves(network)
 
     def _deltas(self, node: int, dest: int) -> list[int]:
-        here = self.network.coord(node)
-        there = self.network.coord(dest)
-        return [t - h for h, t in zip(here, there)]
+        coords = self.network.coords
+        return [t - h for h, t in zip(coords[node], coords[dest])]
 
-    def _channels(self, node: int, dim: int, sign: int) -> list[Channel]:
-        return [
-            c
-            for c in self.network.out_channels(node)
-            if c.meta.get("dim") == dim and c.meta.get("sign") == sign
-        ]
+    def _channels(self, node: int, dim: int, sign: int) -> tuple[Channel, ...]:
+        return self._moves[node].get((dim, sign), ())
 
 
 class NegativeFirst(_MeshTurnBase):

@@ -73,6 +73,9 @@ class TopologySpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims",
                            None if self.dims is None else tuple(int(d) for d in self.dims))
+        if self.vcs is not None and self.vcs < 1:
+            # the family builders would read a falsy count as their default
+            raise ValueError("num_vcs must be >= 1")
         object.__setattr__(self, "params", _freeze_params(self.params))
 
     # ------------------------------------------------------------------

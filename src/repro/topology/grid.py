@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .channel import Channel
+from .network import Network
+
 
 def node_id(coord: Sequence[int], dims: Sequence[int]) -> int:
     """Mixed-radix encoding of ``coord`` under radices ``dims``."""
@@ -55,3 +58,20 @@ def offset_coord(coord: Sequence[int], dim: int, step: int, dims: Sequence[int],
     out = list(coord)
     out[dim] = x
     return tuple(out)
+
+
+def direction_moves(network: Network) -> list[dict[tuple[int, int], tuple[Channel, ...]]]:
+    """Per node, ``(dim, sign) -> output channels`` in ``out_channels`` order.
+
+    Reads each channel's ``dim`` / ``sign`` metadata once, so a relation
+    that builds the table in its constructor never scans metadata dicts
+    while routing.  Channels without a ``dim`` are left out.
+    """
+    moves = []
+    for n in network.nodes:
+        by_dir: dict[tuple[int, int], list[Channel]] = {}
+        for c in network.out_channels(n):
+            if c.meta.get("dim") is not None:
+                by_dir.setdefault((c.meta["dim"], c.meta.get("sign")), []).append(c)
+        moves.append({k: tuple(v) for k, v in by_dir.items()})
+    return moves

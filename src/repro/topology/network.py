@@ -54,6 +54,11 @@ class Network:
         self._by_label: dict[str, Channel] = {}
         self._frozen = False
         self._fingerprint: str | None = None
+        self._dist: tuple[tuple[int, ...], ...] | None = None
+        #: per cid, the node the channel leads to (filled by :meth:`freeze`)
+        self.heads: tuple[int, ...] = ()
+        #: the link channels as a cid bitmask (filled by :meth:`freeze`)
+        self.link_mask = 0
         self.coords: dict[int, tuple[int, ...]] = {}
         self.meta: dict[str, Any] = {}
 
@@ -156,6 +161,8 @@ class Network:
                     f"{self.name}: link channels do not form a strongly "
                     "connected graph (Definition 1 requires it)"
                 )
+        self.heads = tuple(c.dst for c in self._channels)
+        self.link_mask = sum(1 << c.cid for c in self._channels if c.is_link)
         self._frozen = True
         return self
 
@@ -279,14 +286,26 @@ class Network:
                 return node
         raise NetworkError(f"no node at coordinate {target}")
 
-    def shortest_distances(self) -> list[list[int]]:
-        """All-pairs hop distances over link channels (BFS per node)."""
+    def shortest_distances(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs hop distances over link channels (BFS per node).
+
+        ``dist[src][dst]``, ``-1`` when unreachable.  Computed once per
+        frozen network (it is immutable from then on); the rows are tuples,
+        so callers share them safely.
+        """
+        if not self._frozen:
+            return self._bfs_distances()
+        if self._dist is None:
+            self._dist = self._bfs_distances()
+        return self._dist
+
+    def _bfs_distances(self) -> tuple[tuple[int, ...], ...]:
         from collections import deque
 
         n = self._num_nodes
-        dist = [[-1] * n for _ in range(n)]
+        rows = []
         for s in range(n):
-            row = dist[s]
+            row = [-1] * n
             row[s] = 0
             dq = deque([s])
             while dq:
@@ -297,7 +316,8 @@ class Network:
                     if row[v] < 0:
                         row[v] = du + 1
                         dq.append(v)
-        return dist
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def __iter__(self) -> Iterator[Channel]:
         return iter(self._channels)

@@ -122,3 +122,54 @@ class TestWaitConnected:
 
         ok, why = wait_connected(BadWait(figure1))
         assert not ok and "subset" in why
+
+
+# ----------------------------------------------------------------------
+# Definition 10 on masks: the counterexample text is unchanged
+# ----------------------------------------------------------------------
+class _NoRouteAt4(DimensionOrderMesh):
+    """e-cube with no output at (node 4, dest 8)."""
+
+    def route_nd(self, node, dest):
+        return frozenset() if (node, dest) == (4, 8) else super().route_nd(node, dest)
+
+
+class _NoRouteButAWait(_NoRouteAt4):
+    def waiting_subset(self, c_in, node, dest, permitted):
+        if (node, dest) == (4, 8):
+            return frozenset(self.network.out_channels(4)[:1])
+        return permitted
+
+
+class _LinkInputNoWait(HighestPositiveLast):
+    def waiting_subset(self, c_in, node, dest, permitted):
+        if c_in.is_link and (node, dest) == (4, 8):
+            return frozenset()
+        return super().waiting_subset(c_in, node, dest, permitted)
+
+
+class _LinkInputWaitsOutside(HighestPositiveLast):
+    def waiting_subset(self, c_in, node, dest, permitted):
+        if c_in.is_link and (node, dest) == (4, 0):
+            return frozenset(self.network.out_channels(4))
+        return super().waiting_subset(c_in, node, dest, permitted)
+
+
+@pytest.mark.parametrize("cls, message", [
+    (_NoRouteAt4,
+     "state (input=<inj4:4->4/vc0>, node=4, dest=8) has no waiting channel"),
+    (_NoRouteButAWait,
+     "waiting set at (input=<inj4:4->4/vc0>, node=4, dest=8) is not a subset "
+     "of the route set"),
+    (_LinkInputNoWait,
+     "state (input=<c1,+0@3:3->4/vc0>, node=4, dest=8) has no waiting channel"),
+    (_LinkInputWaitsOutside,
+     "waiting set at (input=<c1,+0@3:3->4/vc0>, node=4, dest=0) is not a "
+     "subset of the route set"),
+])
+def test_wait_connected_counterexample_text(mesh33, cls, message):
+    """The first failing state in BFS order, named as before the check
+    moved onto masks.  The third kind ("has no output channel") is checked
+    last, after "no waiting channel" and "not a subset"; a state without
+    outputs always fails one of those first, so no relation reaches it."""
+    assert wait_connected(cls(mesh33)) == (False, message)

@@ -115,3 +115,83 @@ def test_propagations_match_plain_reachability(name, dims, vcs):
                 == {w.cid for s in down for w in dt.wait[s]}
             assert set(bits(dt.downstream_node_masks[c.cid])) == {s.dst for s in down}
             assert set(bits(dt.upstream_masks[c.cid])) == {p.cid for p in up if p.is_link}
+
+
+# ----------------------------------------------------------------------
+# masks filled by the walk vs the Channel adapter views
+# ----------------------------------------------------------------------
+def _reference_walk(algorithm, dest):
+    """A Channel-keyed walk, one relation evaluation per state: states in
+    BFS order with their route and waiting sets."""
+    net = algorithm.network
+    succ, wait = {}, {}
+    frontier = [net.injection_channel(n) for n in net.nodes if n != dest]
+    seen = set(frontier)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            if c.dst == dest:
+                succ[c] = wait[c] = frozenset()
+                continue
+            out = algorithm.route(c, c.dst, dest)
+            succ[c], wait[c] = out, algorithm.waiting_subset(c, c.dst, dest, out)
+            for o in out:
+                if o not in seen:
+                    seen.add(o)
+                    nxt.append(o)
+        frontier = nxt
+    return succ, wait
+
+
+def _mask(channels):
+    m = 0
+    for c in channels:
+        m |= 1 << c.cid
+    return m
+
+
+def assert_views_match_masks(algorithm):
+    for dest in algorithm.network.nodes:
+        dt = DestinationTransitions(algorithm, dest)
+        ref_succ, ref_wait = _reference_walk(algorithm, dest)
+        # the views, read after the masks, keep the walk's BFS order
+        assert list(dt.succ) == list(ref_succ) == list(dt.wait)
+        assert list(dt.succ_masks) == [c.cid for c in ref_succ]
+        assert dt.succ == ref_succ and dt.wait == ref_wait
+        assert dt.succ_masks == {c.cid: _mask(out) for c, out in dt.succ.items()}
+        assert dt.wait_masks == {c.cid: _mask(w) for c, w in dt.wait.items()}
+        assert dt.usable_cids == sorted(c.cid for c in dt.succ if c.is_link)
+        assert dt.usable == {c for c in dt.succ if c.is_link}
+
+
+def _quick_scenarios():
+    from repro.pipeline.engine import catalog_specs
+
+    specs = catalog_specs(mesh_dims=(3, 3), torus_dims=(4, 4), hypercube_dim=3,
+                          conditions=("theorem",))
+    return [(s.algorithm, s.topology) for s in specs]
+
+
+@pytest.mark.parametrize("name, topology", _quick_scenarios(),
+                         ids=[n for n, _ in _quick_scenarios()])
+def test_walk_masks_match_channel_views(name, topology):
+    assert_views_match_masks(make(name, topology.build()))
+
+
+def test_walk_masks_match_channel_views_on_an_overlay():
+    from repro.incremental import IncrementalSession, default_fault_pair, default_table_edit
+    from repro.pipeline.engine import catalog_spec
+
+    for name in ("west-first", "highest-positive-last"):
+        session = IncrementalSession(spec=catalog_spec(name, mesh_dims=(3, 3)))
+        down, _ = default_fault_pair(session)
+        edit, _ = default_table_edit(session)
+        session.apply(down)
+        session.apply(edit)
+        assert session.overlay.down and session.overlay.edits
+        assert_views_match_masks(session.overlay)
+        for dest in session.overlay.network.nodes:
+            # the session's own walks, rebuilt under the recorder, agree too
+            dt = session.tc[dest]
+            assert dt.succ_masks == {c.cid: _mask(o) for c, o in dt.succ.items()}
+            assert dt.wait_masks == {c.cid: _mask(w) for c, w in dt.wait.items()}

@@ -156,3 +156,92 @@ class TestStructure:
                     continue
                 inj = mesh33.injection_channel(s)
                 assert hpl.waiting_channels(inj, s, d) <= hpl.route(inj, s, d)
+
+
+# ----------------------------------------------------------------------
+# the per-node move tables answer as the channel-metadata scan did
+# ----------------------------------------------------------------------
+class MetaScanHPL(HighestPositiveLast):
+    """HPL reading every channel's ``meta`` dict per query (the reference)."""
+
+    def _scan(self, node, dim, sign):
+        return [c for c in self.network.out_channels(node)
+                if c.meta.get("dim") == dim and c.meta.get("sign") == sign]
+
+    def _delta(self, node, dest):
+        here, there = self.network.coord(node), self.network.coord(dest)
+        return [t - h for h, t in zip(here, there)]
+
+    def _turn_ok(self, c_in, dim, sign, deltas):
+        if not c_in.is_link:
+            return True
+        if c_in.meta.get("dim") != dim or c_in.meta.get("sign") == sign:
+            return True
+        if sign > 0:
+            return deltas[dim] > 0
+        if deltas[dim] >= 0:
+            return False
+        return any(deltas[q] < 0 for q in range(dim + 1, self.ndims))
+
+    def route(self, c_in, node, dest):
+        if node == dest:
+            return frozenset()
+        deltas = self._delta(node, dest)
+        negs = [d for d in range(self.ndims) if deltas[d] < 0]
+        cand = []
+        if negs:
+            p = max(negs)
+            cand.append((p, -1))
+            for dim in range(p):
+                if self.misroute or deltas[dim] != 0:
+                    signs = (+1, -1) if self.misroute else ((+1,) if deltas[dim] > 0 else (-1,))
+                    cand += [(dim, s) for s in signs]
+        else:
+            low = min(d for d in range(self.ndims) if deltas[d] > 0)
+            cand.append((low, +1))
+            if self.misroute:
+                cand += [(q, -1) for q in range(low, self.ndims)]
+        out = []
+        for dim, sign in cand:
+            if self._turn_ok(c_in, dim, sign, deltas):
+                out.extend(self._scan(node, dim, sign))
+        return frozenset(out)
+
+    def waiting_subset(self, c_in, node, dest, permitted):
+        if not permitted:
+            return permitted
+        deltas = self._delta(node, dest)
+        if self._wait_any:
+            toward = frozenset(c for c in permitted
+                               if deltas[c.meta["dim"]] * c.meta["sign"] > 0)
+            return toward or permitted
+        negs = [d for d in range(self.ndims) if deltas[d] < 0]
+        if negs:
+            dim, sign = max(negs), -1
+        else:
+            dim, sign = min(d for d in range(self.ndims) if deltas[d] > 0), +1
+        return frozenset(c for c in permitted
+                         if c.meta.get("dim") == dim and c.meta.get("sign") == sign)
+
+
+def assert_same_relation(fast, reference):
+    """Same route and waiting sets, in the same order, on every reachable state."""
+    from repro.core import TransitionCache
+
+    for dt in TransitionCache(fast).all_destinations():
+        for c in dt.succ:
+            q = (c, c.dst, dt.dest)
+            out = fast.route(*q)
+            ref = reference.route(*q)
+            assert list(out) == list(ref), q
+            assert fast.waiting_subset(*q, out) == reference.waiting_subset(*q, ref), q
+
+
+@pytest.mark.parametrize("dims, vcs", [((4, 4), 1), ((3, 3, 3), 1), ((3, 3), 2)])
+@pytest.mark.parametrize("misroute", [True, False])
+@pytest.mark.parametrize("wait_any", [False, True], ids=["specific", "any"])
+def test_move_tables_match_metadata_scan(dims, vcs, misroute, wait_any):
+    net = build_mesh(dims, num_vcs=vcs)
+    assert_same_relation(
+        HighestPositiveLast(net, misroute=misroute, wait_any=wait_any),
+        MetaScanHPL(net, misroute=misroute, wait_any=wait_any))

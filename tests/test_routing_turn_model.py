@@ -87,3 +87,32 @@ class TestNorthLast:
     def test_2d_only(self, mesh332):
         with pytest.raises(RoutingError):
             NorthLast(mesh332)
+
+
+# ----------------------------------------------------------------------
+# the per-node move tables answer as the channel-metadata scan did
+# ----------------------------------------------------------------------
+def _meta_scan(cls):
+    """``cls`` reading every channel's ``meta`` dict per query (the reference)."""
+
+    class MetaScan(cls):
+        def _channels(self, node, dim, sign):
+            return [c for c in self.network.out_channels(node)
+                    if c.meta.get("dim") == dim and c.meta.get("sign") == sign]
+
+        def _deltas(self, node, dest):
+            here, there = self.network.coord(node), self.network.coord(dest)
+            return [t - h for h, t in zip(here, there)]
+
+    return MetaScan
+
+
+@pytest.mark.parametrize("cls, dims, vcs", [
+    (NegativeFirst, (4, 4), 1), (NegativeFirst, (3, 3, 3), 1),
+    (WestFirst, (4, 4), 1), (NorthLast, (4, 4), 1), (WestFirst, (3, 3), 2),
+])
+def test_move_tables_match_metadata_scan(cls, dims, vcs):
+    from tests.test_routing_hpl import assert_same_relation
+
+    net = build_mesh(dims, num_vcs=vcs)
+    assert_same_relation(cls(net), _meta_scan(cls)(net))

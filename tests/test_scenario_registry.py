@@ -146,3 +146,27 @@ def test_scenario_spec_equality_ignores_factory():
         notes=a.notes, selection=a.selection,
     )
     assert a == b  # factory is compare=False: specs are value objects
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda vcs: TopologySpec.parse(f"mesh:4x4:v{vcs}"),
+    lambda vcs: TopologySpec("mesh", (4, 4)).with_vcs(vcs),
+    lambda vcs: TopologySpec.from_json({"family": "mesh", "dims": [4, 4], "vcs": vcs}),
+    lambda vcs: TopologySpec("mesh3d", (3, 3, 3), vcs=vcs),
+], ids=["parse", "with_vcs", "from_json", "init"])
+def test_vc_count_below_one_is_rejected(make_spec):
+    """A zero count was read as the family default and built another network."""
+    assert make_spec(1).vcs == 1
+    with pytest.raises(ValueError, match=r"^num_vcs must be >= 1$"):
+        make_spec(0)
+    with pytest.raises(ValueError):  # the string codec has no sign
+        make_spec(-1)
+
+
+@pytest.mark.parametrize("vcs", ["0", "-1"])
+def test_cli_vc_count_below_one_exits_with_one_line(vcs):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit, match=r"^num_vcs must be >= 1$"):
+        main(["verify", "--algorithm", "e-cube-mesh", "--topology", "mesh",
+              "--dims", "3,3", "--vcs", vcs])

@@ -163,3 +163,24 @@ def test_network_from_edges_with_vc_counts():
     net = network_from_edges(3, [(0, 1, 2), (1, 2), (2, 0)])
     assert len(net.channels_between(0, 1)) == 2
     assert len(net.channels_between(1, 2)) == 1
+
+
+def test_one_all_pairs_bfs_per_frozen_network(monkeypatch):
+    """Two simulators and a distance-reading relation share one BFS."""
+    from repro.routing import make
+    from repro.sim import BernoulliTraffic, SimConfig, WormholeSimulator
+    from repro.topology import build_mesh
+
+    calls = []
+    bfs = Network._bfs_distances
+    monkeypatch.setattr(Network, "_bfs_distances",
+                        lambda self: calls.append(self) or bfs(self))
+    net = build_mesh((3, 3))
+    ra = make("unrestricted-minimal", net)
+    for seed in (1, 2):
+        sim = WormholeSimulator(ra, BernoulliTraffic(net, rate=0.1, length=4),
+                                SimConfig(seed=seed))
+        sim.run(20)
+    assert calls == [net]
+    dist = net.shortest_distances()
+    assert dist is ra._dist and isinstance(dist[0], tuple)

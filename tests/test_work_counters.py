@@ -22,6 +22,15 @@ fixed seeds, pinning the run's ``perf_counters()`` -- route-table rows and
 misses, allocator wakeups, flit hops -- and the relation evaluations behind
 the rows.  These pins, not wall-time asserts, guard the simulator's speed.
 
+The same four counts, plus the edges of every extended CDG Duato's
+condition builds, are pinned for CI's checker-smoke job set (the whole
+registry at the ``--quick`` sizes, theorem and Duato, triage on), so
+that job guards the checker's speed without a wall-time assert.  The
+steps of the ECDG's cycle check (one SCC pass) are not counted.
+A theorem job whose CWG is acyclic never builds the Channel-keyed ``succ``
+/ ``wait`` views of its transition graphs: its walk, Definition-10 check,
+CWG and fingerprint all read cid masks.
+
 A change that does more work fails here on any host.  A change that does
 less updates the pins and says so.
 
@@ -47,6 +56,7 @@ import pytest
 from repro.core.cwg import ChannelWaitingGraph
 from repro.core.deadlock_search import AnyWaitConfigSearch, TrueCycleSearch
 from repro.core.transitions import DestinationTransitions, TransitionCache
+from repro.deps.ecdg import ExtendedChannelDependencyGraph
 from repro.pipeline import run_job
 from repro.pipeline.engine import catalog_specs
 from repro.routing import RestrictedWaiting, make
@@ -72,10 +82,24 @@ PINNED = {
 }
 
 
+#: CI's checker-smoke job set (``benchmarks/bench_checker_scaling.py``)
+SMOKE_PINNED = {
+    "route_calls": 6_867,
+    "cwg_edges": 10_314,
+    "dest_builds": 270,
+    "search_nodes": 120_994,
+    "ecdg_edges": 5_739,
+}
+
+
 def quick_jobs():
     names = [s.name for s in registry.all_specs()
              if s.family in ("mesh", "torus", "hypercube")]
     return catalog_specs(names, conditions=("theorem",), triage=False, **QUICK)
+
+
+def smoke_jobs():
+    return catalog_specs(conditions=("theorem", "duato"), **QUICK)
 
 
 def _relation_methods():
@@ -129,6 +153,9 @@ def count_work(monkeypatch, jobs) -> Counter:
     monkeypatch.setattr(ChannelWaitingGraph, "__init__", after(
         ChannelWaitingGraph.__init__,
         lambda g, _r: counts.update(cwg_edges=len(g))))
+    monkeypatch.setattr(ExtendedChannelDependencyGraph, "__init__", after(
+        ExtendedChannelDependencyGraph.__init__,
+        lambda g, _r: counts.update(ecdg_edges=len(g))))
     monkeypatch.setattr(DestinationTransitions, "__init__", after(
         DestinationTransitions.__init__,
         lambda _dt, _r: counts.update(dest_builds=1)))
@@ -145,6 +172,46 @@ def count_work(monkeypatch, jobs) -> Counter:
 def test_quick_theorem_work_is_pinned(monkeypatch):
     counts = count_work(monkeypatch, quick_jobs())
     assert {k: counts[k] for k in PINNED} == PINNED
+
+
+def test_checker_smoke_work_is_pinned(monkeypatch):
+    counts = count_work(monkeypatch, smoke_jobs())
+    assert {k: counts[k] for k in SMOKE_PINNED} == SMOKE_PINNED
+
+
+def test_acyclic_theorem_jobs_build_no_channel_views(monkeypatch):
+    built: Counter = Counter()
+    acyclic: list[bool] = []
+
+    def counted_view(name):
+        slot = f"_{name}"
+        view = getattr(DestinationTransitions, name)
+
+        def get(dt):
+            if getattr(dt, slot) is None:
+                built[name] += 1
+            return view.fget(dt)
+        monkeypatch.setattr(DestinationTransitions, name, property(get))
+
+    for name in ("succ", "wait"):
+        counted_view(name)
+    init = ChannelWaitingGraph.__init__
+
+    def record(g, *args, **kwargs):
+        init(g, *args, **kwargs)
+        acyclic.append(g.is_acyclic())
+    monkeypatch.setattr(ChannelWaitingGraph, "__init__", record)
+    views = {}
+    for spec in quick_jobs():
+        acyclic.clear()
+        before = sum(built.values())
+        job = run_job(spec)
+        assert job.error is None, job.error
+        views[spec.algorithm] = (acyclic == [True], sum(built.values()) - before)
+    assert sum(free for free, _ in views.values()) == 14
+    assert {n: v for n, (free, v) in views.items() if free and v} == {}
+    # the cyclic jobs' searches still read the views
+    assert any(v for free, v in views.values() if not free)
 
 
 # ----------------------------------------------------------------------
