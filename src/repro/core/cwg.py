@@ -62,19 +62,15 @@ def wait_connected(
             if heads[a] == dest:
                 continue
             w = wait[a]
-            if w and out and not w & ~out:
-                continue
+            if w and not w & ~out:
+                continue  # a nonempty subset of the route set
             c = net.channel(a)
             if not w:
                 return False, (
                     f"state (input={c!r}, node={c.dst}, dest={dest}) has no waiting channel"
                 )
-            if w & ~out:
-                return False, (
-                    f"waiting set at (input={c!r}, node={c.dst}, dest={dest}) "
-                    f"is not a subset of the route set"
-                )
             return False, (
-                f"state (input={c!r}, node={c.dst}, dest={dest}) has no output channel"
+                f"waiting set at (input={c!r}, node={c.dst}, dest={dest}) "
+                f"is not a subset of the route set"
             )
     return True, ""

@@ -30,6 +30,16 @@ Masks are only the representation: the node order is the canonical order
 segment order, for :class:`AnyWaitConfigSearch`), the same as a search
 over ``Channel`` sets, so node counts and witnesses do not depend on it.
 
+Both searches expand each DFS state once per start channel.  A state
+(``(head, used)`` for the cycle search, ``(held, pending)`` for the
+configuration search) whose subtree failed without closing a chain and
+within budget is recorded with the subtree's node count; a revisit whose
+count fits in the remaining budget charges that count and returns at once,
+which is exactly what re-expanding it would do.  The budget therefore
+counts the *logical* DFS tree: ``nodes_explored``, the point where the
+budget runs out, witnesses and undetermined lists do not depend on the
+memo, and ``nodes_expanded`` reports the states actually expanded.
+
 Pre-cycle reachability (phase 2 of Section 7.2) is applied to each candidate
 before it is reported TRUE; candidates failing it are collected as
 UNDETERMINED, mirroring :class:`repro.core.false_cycles.CycleClassifier`.
@@ -43,6 +53,7 @@ from dataclasses import dataclass, field
 from ..topology.channel import Channel
 from .cwg import ChannelWaitingGraph
 from .cycles import Cycle
+from .depgraph import bits, mask_of_ints
 from .false_cycles import Classification, CycleClass, CycleClassifier, Segment
 
 #: one channel's covering segments: their head cids (ascending) and, in the
@@ -60,7 +71,10 @@ class SearchOutcome:
     undetermined: list[Classification] = field(default_factory=list)
     #: search was exhaustive (no cap hit); a None true_cycle is then a proof
     exhaustive: bool = True
+    #: logical DFS nodes, the budget's unit
     nodes_explored: int = 0
+    #: DFS nodes actually expanded (a memoized subtree costs none)
+    nodes_expanded: int = 0
 
     @property
     def proves_no_true_cycle(self) -> bool:
@@ -119,6 +133,7 @@ class TrueCycleSearch:
         # on, hence only these can head a segment in a cycle.
         channel = cwg.algorithm.network.channel
         self._waitable: set[Channel] = {channel(b) for b in cwg.dep.target_cids()}
+        self._waitable_mask = mask_of_ints(cwg.dep.target_cids())
 
     # ------------------------------------------------------------------
     def segments_from(self, head: Channel) -> list[Segment]:
@@ -138,46 +153,55 @@ class TrueCycleSearch:
         cached = self._segments.get(head)
         if cached is not None:
             return cached
-        raw: dict[tuple[tuple[Channel, ...], Channel], set[int]] = {}
-        for dest in self.cwg.algorithm.network.nodes:
+        net = self.cwg.algorithm.network
+        h = head.cid
+        waitable = self._waitable_mask
+        single = self.single_wait_only
+        limit = self.max_segment_len
+        #: (path cids, waited cid) -> (held mask, destinations)
+        raw: dict[tuple[tuple[int, ...], int], tuple[int, set[int]]] = {}
+        for dest in net.nodes:
             dt = self.cwg.transitions[dest]
-            if head not in dt.usable:
-                continue
-            path = [head]
-            on_path = {head}
+            succ, wait = dt.succ_masks, dt.wait_masks
+            if h not in succ or not net.link_mask >> h & 1:
+                continue  # ``head`` is not usable for ``dest``
+            path = [h]
 
-            def dfs(c: Channel) -> None:
-                waits = dt.wait.get(c, ())
-                if not self.single_wait_only or len(waits) == 1:
-                    for b in waits:
-                        if b in self._waitable:
-                            raw.setdefault((tuple(path), b), set()).add(dest)
-                if len(path) >= self.max_segment_len:
+            def dfs(a: int, on_path: int) -> None:
+                waits = wait.get(a, 0)
+                if not single or waits & (waits - 1) == 0:
+                    for b in bits(waits & waitable):
+                        key = (tuple(path), b)
+                        got = raw.get(key)
+                        if got is None:
+                            raw[key] = (on_path, {dest})
+                        else:
+                            got[1].add(dest)
+                if len(path) >= limit:
                     return
-                for nxt in sorted(dt.succ.get(c, ()), key=lambda ch: ch.cid):
-                    if nxt in on_path:
-                        continue
+                for nxt in bits(succ.get(a, 0) & ~on_path):
                     path.append(nxt)
-                    on_path.add(nxt)
-                    dfs(nxt)
+                    dfs(nxt, on_path | 1 << nxt)
                     path.pop()
-                    on_path.discard(nxt)
 
-            dfs(head)
+            dfs(h, 1 << h)
         # Domination filter per waited channel: keep held-set-minimal segments.
-        by_wait: dict[Channel, list[Segment]] = {}
-        for (path_t, b), dests in raw.items():
-            by_wait.setdefault(b, []).append(Segment(min(dests), path_t, b))
+        by_wait: dict[int, list[tuple[tuple[int, ...], int, set[int]]]] = {}
+        for (path_t, b), (mask, dests) in raw.items():
+            by_wait.setdefault(b, []).append((path_t, mask, dests))
+        channel = net.channel
         out: list[Segment] = []
         for b, group in by_wait.items():
-            group.sort(key=lambda s: len(s.path))
-            kept: list[Segment] = []
-            for seg in group:
-                if any(k.mask & ~seg.mask == 0 for k in kept):
+            group.sort(key=lambda g: len(g[0]))
+            kept: list[int] = []
+            waited = channel(b)
+            for path_t, mask, dests in group:
+                if any(k & ~mask == 0 for k in kept):
                     continue
-                kept.append(seg)
-                self._alt_dests[(seg.path, b)] = sorted(raw[(seg.path, b)])
-            out.extend(kept)
+                kept.append(mask)
+                seg = Segment(min(dests), tuple(channel(c) for c in path_t), waited)
+                self._alt_dests[(seg.path, waited)] = sorted(dests)
+                out.append(seg)
         out.sort(key=lambda s: (len(s.path), s.waits_on.cid, s.dest))
         self._segments[head] = out
         return out
@@ -187,48 +211,65 @@ class TrueCycleSearch:
         """Find a True Cycle or prove none exists."""
         outcome = SearchOutcome()
         heads = sorted(self._waitable, key=lambda c: c.cid)
+        channel = self.cwg.algorithm.network.channel
         budget = self.max_nodes
+        expanded = accepts = 0
 
         for start in heads:
             chain: list[Segment] = []
             s = start.cid
             reach = self._can_reach(s)
             # Per head: the segments a cycle canonicalized at ``start`` may
-            # use, in segments_from order, as (held mask, closes, segment).
-            # Canonical form puts no head below the start channel, and a
-            # segment waiting outside ``reach`` cannot lead back to it.
-            allowed: dict[int, list[tuple[int, bool, Segment]]] = {}
+            # use, in segments_from order, as (held mask, waited cid,
+            # segment).  Canonical form puts no head below the start
+            # channel, and a segment waiting outside ``reach`` cannot lead
+            # back to it.
+            allowed: dict[int, list[tuple[int, int, Segment]]] = {}
+            #: (head cid, used mask) -> node count of a subtree that closed
+            #: no chain and stayed within budget
+            failed: dict[tuple[int, int], int] = {}
 
-            def dfs(head: Channel, used: int) -> bool:
-                nonlocal budget
+            def dfs(h: int, used: int) -> bool:
+                nonlocal budget, expanded, accepts
+                key = (h, used)
+                known = failed.get(key)
+                if known is not None and known < budget:
+                    budget -= known
+                    return False
+                expanded += 1
+                before, accepts_before = budget, accepts
                 budget -= 1
                 if budget <= 0:
                     outcome.exhaustive = False
                     return False
-                cands = allowed.get(head.cid)
+                cands = allowed.get(h)
                 if cands is None:
-                    cands = allowed[head.cid] = [
-                        (seg.mask, seg.waits_on.cid == s, seg)
-                        for seg in self.segments_from(head)
+                    cands = allowed[h] = [
+                        (seg.mask, seg.waits_on.cid, seg)
+                        for seg in self.segments_from(channel(h))
                         if seg.waits_on.cid == s or reach >> seg.waits_on.cid & 1
                     ]
-                for mask, closes, seg in cands:
+                for mask, waited, seg in cands:
                     if used & mask:
                         continue  # violates pairwise channel-disjointness
                     chain.append(seg)
-                    if closes:
+                    if waited == s:
+                        accepts += 1
                         if self._accept(chain, outcome):
                             return True
-                    elif dfs(seg.waits_on, used | mask):
+                    elif dfs(waited, used | mask):
                         return True
                     chain.pop()
+                if accepts == accepts_before and outcome.exhaustive and before - budget > 1:
+                    failed[key] = before - budget
                 return False
 
-            if dfs(start, 0):
+            if dfs(s, 0):
                 break
             if not outcome.exhaustive:
                 break
         outcome.nodes_explored = self.max_nodes - budget
+        outcome.nodes_expanded = expanded
         return outcome
 
     def _can_reach(self, start: int) -> int:
@@ -250,15 +291,18 @@ class TrueCycleSearch:
         """
         cycle = Cycle.from_nodes([s.path[0] for s in chain])
         witness: list[Segment] = []
-        all_held: frozenset[Channel] = frozenset().union(*(s.held for s in chain))
+        held = 0
         for seg in chain:
-            others = all_held - seg.held
+            held |= seg.mask
+        for seg in chain:
+            others = held & ~seg.mask
             chosen: Segment | None = None
             blockable = not self.any_wait_blocked
+            tail = seg.path[-1].cid
             for dest in self._alt_dests.get((seg.path, seg.waits_on), [seg.dest]):
                 if self.any_wait_blocked:
-                    waits = self.cwg.transitions[dest].wait.get(seg.path[-1], ())
-                    if not frozenset(waits) <= all_held:
+                    waits = self.cwg.transitions[dest].wait_masks.get(tail, 0)
+                    if waits & ~held:
                         continue  # an escape wait exists: not ANY-wait-blocked
                     blockable = True
                 cand = Segment(dest, seg.path, seg.waits_on)
@@ -296,7 +340,10 @@ class ConfigOutcome:
     #: search completed within budget; then a None deadlock (with no
     #: undetermined configurations) proves deadlock freedom
     exhaustive: bool = True
+    #: logical DFS nodes, the budget's unit
     nodes_explored: int = 0
+    #: DFS nodes actually expanded (a memoized subtree costs none)
+    nodes_expanded: int = 0
 
     @property
     def proves_deadlock_free(self) -> bool:
@@ -363,35 +410,37 @@ class AnyWaitConfigSearch:
         cached = self._segments.get(head)
         if cached is not None:
             return cached
-        channel = self.cwg.algorithm.network.channel
-        out: list[tuple[Segment, int]] = []
-        for dest in self.cwg.algorithm.network.nodes:
+        net = self.cwg.algorithm.network
+        h = head.cid
+        limit = self.max_segment_len
+        #: (path length, dest, path cids, waiting mask)
+        found: list[tuple[int, int, tuple[int, ...], int]] = []
+        for dest in net.nodes:
             dt = self.cwg.transitions[dest]
-            if head not in dt.usable:
-                continue
-            wait_masks = dt.wait_masks
-            path = [head]
-            on_path = {head}
+            succ, wait = dt.succ_masks, dt.wait_masks
+            if h not in succ or not net.link_mask >> h & 1:
+                continue  # ``head`` is not usable for ``dest``
+            path = [h]
 
-            def dfs(c: Channel) -> None:
-                waits = wait_masks.get(c.cid, 0)
+            def dfs(a: int, on_path: int) -> None:
+                waits = wait.get(a, 0)
                 if waits:
-                    low = (waits & -waits).bit_length() - 1
-                    out.append((Segment(dest, tuple(path), channel(low)), waits))
-                if len(path) >= self.max_segment_len:
+                    found.append((len(path), dest, tuple(path), waits))
+                if len(path) >= limit:
                     return
-                for nxt in sorted(dt.succ.get(c, ()), key=lambda ch: ch.cid):
-                    if nxt in on_path:
-                        continue
+                for nxt in bits(succ.get(a, 0) & ~on_path):
                     path.append(nxt)
-                    on_path.add(nxt)
-                    dfs(nxt)
+                    dfs(nxt, on_path | 1 << nxt)
                     path.pop()
-                    on_path.discard(nxt)
 
-            dfs(head)
-        out.sort(key=lambda t: (len(t[0].path), t[0].dest,
-                                tuple(c.cid for c in t[0].path)))
+            dfs(h, 1 << h)
+        found.sort()
+        channel = net.channel
+        out = [
+            (Segment(dest, tuple(channel(c) for c in path_t),
+                     channel((waits & -waits).bit_length() - 1)), waits)
+            for _, dest, path_t, waits in found
+        ]
         self._segments[head] = out
         return out
 
@@ -405,8 +454,8 @@ class AnyWaitConfigSearch:
         index: dict[int, _Covers] = {}
         for h in heads:
             for seg, waits in self.segments_from(h):
-                for c in seg.path:
-                    head_cids, entries = index.setdefault(c.cid, ([], []))
+                for c in bits(seg.mask):
+                    head_cids, entries = index.setdefault(c, ([], []))
                     head_cids.append(h.cid)
                     entries.append((seg.mask, waits, seg))
         return index
@@ -415,21 +464,38 @@ class AnyWaitConfigSearch:
         """Find a deadlock configuration or prove none exists."""
         outcome = ConfigOutcome()
         budget = self.max_nodes
+        expanded = accepts = 0
         heads = sorted(self._waitable, key=lambda c: c.cid)
         covers: dict[int, _Covers] | None = None
         no_covers: _Covers = ([], [])
 
+        def done() -> ConfigOutcome:
+            outcome.nodes_explored = self.max_nodes - budget
+            outcome.nodes_expanded = expanded
+            return outcome
+
         for start in heads:
             chosen: list[Segment] = []
             s = start.cid
+            #: (held mask, pending mask) -> node count of a subtree that
+            #: closed no configuration and stayed within budget
+            failed: dict[tuple[int, int], int] = {}
 
             def dfs(held: int, pending: int) -> bool:
-                nonlocal budget, covers
+                nonlocal budget, covers, expanded, accepts
+                key = (held, pending)
+                known = failed.get(key)
+                if known is not None and known < budget:
+                    budget -= known
+                    return False
+                expanded += 1
+                before, accepts_before = budget, accepts
                 budget -= 1
                 if budget <= 0:
                     outcome.exhaustive = False
                     return False
                 if not pending:
+                    accepts += 1
                     return self._accept(chosen, outcome)
                 if covers is None:
                     covers = self._cover_index(heads)
@@ -450,28 +516,26 @@ class AnyWaitConfigSearch:
                     chosen.pop()
                     if not outcome.exhaustive:
                         return False
+                if accepts == accepts_before and before - budget > 1:
+                    failed[key] = before - budget
                 return False
 
             for seg, waits in self.segments_from(start):
                 chosen.append(seg)
-                if dfs(seg.mask, waits & ~seg.mask):
-                    outcome.nodes_explored = self.max_nodes - budget
-                    return outcome
+                if dfs(seg.mask, waits & ~seg.mask) or not outcome.exhaustive:
+                    return done()
                 chosen.pop()
-                if not outcome.exhaustive:
-                    outcome.nodes_explored = self.max_nodes - budget
-                    return outcome
-        outcome.nodes_explored = self.max_nodes - budget
-        return outcome
+        return done()
 
     def _accept(self, chosen: list[Segment], outcome: ConfigOutcome) -> bool:
         """Reachability-check a closed configuration (Section 7.2 phase 2)."""
         config = list(chosen)
-        held: frozenset[Channel] = frozenset().union(*(seg.held for seg in config))
+        held = 0
         for seg in config:
-            others = held - seg.held
+            held |= seg.mask
+        for seg in config:
             if not (self.classifier._startable_at_source(seg) or
-                    self.classifier._prepath_avoiding(seg, others)):
+                    self.classifier._prepath_avoiding(seg, held & ~seg.mask)):
                 outcome.undetermined.append(config)
                 return False
         outcome.deadlock = config

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from ..topology.channel import Channel
 from .cwg import ChannelWaitingGraph
 from .cycles import Cycle
+from .depgraph import bits
 
 
 class CycleClass(enum.Enum):
@@ -56,9 +57,9 @@ class Segment:
 
     ``mask`` is the held set as a channel-id bitmask (bit ``cid`` set for
     every channel on the path), computed once at construction: the searches
-    test channel-disjointness and grow their held sets on it.  ``held`` is
-    the same set as :class:`Channel` objects, for display and for the
-    phase-2 reachability check.
+    test channel-disjointness, grow their held sets and run the phase-2
+    reachability check on it.  ``held`` is the same set as
+    :class:`Channel` objects, for display.
     """
 
     dest: int
@@ -166,27 +167,26 @@ class CycleClassifier:
         dt = self.transitions[seg.dest]
         head = seg.path[0]
         inj = self.algorithm.network.injection_channel(head.src)
-        return head in dt.succ.get(inj, frozenset())
+        return bool(dt.succ_masks.get(inj.cid, 0) >> head.cid & 1)
 
-    def _prepath_avoiding(self, seg: Segment, forbidden: frozenset[Channel]) -> bool:
+    def _prepath_avoiding(self, seg: Segment, forbidden: int) -> bool:
         """Is there a path from some injection to the segment head avoiding
-        ``forbidden`` channels (other messages' held channels)?"""
+        the ``forbidden`` cid mask (other messages' held channels)?"""
         dt = self.transitions[seg.dest]
-        head = seg.path[0]
-        seen: set[Channel] = set()
-        stack: list[Channel] = [c for c in dt.starts]
+        succ = dt.succ_masks
+        head = seg.path[0].cid
+        blocked = forbidden & self.algorithm.network.link_mask
+        seen = 0
+        stack = [c.cid for c in dt.starts]
         while stack:
-            c = stack.pop()
-            if c in seen:
+            a = stack.pop()
+            if seen >> a & 1:
                 continue
-            seen.add(c)
-            for nxt in dt.succ.get(c, ()):
-                if nxt == head:
-                    return True
-                if nxt.is_link and nxt in forbidden:
-                    continue
-                if nxt not in seen:
-                    stack.append(nxt)
+            seen |= 1 << a
+            out = succ.get(a, 0)
+            if out >> head & 1:
+                return True
+            stack.extend(bits(out & ~blocked & ~seen))
         return False
 
     # ------------------------------------------------------------------
@@ -235,12 +235,13 @@ class CycleClassifier:
 
         # Phase 2: each message must be able to come to hold its segment head
         # without occupying another message's held channel.
-        all_held: frozenset[Channel] = frozenset().union(*(s.held for s in witness))
+        all_held = 0
+        for seg in witness:
+            all_held |= seg.mask
         for seg in witness:
             if self._startable_at_source(seg):
                 continue
-            others = all_held - seg.held
-            if not self._prepath_avoiding(seg, others):
+            if not self._prepath_avoiding(seg, all_held & ~seg.mask):
                 return Classification(
                     cycle, CycleClass.UNDETERMINED,
                     witness=witness,

@@ -169,7 +169,6 @@ class _LinkInputWaitsOutside(HighestPositiveLast):
 ])
 def test_wait_connected_counterexample_text(mesh33, cls, message):
     """The first failing state in BFS order, named as before the check
-    moved onto masks.  The third kind ("has no output channel") is checked
-    last, after "no waiting channel" and "not a subset"; a state without
-    outputs always fails one of those first, so no relation reaches it."""
+    moved onto masks.  A state without outputs always fails one of these
+    two checks, so there is no separate "no output channel" message."""
     assert wait_connected(cls(mesh33)) == (False, message)

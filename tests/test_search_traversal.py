@@ -8,7 +8,13 @@ and waiting sets as channel-id bitmasks.  The traversal is pinned two ways:
   DFS visits segments shows up as a changed count;
 * a small reference DFS over ``frozenset[Channel]`` held sets must explore
   the same number of nodes and return the same witness (or configuration)
-  as both searches on Hypothesis-drawn tiny routing tables.
+  as both searches on Hypothesis-drawn tiny routing tables, and on the two
+  named cases where the searches' failure memo skips most of the tree,
+  under budgets that run out inside memoized subtrees.
+
+``nodes_explored`` counts the logical DFS tree (the budget's unit);
+``nodes_expanded`` counts the states actually expanded, and is pinned
+beside it.
 
 Every search that runs out of budget must report ``exhaustive=False`` and
 never a "free" verdict.
@@ -54,7 +60,7 @@ def _seg(seg: Segment) -> tuple[int, tuple[int, ...], int]:
 # ----------------------------------------------------------------------
 def test_ring_figure4_proof_node_count():
     outcome = TrueCycleSearch(_cwg("ring-figure4")).search()
-    assert outcome.nodes_explored == 120_943
+    assert (outcome.nodes_explored, outcome.nodes_expanded) == (120_943, 199)
     assert outcome.proves_no_true_cycle
 
 
@@ -93,8 +99,9 @@ def test_incoherent_example_config_search():
 
 def test_escape_wild_config_search_budget():
     cwg = ChannelWaitingGraph(build_case(ESCAPE_WILD))
-    outcome = AnyWaitConfigSearch(cwg, max_nodes=2_000).search()
-    assert (outcome.nodes_explored, outcome.exhaustive) == (2_000, False)
+    outcome = AnyWaitConfigSearch(cwg).search()
+    assert (outcome.nodes_explored, outcome.exhaustive) == (200_000, False)
+    assert outcome.nodes_expanded == 22_281
     assert outcome.deadlock is None and not outcome.undetermined
 
 
@@ -251,10 +258,47 @@ def test_masks_match_frozenset_reference(ra, max_nodes):
     for flags in ({}, {"any_wait_blocked": True}, {"single_wait_only": True}):
         search = TrueCycleSearch(cwg, max_nodes=max_nodes, max_segment_len=4, **flags)
         reference = TrueCycleSearch(cwg, max_nodes=max_nodes, max_segment_len=4, **flags)
-        assert _cycle_view(search.search()) == _cycle_view(reference_true_cycle(reference)), flags
+        outcome = search.search()
+        assert _cycle_view(outcome) == _cycle_view(reference_true_cycle(reference)), flags
+        assert outcome.nodes_expanded <= outcome.nodes_explored
     config = AnyWaitConfigSearch(cwg, max_nodes=max_nodes, max_segment_len=4)
     reference = AnyWaitConfigSearch(cwg, max_nodes=max_nodes, max_segment_len=4)
-    assert _config_view(config.search()) == _config_view(reference_config(reference))
+    found = config.search()
+    assert _config_view(found) == _config_view(reference_config(reference))
+    assert found.nodes_expanded <= found.nodes_explored
+
+
+# ----------------------------------------------------------------------
+# the failure memo, where it hits
+# ----------------------------------------------------------------------
+#: ring-figure4's proof is 120,943 logical nodes but 199 expansions, so
+#: nearly every logical node lies inside a memoized subtree and each cap
+#: below runs out inside one (the search must then expand it rather than
+#: charge its recorded count); 120,943 runs out on the proof's last node
+RING_BUDGETS = [
+    ({}, 777), ({}, 30_011), ({}, 120_943), ({}, 120_944),
+    ({"any_wait_blocked": True}, 50), ({"any_wait_blocked": True}, 4_321),
+    ({"single_wait_only": True}, 50), ({"single_wait_only": True}, 4_321),
+]
+
+
+@pytest.mark.parametrize("flags, max_nodes", RING_BUDGETS)
+def test_ring_figure4_memo_matches_reference(flags, max_nodes):
+    cwg = _cwg("ring-figure4")
+    outcome = TrueCycleSearch(cwg, max_nodes=max_nodes, **flags).search()
+    reference = reference_true_cycle(TrueCycleSearch(cwg, max_nodes=max_nodes, **flags))
+    assert _cycle_view(outcome) == _cycle_view(reference)
+    assert outcome.nodes_expanded < outcome.nodes_explored
+
+
+@pytest.mark.parametrize("max_nodes", [1_200, 1_500])
+def test_escape_wild_memo_matches_reference(max_nodes):
+    """The first memo hit comes after about 1,040 nodes."""
+    cwg = ChannelWaitingGraph(build_case(ESCAPE_WILD))
+    outcome = AnyWaitConfigSearch(cwg, max_nodes=max_nodes).search()
+    reference = reference_config(AnyWaitConfigSearch(cwg, max_nodes=max_nodes))
+    assert _config_view(outcome) == _config_view(reference)
+    assert outcome.nodes_expanded < outcome.nodes_explored
 
 
 # ----------------------------------------------------------------------
