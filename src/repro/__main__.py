@@ -6,7 +6,6 @@ Subcommands
 ``verify-batch``  sweep many algorithms concurrently through the cached pipeline;
 ``lint``          static-analyze routing relations: rule pack, triage screens,
                   text/JSON/SARIF output with baseline suppression;
-``catalog``       list the routing algorithms and their certified properties;
 ``scenarios``     list the scenario registry (topology, VCs, selection policy,
                   certifying theorem, pinned verdict) as text or JSON;
 ``dot``           emit the CWG or CDG of an algorithm as Graphviz DOT;
@@ -27,7 +26,7 @@ Subcommands
 
 Examples::
 
-    python -m repro catalog
+    python -m repro scenarios
     python -m repro verify --algorithm highest-positive-last --topology mesh --dims 4,4
     python -m repro verify-batch --jobs 4 --cache-dir .repro-cache --format json
     python -m repro lint --format sarif --baseline lint-baseline.json --output lint.sarif
@@ -110,19 +109,6 @@ def _build_algorithm(args):
         raise SystemExit(str(exc)) from None
 
 
-def cmd_catalog(args) -> int:
-    width = max(len(n) for n in CATALOG)
-    tw = max(len("topo"), *(len(e.family) for e in CATALOG.values()))
-    print(f"{'name'.ljust(width)}  {'topo'.ljust(tw)}  vcs  adaptivity   safe  certified by")
-    for name in sorted(CATALOG):
-        e = CATALOG[name]
-        print(
-            f"{name.ljust(width)}  {e.family.ljust(tw)}  {e.min_vcs:<3}  "
-            f"{e.adaptivity:<11}  {'yes' if e.deadlock_free else 'NO ':<4}  {e.certified_by}"
-        )
-    return 0
-
-
 def cmd_scenarios(args) -> int:
     """List the scenario registry: the single source of reproducible setups."""
     from .scenario import all_specs
@@ -167,7 +153,7 @@ def cmd_verify_batch(args) -> int:
         names = [n.strip() for n in args.algorithms.split(",") if n.strip()]
         unknown = [n for n in names if n not in CATALOG]
         if unknown:
-            raise SystemExit(f"unknown algorithms {unknown}; see `python -m repro catalog`")
+            raise SystemExit(f"unknown algorithms {unknown}; see `python -m repro scenarios`")
     conditions = tuple(
         c.strip() for c in (args.conditions or ",".join(DEFAULT_CONDITIONS)).split(",")
         if c.strip()
@@ -267,7 +253,7 @@ def cmd_lint(args) -> int:
             names = sorted(CATALOG)
         unknown = [n for n in names if n not in CATALOG]
         if unknown:
-            raise SystemExit(f"unknown algorithms {unknown}; see `python -m repro catalog`")
+            raise SystemExit(f"unknown algorithms {unknown}; see `python -m repro scenarios`")
         family_dims = {
             "mesh": _parse_dims(args.mesh_dims, "--mesh-dims"),
             "torus": _parse_dims(args.torus_dims, "--torus-dims"),
@@ -391,7 +377,7 @@ def cmd_sim_sweep(args) -> int:
     names = [n.strip() for n in args.algorithms.split(",") if n.strip()]
     unknown = [n for n in names if n not in CATALOG]
     if unknown:
-        raise SystemExit(f"unknown algorithms {unknown}; see `python -m repro catalog`")
+        raise SystemExit(f"unknown algorithms {unknown}; see `python -m repro scenarios`")
     try:
         rates = tuple(float(x) for x in args.rates.split(","))
         seeds = tuple(int(x) for x in args.seeds.split(","))
@@ -661,7 +647,7 @@ def cmd_serve(args) -> int:
             raise SystemExit(f"--algorithms names no algorithm: {args.algorithms!r}")
         unknown = [n for n in names if n not in CATALOG]
         if unknown:
-            raise SystemExit(f"unknown algorithms {unknown}; see `python -m repro catalog`")
+            raise SystemExit(f"unknown algorithms {unknown}; see `python -m repro scenarios`")
     specs = catalog_specs(
         names,
         mesh_dims=_parse_dims(args.mesh_dims, "--mesh-dims"),
@@ -785,8 +771,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="topology family (default: the scenario's canonical one)")
         p.add_argument("--dims", default=None, help="comma-separated, e.g. 4,4 (hypercube: one number)")
         p.add_argument("--vcs", type=int, default=None, help="virtual channels per link")
-
-    sub.add_parser("catalog", help="list routing algorithms")
 
     pc = sub.add_parser(
         "scenarios",
@@ -997,7 +981,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in needs_topology and args.topology is None:
         args.topology = CATALOG[args.algorithm].topology
     return {
-        "catalog": cmd_catalog,
         "scenarios": cmd_scenarios,
         "verify": cmd_verify,
         "verify-batch": cmd_verify_batch,

@@ -110,7 +110,7 @@ def analyze(
 ) -> TargetReport:
     """Run the full rule pack + triage on one relation.
 
-    Pre-built graphs may be injected (the pipeline shares its cached CWG);
+    Pre-built graphs may be injected by callers that already hold them;
     otherwise they are built lazily -- rules that never touch the CWG never
     pay for it.
     """

@@ -48,7 +48,10 @@ class AnalysisContext:
     """Shared lazily-built state all rules read from.
 
     One context per analysis target; graphs are built at most once and may
-    be injected by callers that already have them (the pipeline does).
+    be injected by callers that already have them (the incremental session
+    injects views of its maintained kernels).  The condition dispatcher
+    (:func:`repro.verify.dispatch.decide`) reads its graphs and triage from
+    one context per relation, so triage and the conditions share them.
     """
 
     def __init__(
@@ -96,7 +99,7 @@ class AnalysisContext:
                 self.algorithm,
                 transitions=self.transitions,
                 cwg=self._cwg,
-                cdg=self._cdg,
+                cdg=self.cdg,
                 cwg_builder=lambda: self.cwg,
             )
         return self._triage

@@ -55,7 +55,7 @@ kernel consults only when a consumer reads them.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from typing import Any, TypeVar
+from typing import TypeVar
 
 from ..routing.relation import RoutingAlgorithm, is_node_dest
 from ..topology.channel import Channel
@@ -483,46 +483,6 @@ class TransitionGraph:
     def destinations_for(self, edge: tuple[Channel, Channel]) -> frozenset[int]:
         a, b = edge
         return frozenset(bits(self.dep.mask_of(a.cid, b.cid)))
-
-    # ------------------------------------------------------------------
-    # content-addressed cache hooks (repro.pipeline)
-    # ------------------------------------------------------------------
-    def cache_payload(self) -> dict[str, Any]:
-        """JSON-safe adjacency ``{"adjacency": [[src_cid, [dst_cids...]], ...]}``."""
-        dep = self.dep
-        return {"adjacency": [
-            [u, dep.succ_cids(u)] for u in range(dep.num_vertices)
-            if dep.indptr[u] != dep.indptr[u + 1]
-        ]}
-
-    @classmethod
-    def from_cached_edges(
-        cls: type[_G],
-        algorithm: RoutingAlgorithm,
-        payload: dict[str, Any],
-        *,
-        transitions: TransitionCache | None = None,
-    ) -> _G:
-        """Rebuild a graph from :meth:`cache_payload` output without rerunning
-        the transition walks.  The payload must have been produced for an
-        identical ``(network, relation)`` pair -- the pipeline guarantees
-        that by fingerprinting both.  Witnesses read ``transitions`` on
-        first use.
-        """
-        net = algorithm.network
-        n = net.num_channels
-        rows = [0] * n
-        for u, targets in payload["adjacency"]:
-            for v in targets:
-                if not 0 <= v < n:
-                    raise ValueError(f"edge target {v} out of range")
-                rows[u] |= 1 << v
-        tc = transitions or TransitionCache(algorithm)
-        return cls.from_depgraph(
-            algorithm,
-            DepGraph.from_rows(net, rows, DestinationWitnesses(tc, cls.targets)),
-            transitions=tc,
-        )
 
     @classmethod
     def from_depgraph(

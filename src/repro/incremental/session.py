@@ -19,10 +19,10 @@ and keeps every artifact the verifiers consume hot across a stream of
   -- payload-only deltas transfer the Tarjan decomposition verbatim,
   structural deltas recompute it canonically while the dirty-SCC frontier
   bounds and audits the blast radius;
-* Duato's applicability (coherence and minimal paths), decided by
-  :func:`~repro.verify.duato.search_escape` on those same transition
-  graphs -- the code path :meth:`IncrementalSession.full_check` runs cold,
-  so the two cannot diverge there.
+* every condition decided by :func:`~repro.verify.dispatch.decide` on
+  views of those same transition graphs and kernels -- the code path
+  :meth:`IncrementalSession.full_check` and the batch engine run cold, so
+  the decision logic cannot diverge between them.
 
 The correctness contract is *bit-identical equivalence*: for any delta
 sequence, :meth:`IncrementalSession.check` must produce the same verdicts
@@ -40,12 +40,12 @@ entirely, so the session keeps verifying yesterday's graphs.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any
 
-from ..analyze.screens import triage, triage_verdict
+from ..analyze.rules import AnalysisContext
 from ..core.cwg import ChannelWaitingGraph
 from ..core.depgraph import DepGraph, bits
 from ..core.transitions import (
@@ -55,8 +55,8 @@ from ..core.transitions import (
     adjacency_rows,
 )
 from ..deps.cdg import ChannelDependencyGraph
-from ..pipeline.cache import VerificationCache, cached_verdict, verdicts_digest
-from ..pipeline.engine import CONDITIONS, DEFAULT_CONDITIONS, JobSpec, build_topology
+from ..pipeline.cache import VerificationCache, verdicts_digest
+from ..pipeline.engine import JobSpec, build_topology
 from ..pipeline.fingerprint import (
     _hasher as _fp_hasher,
     relation_header,
@@ -66,8 +66,7 @@ from ..pipeline.observability import StageMetrics
 from ..routing.catalog import make
 from ..routing.relation import RoutingAlgorithm
 from ..topology.channel import Channel
-from ..verify import dally_seitz, search_escape, verify
-from ..verify.dally_seitz import is_nonadaptive
+from ..verify.dispatch import DEFAULT_CONDITIONS, check_condition, decide
 from ..verify.report import Verdict
 from .deltas import Delta, LinkDown, LinkUp, TableEdit, VcAdd, parse_table_key
 from .overlay import OverlayRouting, RouteRecorder
@@ -148,8 +147,7 @@ class IncrementalSession:
         if conditions is None:
             conditions = spec.conditions if spec is not None else DEFAULT_CONDITIONS
         for key in conditions:
-            if key not in CONDITIONS:
-                raise ValueError(f"unknown condition {key!r}; have {sorted(CONDITIONS)}")
+            check_condition(key)
         self.base: RoutingAlgorithm = algorithm
         self.spec = spec
         self.conditions: tuple[str, ...] = tuple(conditions)
@@ -372,51 +370,15 @@ class IncrementalSession:
     # ------------------------------------------------------------------
     # verification
     # ------------------------------------------------------------------
-    @staticmethod
-    def _theorem_verdict(
-        ra: RoutingAlgorithm,
-        tc: TransitionCache,
-        cwg_builder: Callable[[], ChannelWaitingGraph],
-        use_triage: bool,
-    ) -> Verdict:
-        built: list[ChannelWaitingGraph] = []
-
-        def build() -> ChannelWaitingGraph:
-            if not built:
-                built.append(cwg_builder())
-            return built[0]
-
-        if use_triage:
-            tri = triage(ra, transitions=tc, cwg_builder=build)
-            if tri.decided:
-                return triage_verdict(ra, tri)
-        return verify(ra, cwg=build())
-
-    def _compute(self, key: str) -> Verdict:
-        if key == "theorem":
-            dep = self._dep
-            assert dep is not None
-            return self._theorem_verdict(
-                self.overlay,
-                self.tc,
-                lambda: ChannelWaitingGraph.from_depgraph(
-                    self.overlay, dep, transitions=self.tc
-                ),
-                self.triage,
-            )
-        if key == "duato":
-            return search_escape(self.overlay, transitions=self.tc)
-        cdg_dep = self._cdg_dep
-        assert cdg_dep is not None
-        # nonadaptive is recomputed every check: it quantifies over *all*
-        # states, including ones unreachable in the current overlay, so it
-        # is not derivable from the dirty-destination bookkeeping.
-        return dally_seitz(
-            self.overlay,
-            cdg=ChannelDependencyGraph.from_depgraph(
-                self.overlay, cdg_dep, transitions=self.tc
-            ),
-            nonadaptive=is_nonadaptive(self.overlay),
+    def _graphs(self) -> AnalysisContext:
+        """The current relation's graphs: views of the maintained kernels."""
+        overlay, tc, dep, cdg_dep = self.overlay, self.tc, self._dep, self._cdg_dep
+        assert dep is not None and cdg_dep is not None
+        return AnalysisContext(
+            overlay,
+            transitions=tc,
+            cwg=ChannelWaitingGraph.from_depgraph(overlay, dep, transitions=tc),
+            cdg=ChannelDependencyGraph.from_depgraph(overlay, cdg_dep, transitions=tc),
         )
 
     def _fingerprint(self) -> str:
@@ -445,13 +407,14 @@ class IncrementalSession:
         t0 = time.perf_counter()
         with self.metrics.timer("incremental:fingerprint"):
             fp = self._fingerprint()
+        graphs = self._graphs()
         verdicts: dict[str, Verdict] = {}
         cached_n = 0
         for key in self.conditions:
             with self.metrics.timer(f"incremental:{key}"):
-                verdict, was_cached = cached_verdict(
-                    self.overlay, key, lambda k=key: self._compute(k),
-                    self.cache, fingerprint=fp,
+                verdict, was_cached = decide(
+                    key, graphs, triage=self.triage, cache=self.cache,
+                    fingerprint=fp, metrics=self.metrics,
                 )
             verdicts[key] = verdict
             cached_n += int(was_cached)
@@ -491,21 +454,10 @@ class IncrementalSession:
         fresh = OverlayRouting(
             self.base, down=self.overlay.down, edits=dict(self.overlay.edits)
         )
-        ftc = TransitionCache(fresh)
-        verdicts: dict[str, Verdict] = {}
-        for key in self.conditions:
-            if key == "theorem":
-                verdicts[key] = self._theorem_verdict(
-                    fresh, ftc,
-                    lambda: ChannelWaitingGraph(fresh, transitions=ftc),
-                    self.triage,
-                )
-            elif key == "duato":
-                verdicts[key] = search_escape(fresh, transitions=ftc)
-            else:
-                verdicts[key] = dally_seitz(
-                    fresh, cdg=ChannelDependencyGraph(fresh, transitions=ftc)
-                )
+        graphs = AnalysisContext(fresh)
+        verdicts = {
+            key: decide(key, graphs, triage=self.triage)[0] for key in self.conditions
+        }
         digest = verdicts_digest([verdicts[k] for k in self.conditions])
         return FullCheckResult(
             verdicts=verdicts, digest=digest, seconds=time.perf_counter() - t0

@@ -1,20 +1,18 @@
 """Batch verification pipeline: parallel sweeps with a content-addressed cache.
 
 The production layer over the verifiers: fingerprint ``(network, routing
-relation)`` pairs (:mod:`~repro.pipeline.fingerprint`), memoize CWG
-construction, cycle enumeration, reductions, and whole verdicts across calls
-and processes (:mod:`~repro.pipeline.cache`), and sweep many (topology,
-algorithm) jobs concurrently with per-stage observability
-(:mod:`~repro.pipeline.engine`, :mod:`~repro.pipeline.observability`).
+relation)`` pairs (:mod:`~repro.pipeline.fingerprint`), memoize whole
+verdicts across calls and processes (:mod:`~repro.pipeline.cache`), and
+sweep many (topology, algorithm) jobs concurrently with per-stage
+observability (:mod:`~repro.pipeline.engine`,
+:mod:`~repro.pipeline.observability`).  Each job decides its conditions
+through the one dispatcher, :func:`repro.verify.dispatch.decide`.
 
 Exposed on the command line as ``python -m repro verify-batch``.
 """
 
 from .cache import (
     VerificationCache,
-    cached_cwg,
-    cached_cycles,
-    cached_reduction,
     cached_verdict,
     payload_to_verdict,
     slim_evidence,
@@ -49,9 +47,6 @@ __all__ = [
     "StageMetrics",
     "VerificationCache",
     "build_topology",
-    "cached_cwg",
-    "cached_cycles",
-    "cached_reduction",
     "cached_verdict",
     "catalog_spec",
     "catalog_specs",

@@ -7,16 +7,12 @@ key changes.  Payloads are JSON-serializable by construction (channel ids,
 not channel objects), which keeps entries portable across processes -- the
 process-pool workers of the batch engine share one on-disk cache directory.
 
-Three artifact layers are memoized, cheapest-to-rebuild last:
-
-* whole verdicts (``verdict:<condition>``) -- the big win for catalog
-  re-sweeps;
-* CWG adjacency (``cwg/v2``: one target list per source channel; the
-  per-edge destination witnesses are recomputed on demand from the
-  transition graphs), restored via
-  :meth:`repro.core.cwg.ChannelWaitingGraph.from_cached_edges`;
-* simple-cycle enumerations (``cycles``) and Section 8 reduction outcomes
-  (``reduction``).
+One artifact is memoized: the whole verdict of one condition
+(``verdict:<stage>``), stored and looked up by the condition dispatcher
+(:func:`repro.verify.dispatch.decide`).  The stage is the condition key,
+except that the theorem's names the triage flag (``theorem/triage`` or
+``theorem/full``): a triage verdict carries the screen's witness, so it
+must never answer a full check.
 """
 
 from __future__ import annotations
@@ -30,11 +26,8 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
-from ..core.cwg import ChannelWaitingGraph
-from ..core.cycles import Cycle, CycleExplosion, find_cycles
-from ..core.reduction import CWGReducer, ReductionResult
+from ..core.cycles import Cycle
 from ..routing.relation import RoutingAlgorithm
-from ..topology.network import Network
 from ..verify.report import Verdict, stable_evidence
 
 
@@ -183,132 +176,13 @@ class VerificationCache:
 
 
 # ----------------------------------------------------------------------
-# memoized artifact builders
-# ----------------------------------------------------------------------
-#: what rehydrating a structurally wrong (but JSON-parseable) payload raises
-_RESTORE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, IndexError)
-
-
-#: stage key of the CWG payload; v2 holds adjacency only (v1 held per-edge
-#: destination lists, which a v2 reader never looks up)
-CWG_STAGE = "cwg/v2"
-
-
-def cached_cwg(
-    algorithm: RoutingAlgorithm,
-    cache: VerificationCache | None,
-    *,
-    fingerprint: str | None = None,
-    transitions=None,
-) -> ChannelWaitingGraph:
-    """Build (or restore) the CWG of ``algorithm`` through the cache."""
-    if cache is None:
-        return ChannelWaitingGraph(algorithm, transitions=transitions)
-    fp = fingerprint or algorithm.fingerprint(transitions=transitions)
-    payload = cache.get(fp, CWG_STAGE)
-    if payload is not None:
-        try:
-            return ChannelWaitingGraph.from_cached_edges(
-                algorithm, payload, transitions=transitions
-            )
-        except _RESTORE_ERRORS:
-            cache.note_corrupt(fp, CWG_STAGE)
-    cwg = ChannelWaitingGraph(algorithm, transitions=transitions)
-    cache.put(fp, CWG_STAGE, cwg.cache_payload())
-    return cwg
-
-
-def cached_cycles(
-    cwg: ChannelWaitingGraph,
-    cache: VerificationCache | None,
-    *,
-    fingerprint: str | None = None,
-    limit: int | None = 100_000,
-) -> list[Cycle]:
-    """Enumerate (or restore) the simple cycles of a CWG through the cache.
-
-    Keyed on the kernel's CSR fingerprint by default (not the relation's):
-    the cycle list is a pure function of the graph, so any two relations
-    with identical CWGs share the entry.
-    """
-    if cache is None:
-        return find_cycles(cwg.dep, limit=limit)
-    net = cwg.algorithm.network
-    fp = fingerprint or cwg.dep.fingerprint()
-    payload = cache.get(fp, "cycles")
-    if payload is not None:
-        try:
-            if payload.get("limit_ok", False):
-                return [
-                    Cycle(tuple(net.channel(cid) for cid in cids))
-                    for cids in payload["cycles"]
-                ]
-        except _RESTORE_ERRORS:
-            cache.note_corrupt(fp, "cycles")
-    try:
-        cycles = find_cycles(cwg.dep, limit=limit)
-    except CycleExplosion:
-        cache.put(fp, "cycles", {"limit_ok": False, "cycles": []})
-        raise
-    cache.put(
-        fp,
-        "cycles",
-        {"limit_ok": True, "cycles": [[c.cid for c in cy.channels] for cy in cycles]},
-    )
-    return cycles
-
-
-def cached_reduction(
-    cwg: ChannelWaitingGraph,
-    cache: VerificationCache | None,
-    *,
-    fingerprint: str | None = None,
-    cycle_limit: int | None = 100_000,
-) -> ReductionResult:
-    """Run (or restore) the Section 8 CWG -> CWG' reduction through the cache.
-
-    Restored results carry the removal set, success flag, and reason; the
-    step trace and per-cycle classifications (only needed by the worked
-    examples) are recomputed on demand by running the reducer directly.
-
-    Unlike :func:`cached_cycles` this stays keyed on the *relation*
-    fingerprint: wait-connectivity (Definition 10) consults the per-state
-    waiting sets, which the CWG's edge content does not determine.
-    """
-    if cache is None:
-        return CWGReducer(cwg, cycle_limit=cycle_limit).run()
-    net = cwg.algorithm.network
-    fp = fingerprint or cwg.algorithm.fingerprint(transitions=cwg.transitions)
-    payload = cache.get(fp, "reduction")
-    if payload is not None:
-        try:
-            removed = frozenset(
-                (net.channel(a), net.channel(b)) for a, b in payload["removed"]
-            )
-            return ReductionResult(
-                payload["success"], removed, [], [], reason=payload["reason"]
-            )
-        except _RESTORE_ERRORS:
-            cache.note_corrupt(fp, "reduction")
-    result = CWGReducer(cwg, cycle_limit=cycle_limit).run()
-    cache.put(
-        fp,
-        "reduction",
-        {
-            "success": result.success,
-            "removed": sorted((a.cid, b.cid) for a, b in result.removed),
-            "reason": result.reason,
-            "backtracks": sum(1 for s in result.steps if s.action == "backtrack"),
-        },
-    )
-    return result
-
-
-# ----------------------------------------------------------------------
 # verdict (de)hydration
 # ----------------------------------------------------------------------
 #: evidence values preserved verbatim in cached verdicts / reports
 _SCALAR = (bool, int, float, str)
+
+#: what rehydrating a structurally wrong (but JSON-parseable) payload raises
+_RESTORE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, IndexError)
 
 
 def slim_evidence(evidence: dict[str, Any]) -> dict[str, Any]:
@@ -362,13 +236,13 @@ def payload_to_verdict(payload: dict[str, Any]) -> Verdict:
 
 def cached_verdict(
     algorithm: RoutingAlgorithm,
-    condition: str,
+    stage: str,
     compute,
     cache: VerificationCache | None,
     *,
     fingerprint: str | None = None,
 ) -> tuple[Verdict, bool]:
-    """Memoize a whole verification verdict.
+    """Memoize a whole verification verdict under ``verdict:<stage>``.
 
     ``compute`` is a zero-argument callable producing the
     :class:`~repro.verify.report.Verdict`.  Returns ``(verdict, was_cached)``.
@@ -376,15 +250,15 @@ def cached_verdict(
     if cache is None:
         return compute(), False
     fp = fingerprint or algorithm.fingerprint()
-    stage = f"verdict:{condition}"
-    payload = cache.get(fp, stage)
+    key = f"verdict:{stage}"
+    payload = cache.get(fp, key)
     if payload is not None:
         try:
             return payload_to_verdict(payload), True
         except _RESTORE_ERRORS:
-            cache.note_corrupt(fp, stage)
+            cache.note_corrupt(fp, key)
     verdict = compute()
-    cache.put(fp, stage, verdict_to_payload(verdict))
+    cache.put(fp, key, verdict_to_payload(verdict))
     return verdict, False
 
 
@@ -403,8 +277,3 @@ def verdicts_digest(verdicts: Iterable[Verdict]) -> str:
         h.update(json.dumps(verdict_to_payload(v), sort_keys=True).encode())
         h.update(b"\x00")
     return h.hexdigest()
-
-
-def network_fingerprint(network: Network) -> str:
-    """Convenience re-export used by callers that only have a network."""
-    return network.fingerprint()

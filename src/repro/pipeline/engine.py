@@ -5,10 +5,11 @@ not one algorithm per process invocation.  This module turns a list of
 :class:`JobSpec` descriptions into a :class:`BatchReport`:
 
 * each job builds its network and algorithm, fingerprints the pair
-  (:mod:`repro.pipeline.fingerprint`), and runs the requested conditions --
-  the paper's Theorem 2/3 (`verify`), Duato's ECDG condition
-  (`search_escape`), and Dally--Seitz -- through the content-addressed
-  cache (:mod:`repro.pipeline.cache`);
+  (:mod:`repro.pipeline.fingerprint`), and decides the requested
+  conditions -- the paper's Theorem 2/3, Duato's ECDG condition, and
+  Dally--Seitz -- through the one condition dispatcher
+  (:func:`repro.verify.dispatch.decide`) and the content-addressed cache
+  (:mod:`repro.pipeline.cache`);
 * jobs run either in-process (deterministic serial fallback, also the mode
   tests compare against) or concurrently on a ``concurrent.futures``
   process pool -- cycle enumeration and the True-Cycle search are CPU-bound
@@ -30,24 +31,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..analyze.screens import triage, triage_verdict
+from ..analyze.rules import AnalysisContext
 from ..core.transitions import TransitionCache
-from ..deps.cdg import ChannelDependencyGraph
 from ..routing.catalog import CATALOG, make
 from ..routing.relation import RoutingAlgorithm
 from ..scenario import TopologySpec
 from ..topology.network import Network
-from ..verify import dally_seitz, search_escape, verify
-from .cache import VerificationCache, cached_cwg, cached_verdict, slim_evidence
+from ..verify.dispatch import CONDITIONS as CONDITIONS  # re-exported
+from ..verify.dispatch import DEFAULT_CONDITIONS, decide
+from .cache import VerificationCache, slim_evidence
 from .observability import StageMetrics
-
-#: condition keys -> human label used in reports
-CONDITIONS = {
-    "theorem": "Theorem 2/3 (CWG)",
-    "duato": "Duato (ECDG)",
-    "dally-seitz": "Dally-Seitz (CDG)",
-}
-DEFAULT_CONDITIONS = ("theorem", "duato", "dally-seitz")
 
 #: verification-sized default dims per resizable family -- the instances the
 #: pinned verdict matrices have always used (callers may override)
@@ -221,25 +214,6 @@ class BatchReport:
 # ----------------------------------------------------------------------
 # single-job execution
 # ----------------------------------------------------------------------
-def _extract_counters(verdict, metrics: StageMetrics) -> None:
-    ev = verdict.evidence
-    for counter, evidence_key in (
-        ("cycles_enumerated", "cycles"),
-        ("search_nodes", "nodes_explored"),
-        ("cwg_edges", "cwg_edges"),
-        ("ecdg_edges", "ecdg_edges"),
-    ):
-        v = ev.get(evidence_key)
-        if isinstance(v, int):
-            metrics.count(counter, v)
-    red = ev.get("reduction")
-    if red is not None and hasattr(red, "steps"):
-        metrics.count(
-            "reduction_backtracks",
-            sum(1 for s in red.steps if s.action == "backtrack"),
-        )
-
-
 def run_job(spec: JobSpec, cache: VerificationCache | None = None) -> JobResult:
     """Run one job in-process; exceptions become an error result, not a crash."""
     metrics = StageMetrics()
@@ -255,46 +229,14 @@ def run_job(spec: JobSpec, cache: VerificationCache | None = None) -> JobResult:
         with metrics.timer("fingerprint"):
             fp = ra.fingerprint(transitions=transitions)
         out.fingerprint = fp
+        graphs = AnalysisContext(ra, transitions=transitions)
         for key in spec.conditions:
-            if key not in CONDITIONS:
-                raise ValueError(f"unknown condition {key!r}; have {sorted(CONDITIONS)}")
             tc = time.perf_counter()
             with metrics.timer(f"verify:{key}"):
-                if key == "theorem":
-                    def compute():
-                        # Build (and cache) the CWG at most once per job: the
-                        # ordering-certificate screen can decide from the CDG
-                        # alone, and a triage fall-through must hand the deep
-                        # screens' graph straight to the theorem checker.
-                        built: list = []
-
-                        def build_cwg():
-                            if not built:
-                                with metrics.timer("cwg"):
-                                    built.append(cached_cwg(
-                                        ra, cache, fingerprint=fp, transitions=transitions))
-                            return built[0]
-
-                        if spec.triage:
-                            with metrics.timer("triage"):
-                                tri = triage(ra, transitions=transitions,
-                                             cwg_builder=build_cwg)
-                            if tri.decided:
-                                metrics.count("triage_decided")
-                                metrics.count(f"triage_screen:{tri.decided_by}")
-                                return triage_verdict(ra, tri)
-                            metrics.count("triage_full_check")
-                        return verify(ra, cwg=build_cwg())
-                elif key == "duato":
-                    def compute():
-                        return search_escape(ra, transitions=transitions)
-                else:
-                    def compute():
-                        cdg = ChannelDependencyGraph(ra, transitions=transitions)
-                        return dally_seitz(ra, cdg=cdg)
-                verdict, was_cached = cached_verdict(ra, key, compute, cache, fingerprint=fp)
-            if not was_cached:
-                _extract_counters(verdict, metrics)
+                verdict, was_cached = decide(
+                    key, graphs, triage=spec.triage, cache=cache,
+                    fingerprint=fp, metrics=metrics,
+                )
             out.results.append(ConditionResult(
                 key=key,
                 condition=verdict.condition,

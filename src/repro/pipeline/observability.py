@@ -11,6 +11,7 @@ backtracks, search nodes explored).
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from contextlib import contextmanager
 
 
@@ -24,7 +25,7 @@ class StageMetrics:
 
     # ------------------------------------------------------------------
     @contextmanager
-    def timer(self, stage: str):
+    def timer(self, stage: str) -> Iterator[None]:
         """Time a ``with`` block under ``stage`` (accumulating on re-entry)."""
         t0 = time.perf_counter()
         try:

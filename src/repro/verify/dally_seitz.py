@@ -32,7 +32,6 @@ def dally_seitz(
     algorithm: RoutingAlgorithm,
     *,
     cdg: ChannelDependencyGraph | None = None,
-    nonadaptive: bool | None = None,
 ) -> Verdict:
     """Apply the acyclic-CDG condition.
 
@@ -40,15 +39,9 @@ def dally_seitz(
     ones an acyclic CDG still certifies deadlock freedom, but a cyclic CDG
     proves nothing (the verdict then reports ``deadlock_free=False`` with
     ``necessary_and_sufficient=False``, i.e. "cannot certify").
-
-    ``nonadaptive`` skips the exhaustive :func:`is_nonadaptive` scan when
-    the caller has already computed it (it must equal what the scan would
-    return -- the incremental engine recomputes it per check and passes it
-    here only so the cost lands in its own metrics bucket).
     """
     cdg = cdg or ChannelDependencyGraph(algorithm)
-    if nonadaptive is None:
-        nonadaptive = is_nonadaptive(algorithm)
+    nonadaptive = is_nonadaptive(algorithm)
     cycle = find_one_cycle(cdg.dep)
     if cycle is None:
         numbering = cdg.numbering()

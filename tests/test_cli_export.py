@@ -44,8 +44,8 @@ class TestExport:
 
 
 class TestCLI:
-    def test_catalog(self, capsys):
-        assert main(["catalog"]) == 0
+    def test_scenarios(self, capsys):
+        assert main(["scenarios"]) == 0
         out = capsys.readouterr().out
         assert "highest-positive-last" in out and "certified by" in out
 

@@ -113,13 +113,6 @@ class TestWitnessSetsBitForBit:
         ecdg = ExtendedChannelDependencyGraph(ra, escape)
         assert set(ecdg.edge_types) == naive_ecdg_edges(ra, escape)
 
-    def test_cache_roundtrip_is_identity(self, figure4):
-        ra = RingExample(figure4)
-        cwg = ChannelWaitingGraph(ra)
-        back = ChannelWaitingGraph.from_cached_edges(ra, cwg.cache_payload())
-        assert back.edge_dests == cwg.edge_dests
-        assert back.dep.fingerprint() == cwg.dep.fingerprint()
-
 
 class TestCycleEnumeration:
     def test_matches_networkx_on_cyclic_cwg(self, figure1):

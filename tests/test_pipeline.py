@@ -18,16 +18,13 @@ from repro.pipeline import (
     BatchVerifier,
     JobSpec,
     VerificationCache,
-    cached_cwg,
-    cached_cycles,
-    cached_reduction,
     catalog_specs,
     run_job,
 )
 from repro.routing import CATALOG, make
 from repro.topology.network import Network
 from repro.verify import verify
-from tests.generative import RandomMinimalRouting, build_random_network
+from tests.generative import RandomMinimalRouting
 
 FAST = ("theorem", "dally-seitz")  # duato on torus-44 dominates runtime; skip it here
 
@@ -136,37 +133,6 @@ def test_disk_cache_persists_and_tolerates_corruption(tmp_path):
     third = VerificationCache(d)
     assert third.get("fp123", "verdict:theorem") is None
     assert third.misses == 1
-
-
-def test_cached_cwg_and_cycles_roundtrip():
-    from repro.topology import build_mesh
-
-    ra = make("unrestricted-minimal", build_mesh((2, 2)))
-    fp = ra.fingerprint()
-    cache = VerificationCache()
-    built = cached_cwg(ra, cache, fingerprint=fp)
-    restored = cached_cwg(ra, cache, fingerprint=fp)
-    assert cache.hits == 1
-    assert sorted((a.cid, b.cid) for a, b in built.edges) == \
-           sorted((a.cid, b.cid) for a, b in restored.edges)
-    assert built.edge_dests == restored.edge_dests
-
-    cold = cached_cycles(built, cache, fingerprint=fp)
-    warm = cached_cycles(restored, cache, fingerprint=fp)
-    assert [cy.channels for cy in cold] == [cy.channels for cy in warm]
-    assert len(cold) > 0
-
-
-def test_cached_reduction_roundtrip():
-    net = build_random_network(3, (), vc_seed=1)
-    ra = RandomMinimalRouting(net, seed=2)
-    cwg = cached_cwg(ra, None)
-    cache = VerificationCache()
-    cold = cached_reduction(cwg, cache, fingerprint="fpX")
-    warm = cached_reduction(cwg, cache, fingerprint="fpX")
-    assert warm.success == cold.success
-    assert warm.removed == cold.removed
-    assert warm.reason == cold.reason
 
 
 # ----------------------------------------------------------------------

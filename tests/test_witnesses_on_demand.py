@@ -4,10 +4,9 @@ The CWG and CDG are built from one adjacency row per source channel; the
 destinations realizing each edge are computed by the kernel the first
 time a consumer reads them (:attr:`DepGraph.witnessed_edges` counts
 them).  Pinned here: an acyclic graph computes none, a witness read inside
-a cycle computes only the edges inside strongly connected components, a
+a cycle computes only the edges inside strongly connected components, and a
 graph keeps the transition graphs it was built from across an incremental
-session's later rebuilds, and the pipeline cache's adjacency-only ``cwg``
-payload refuses the old per-edge shape as a miss.
+session's later rebuilds.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from repro.core.cwg import ChannelWaitingGraph
 from repro.deps.cdg import ChannelDependencyGraph
 from repro.incremental import IncrementalSession
 from repro.incremental.session import default_fault_pair
-from repro.pipeline import VerificationCache
-from repro.pipeline.cache import CWG_STAGE, cached_cwg
 from repro.pipeline.engine import catalog_spec
 from repro.routing import make
 from repro.topology import build_figure4_ring, build_mesh
@@ -69,29 +66,3 @@ def test_graph_keeps_its_witnesses_across_a_session_rebuild():
     assert after.edge_dests != cold.edge_dests
     for edge, dests in cold.edge_dests.items():
         assert before.destinations_for(edge) == frozenset(dests)
-
-
-def test_old_shape_cwg_entry_is_a_miss(tmp_path):
-    ra = make("duato-mesh", build_mesh((3, 3), num_vcs=2))
-    fp = ra.fingerprint()
-    writer = VerificationCache(tmp_path)
-    old_payload = [[0, 1, [2, 3]]]
-    writer.put(fp, "cwg", old_payload)          # the retired stage key
-    writer.put(fp, CWG_STAGE, old_payload)      # old shape under the new key
-    reader = VerificationCache(tmp_path)
-    cwg = cached_cwg(ra, reader, fingerprint=fp)
-    assert reader.corrupt == 1 and reader.hits == 0
-    assert cwg.edge_dests == ChannelWaitingGraph(ra).edge_dests
-    # the rebuilt entry replaced the bad one: the next lookup is a real hit
-    again = cached_cwg(ra, VerificationCache(tmp_path), fingerprint=fp)
-    assert again.dep.edge_cids() == cwg.dep.edge_cids()
-
-
-def test_cache_payload_roundtrip_recomputes_witnesses():
-    ra = make("ring-figure4", build_figure4_ring())
-    built = ChannelWaitingGraph(ra)
-    restored = ChannelWaitingGraph.from_cached_edges(ra, built.cache_payload())
-    assert restored.dep.edge_cids() == built.dep.edge_cids()
-    assert restored.dep.witnessed_edges == 0
-    assert restored.edge_dests == built.edge_dests
-    assert restored.dep.fingerprint() == built.dep.fingerprint()

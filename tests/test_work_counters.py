@@ -58,6 +58,7 @@ import pytest
 from repro.core.cwg import ChannelWaitingGraph
 from repro.core.deadlock_search import AnyWaitConfigSearch, TrueCycleSearch
 from repro.core.transitions import DestinationTransitions, TransitionCache
+from repro.deps.cdg import ChannelDependencyGraph
 from repro.deps.ecdg import ExtendedChannelDependencyGraph
 from repro.pipeline import run_job
 from repro.pipeline.engine import catalog_specs
@@ -184,6 +185,24 @@ def test_quick_theorem_work_is_pinned(monkeypatch):
 def test_checker_smoke_work_is_pinned(monkeypatch):
     counts = count_work(monkeypatch, smoke_jobs())
     assert {k: counts[k] for k in SMOKE_PINNED} == SMOKE_PINNED
+
+
+def test_registry_verify_builds_one_cdg_per_job(monkeypatch):
+    """Triage's ordering screen and Dally--Seitz read one CDG per job
+    (42 for these 21 jobs while each built its own)."""
+    built: Counter = Counter()
+    init = ChannelDependencyGraph.__init__
+
+    def counted(g, *args, **kwargs):
+        init(g, *args, **kwargs)
+        built["cdgs"] += 1
+    monkeypatch.setattr(ChannelDependencyGraph, "__init__", counted)
+    jobs = catalog_specs()
+    for spec in jobs:
+        job = run_job(spec)
+        assert job.error is None, job.error
+    assert len(jobs) == 21
+    assert built["cdgs"] == 21
 
 
 def test_acyclic_theorem_jobs_build_no_channel_views(monkeypatch):
