@@ -36,7 +36,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from ..core.cwg import ChannelWaitingGraph, wait_connected
-from ..core.depgraph import bits
+from ..core.depgraph import bits, mask_of_ints
 from ..core.transitions import TransitionCache
 from ..deps.cdg import ChannelDependencyGraph
 from ..routing.relation import RoutingAlgorithm
@@ -274,11 +274,10 @@ def check_pairs_deliverable(ctx: AnalysisContext) -> Iterator[Diagnostic]:
       "a link channel no message can ever occupy, for any destination",
       "Definition 2 reachability")
 def check_dead_channels(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    used: set[int] = set()
+    used = 0
     for dt in ctx.transitions.all_destinations():
-        used.update(c.cid for c in dt.usable)
-    dead = sorted(c.cid for c in ctx.network.link_channels if c.cid not in used)
-    for cid in dead:
+        used |= mask_of_ints(dt.usable_cids)
+    for cid in bits(ctx.network.link_mask & ~used):
         c = ctx.network.channel(cid)
         yield Diagnostic(
             rule="RH101", severity=Severity.INFO,
@@ -303,18 +302,19 @@ def check_table_entries(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     if not isinstance(routes, dict):
         return  # only table-backed relations carry an explicit entry list
     net = ctx.network
+    heads, links = net.heads, net.link_mask
     reachable: set[str] = set()
     nd = bool(getattr(case, "nd", False))
     for dt in ctx.transitions.all_destinations():
-        for c_in, out in dt.succ.items():
+        for a, out in dt.succ_masks.items():
             if not out:
                 continue
             if nd:
-                reachable.add(f"n{c_in.dst}->{dt.dest}")
-            elif c_in.is_link:
-                reachable.add(f"c{c_in.cid}->{dt.dest}")
-            else:
-                reachable.add(f"i{c_in.src}->{dt.dest}")
+                reachable.add(f"n{heads[a]}->{dt.dest}")
+            elif links >> a & 1:
+                reachable.add(f"c{a}->{dt.dest}")
+            else:  # an injection channel starts and ends at its node
+                reachable.add(f"i{heads[a]}->{dt.dest}")
     for key in sorted(routes):
         if key in reachable or not routes[key]:
             continue

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.cwg import ChannelWaitingGraph, wait_connected
-from ..core.depgraph import find_cycle_adj
+from ..core.depgraph import bits, find_cycle_adj, mask_of_ints
 from ..core.transitions import TransitionCache
 from ..deps.cdg import ChannelDependencyGraph
 from ..routing.relation import RoutingAlgorithm, WaitPolicy
@@ -249,21 +249,22 @@ def forced_cycle_screen(cwg: ChannelWaitingGraph) -> ScreenResult:
         "hot_channels": len(hot),
     }
     any_policy = algorithm.wait_policy is WaitPolicy.ANY
+    hot_mask = mask_of_ints(hot)
+    channel = net.channel
     edge_dest: dict[tuple[int, int], int] = {}
     for dt in tc.all_destinations():
-        for c in dt.usable:
-            if c.cid not in hot:
+        succ, wait = dt.succ_masks, dt.wait_masks
+        for a in dt.usable_cids:
+            if not hot_mask >> a & 1:
                 continue
-            waits = dt.wait[c]
-            if not waits or (any_policy and len(waits) != 1):
+            waits = wait[a]
+            if not waits or (any_policy and waits & (waits - 1)):
                 continue
-            if c not in dt.succ.get(net.injection_channel(c.src), frozenset()):
+            inj = net.injection_channel(channel(a).src).cid
+            if not succ.get(inj, 0) >> a & 1:
                 continue  # not startable at source: no single-channel segment
-            for c2 in waits:
-                if c2.cid in hot:
-                    key = (c.cid, c2.cid)
-                    if key not in edge_dest or dt.dest < edge_dest[key]:
-                        edge_dest[key] = dt.dest
+            for b in bits(waits & hot_mask):  # destinations ascend: keep the first
+                edge_dest.setdefault((a, b), dt.dest)
     adj: dict[int, list[int]] = {}
     for (u, v) in sorted(edge_dest):
         adj.setdefault(u, []).append(v)

@@ -29,8 +29,8 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Iterable
 
-from ..core.depgraph import DepGraph, bits
-from ..core.transitions import TransitionCache
+from ..core.depgraph import DepGraph, bits, mask_of_ints
+from ..core.transitions import DestinationTransitions, TransitionCache
 from ..routing.relation import RoutingAlgorithm
 from ..topology.channel import Channel
 
@@ -68,6 +68,7 @@ class ExtendedChannelDependencyGraph:
         else:
             fixed = frozenset(escape)
             self._escape_fn = lambda dest: fixed
+        self._c1 = self._escape_masks()
         #: the integer-indexed kernel (per-edge mask = dependency-type bits)
         self.dep: DepGraph = self._build()
         self._edge_types: dict[tuple[Channel, Channel], set[DependencyType]] | None = None
@@ -82,39 +83,68 @@ class ExtendedChannelDependencyGraph:
             out |= self.escape_for(dest)
         return frozenset(out)
 
+    def _escape_masks(self) -> dict[int, int]:
+        """``dest -> cid bitmask`` of each destination's escape set; a set
+        object shared by several destinations is converted once."""
+        memo: dict[int, tuple[frozenset[Channel], int]] = {}
+        masks: dict[int, int] = {}
+        for dest in self.algorithm.network.nodes:
+            esc = self.escape_for(dest)
+            got = memo.get(id(esc))
+            if got is None:  # the set is kept so its id stays unique
+                got = memo[id(esc)] = (esc, mask_of_ints(c.cid for c in esc))
+            masks[dest] = got[1]
+        return masks
+
     def _build(self) -> DepGraph:
-        union = self.escape_union()
-        edges: dict[tuple[int, int], int] = {}
-        direct = 1 << _TYPE_BIT[DependencyType.DIRECT]
-        direct_x = 1 << _TYPE_BIT[DependencyType.DIRECT_CROSS]
-        indirect = 1 << _TYPE_BIT[DependencyType.INDIRECT]
-        indirect_x = 1 << _TYPE_BIT[DependencyType.INDIRECT_CROSS]
+        """Dependencies as four per-type adjacency rows, ORed over destinations.
+
+        At state ``a`` of destination ``d`` with escape mask ``C1``, the
+        direct targets are ``succ[a] & C1`` and the indirect ones are the
+        escape channels one hop past the non-escape states reachable from
+        ``succ[a] & ~C1`` through non-escape states only
+        (:func:`_escape_behind`), computed once per distinct non-escape
+        successor set of the destination.  ``a`` contributes ordinary
+        dependencies when it is in its own ``C1``, cross ones otherwise.
+        """
+        c1_of = self._c1
+        union = 0
+        for m in c1_of.values():
+            union |= m
+        n = self.algorithm.network.num_channels
+        # rows[type bit][a]: the targets of ``a`` realizing that dependency type
+        rows = [[0] * n for _ in DependencyType]
+        direct, indirect, direct_x, indirect_x = rows  # DependencyType order
         for dt in self.transitions.all_destinations():
-            c1_here = self.escape_for(dt.dest)
-            for ci in dt.usable:
-                if ci not in union:
+            c1 = c1_of[dt.dest]
+            succ = dt.succ_masks
+            behind: dict[int, int] = {}  # non-escape successor set -> escape targets
+            for a in dt.usable_cids:
+                if not union >> a & 1:
                     continue
-                ci_is_own = ci in c1_here
-                a = ci.cid
-                # Direct: an R1-supplied channel immediately after ci.
-                for cj in dt.succ[ci]:
-                    if cj in c1_here:
-                        k = (a, cj.cid)
-                        edges[k] = edges.get(k, 0) | (direct if ci_is_own else direct_x)
-                # Indirect: through >= 1 non-escape channels, then R1-supplied.
-                seen: set[Channel] = set()
-                stack = [c for c in dt.succ[ci] if c not in c1_here]
-                while stack:
-                    q = stack.pop()
-                    if q in seen:
-                        continue
-                    seen.add(q)
-                    for cj in dt.succ.get(q, ()):
-                        if cj in c1_here:
-                            k = (a, cj.cid)
-                            edges[k] = edges.get(k, 0) | (indirect if ci_is_own else indirect_x)
-                        elif cj not in seen:
-                            stack.append(cj)
+                out = succ[a]
+                rest = out & ~c1
+                if rest:
+                    far = behind.get(rest)
+                    if far is None:
+                        far = behind[rest] = _escape_behind(succ, rest, c1)
+                else:
+                    far = 0
+                if c1 >> a & 1:
+                    direct[a] |= out & c1
+                    indirect[a] |= far
+                else:
+                    direct_x[a] |= out & c1
+                    indirect_x[a] |= far
+        edges: dict[tuple[int, int], int] = {}
+        for i, row in enumerate(rows):
+            bit = 1 << i
+            for a, targets in enumerate(row):
+                if not targets:
+                    continue
+                for b in bits(targets):
+                    k = (a, b)
+                    edges[k] = edges.get(k, 0) | bit
         return DepGraph(self.algorithm.network, edges)
 
     # ------------------------------------------------------------------
@@ -139,14 +169,19 @@ class ExtendedChannelDependencyGraph:
     def subfunction_connected(self) -> tuple[bool, str]:
         """Is ``R1`` connected: every pair routable using escape channels only?
 
-        Checked per destination by BFS from every injection channel through
-        escape-channel states (``R1(c, n, d) = R(c, n, d) & C1(d)``).
+        Checked per destination ``d`` by one backward closure over the
+        escape states (``R1(c, n, d) = R(c, n, d) & C1(d)``): the *good*
+        states are the escape states at ``d`` and every escape state with a
+        good escape successor.  Source ``n`` reaches ``d`` over ``R1`` iff
+        ``R1`` offers a good state at ``inj(n)``.
         """
         net = self.algorithm.network
+        c1_of = self._c1
         for dt in self.transitions.all_destinations():
-            c1_here = self.escape_for(dt.dest)
-            sources = _r1_sources(dt, c1_here)
-            missing = [n for n in net.nodes if n != dt.dest and n not in sources]
+            c1 = c1_of[dt.dest]
+            good = _r1_good(dt, c1)
+            succ = dt.succ_masks
+            missing = [inj.src for inj in dt.starts if not succ[inj.cid] & c1 & good]
             if missing:
                 return False, (
                     f"R1 does not connect source(s) {missing[:4]} to destination {dt.dest}"
@@ -163,31 +198,51 @@ class ExtendedChannelDependencyGraph:
         )
 
 
-def _r1_sources(dt, c1_here: frozenset[Channel]) -> set[int]:
-    """Nodes from which ``dt.dest`` is reachable using only escape channels.
+def _escape_behind(succ: dict[int, int], start: int, c1: int) -> int:
+    """Cid mask of the escape channels (``c1``) one hop past the non-escape
+    states reachable from the non-escape states ``start`` without leaving
+    them: the indirect-dependency targets behind ``start``."""
+    seen = frontier = start
+    found = 0
+    while frontier:
+        nxt = 0
+        for q in bits(frontier):
+            nxt |= succ[q]
+        found |= nxt & c1
+        frontier = nxt & ~c1 & ~seen
+        seen |= frontier
+    return found
 
-    A source ``n`` qualifies iff from state ``inj(n)`` some path of
-    escape-only channel states ends at the destination.
+
+def _r1_good(dt: DestinationTransitions, c1: int) -> int:
+    """Cid mask of the escape states of ``dt`` from which some path of escape
+    states ends at the destination (states there included).
+
+    Sweeps the escape states in reverse BFS order, marking each one with a
+    marked escape successor, until a sweep marks nothing new; a relation
+    whose escape paths run along the BFS order settles in one sweep.
     """
-    sources: set[int] = set()
-    for inj in dt.starts:
-        stack = [inj]
-        seen = {inj}
-        found = False
-        while stack and not found:
-            c = stack.pop()
-            for nxt in dt.succ.get(c, ()):
-                if nxt not in c1_here:
-                    continue
-                if nxt.dst == dt.dest:
-                    found = True
-                    break
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if found:
-            sources.add(inj.src)
-    return sources
+    heads = dt.algorithm.network.heads
+    succ = dt.succ_masks
+    good = 0
+    todo: list[int] = []
+    for a in reversed(list(succ)):
+        if c1 >> a & 1:
+            if heads[a] == dt.dest:
+                good |= 1 << a
+            else:
+                todo.append(a)
+    while todo:
+        left = []
+        for a in todo:
+            if succ[a] & good:
+                good |= 1 << a
+            else:
+                left.append(a)
+        if len(left) == len(todo):
+            break
+        todo = left
+    return good
 
 
 def escape_by_vc(algorithm: RoutingAlgorithm, vc_classes: Iterable[int] = (0,)) -> frozenset[Channel]:

@@ -309,9 +309,10 @@ def certifies_coherence(algorithm: RoutingAlgorithm, transitions: TransitionCach
       and the rest of the suffix is the same walk (suffix closure);
     * ``c in R(a, n, m)`` for every node ``m != d`` reachable from ``c``:
       each hop of a path is offered again towards every later node of it
-      (prefix closure).  These demands are merged per ``(a, m)`` across
-      destinations and checked once each, against ``transitions[m]`` when
-      ``a`` is one of its states.
+      (prefix closure).  The later nodes are merged per ``(a, c)`` across
+      destinations, each union is expanded into per-``(a, m)`` demands
+      once, and each demand is checked once, against ``transitions[m]``
+      when ``a`` is one of its states.
 
     Holding implies :func:`enumerate_coherence` holds for every
     ``max_hops``; declining proves nothing.  Nothing assumes that an
@@ -320,8 +321,11 @@ def certifies_coherence(algorithm: RoutingAlgorithm, transitions: TransitionCach
     from ..core.depgraph import bits
 
     net = algorithm.network
-    heads, links, channel = net.heads, net.link_mask, net.channel
-    need: dict[int, dict[int, int]] = {}  # a -> m -> cids c required in R(a, a.dst, m)
+    heads, links = net.heads, net.link_mask
+    tails = [ch.src for ch in net.channels]
+    inj = [net.injection_channel(n).cid for n in net.nodes]
+    # a -> c -> node mask of every m whose R(a, a.dst, m) must offer c
+    later_of: dict[int, dict[int, int]] = {}
     for dt in transitions.all_destinations():
         dest_bit = 1 << dt.dest
         succ = dt.succ_masks
@@ -330,21 +334,24 @@ def certifies_coherence(algorithm: RoutingAlgorithm, transitions: TransitionCach
             if not outs:
                 continue
             here = heads[a]
-            fresh = succ[net.injection_channel(here).cid] if links >> a & 1 else outs
-            row = need.get(a)
+            fresh = succ[inj[here]] if links >> a & 1 else outs
+            row = later_of.get(a)
             if row is None:
-                row = need[a] = {}
+                row = later_of[a] = {}
             for c in bits(outs):
                 later = reach[c]
                 if not later & dest_bit:
                     continue
-                if later >> here & 1 or channel(c).src != here or not fresh >> c & 1:
+                if later >> here & 1 or tails[c] != here or not fresh >> c & 1:
                     return False
-                bit = 1 << c
-                for m in bits(later ^ dest_bit):
-                    row[m] = row.get(m, 0) | bit
-    for a, row in need.items():
-        for m, wanted in row.items():
+                row[c] = row.get(c, 0) | (later ^ dest_bit)
+    for a, row in later_of.items():
+        need: dict[int, int] = {}  # m -> cids c required in R(a, a.dst, m)
+        for c, nodes in row.items():
+            bit = 1 << c
+            for m in bits(nodes):
+                need[m] = need.get(m, 0) | bit
+        for m, wanted in need.items():
             have = transitions[m].succ_masks.get(a)
             if have is None:
                 a_ch = net.channel(a)

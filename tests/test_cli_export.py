@@ -6,7 +6,6 @@ from repro.__main__ import main
 from repro.core import ChannelWaitingGraph, find_cycles
 from repro.export import edge_listing, to_dot, verdict_block
 from repro.routing import IncoherentExample, UnrestrictedMinimal
-from repro.topology import build_mesh
 from repro.verify import verify
 
 

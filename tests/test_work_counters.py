@@ -28,10 +28,12 @@ condition builds, are pinned for CI's checker-smoke job set (the whole
 registry at the ``--quick`` sizes, theorem and Duato, triage on), so
 that job guards the checker's speed without a wall-time assert.  The
 steps of the ECDG's cycle check (one SCC pass) are not counted.
-No theorem job builds the Channel-keyed ``succ`` / ``wait`` views of its
-transition graphs: its walk, Definition-10 check, CWG and fingerprint all
-read cid masks, and so do a cyclic CWG's True-Cycle search and its
-phase-2 reachability check.
+No theorem job builds the Channel-keyed ``succ`` / ``wait`` / ``usable``
+views of its transition graphs: its walk, Definition-10 check, CWG and
+fingerprint all read cid masks, and so do a cyclic CWG's True-Cycle search
+and its phase-2 reachability check.  With the default conditions and triage
+on, Duato's check, Dally--Seitz and the triage screens build none either;
+only incoherent-example's Section 8 reduction still reads the views.
 
 A change that does more work fails here on any host.  A change that does
 less updates the pins and says so.
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -61,7 +64,7 @@ from repro.core.transitions import DestinationTransitions, TransitionCache
 from repro.deps.cdg import ChannelDependencyGraph
 from repro.deps.ecdg import ExtendedChannelDependencyGraph
 from repro.pipeline import run_job
-from repro.pipeline.engine import catalog_specs
+from repro.pipeline.engine import DEFAULT_CONDITIONS, catalog_specs
 from repro.routing import RestrictedWaiting, make
 from repro.routing.duato_adaptive import DuatoFullyAdaptiveMesh
 from repro.routing.hpl import HighestPositiveLast
@@ -205,9 +208,10 @@ def test_registry_verify_builds_one_cdg_per_job(monkeypatch):
     assert built["cdgs"] == 21
 
 
-def test_acyclic_theorem_jobs_build_no_channel_views(monkeypatch):
+def count_views(monkeypatch) -> Counter:
+    """Count the Channel-keyed ``succ`` / ``wait`` / ``usable`` views built,
+    keyed by ``(view, reading module)``."""
     built: Counter = Counter()
-    acyclic: list[bool] = []
 
     def counted_view(name):
         slot = f"_{name}"
@@ -215,12 +219,19 @@ def test_acyclic_theorem_jobs_build_no_channel_views(monkeypatch):
 
         def get(dt):
             if getattr(dt, slot) is None:
-                built[name] += 1
+                reader = Path(sys._getframe(1).f_code.co_filename)
+                built[name, f"{reader.parent.name}/{reader.name}"] += 1
             return view.fget(dt)
         monkeypatch.setattr(DestinationTransitions, name, property(get))
 
-    for name in ("succ", "wait"):
+    for name in ("succ", "wait", "usable"):
         counted_view(name)
+    return built
+
+
+def test_acyclic_theorem_jobs_build_no_channel_views(monkeypatch):
+    built = count_views(monkeypatch)
+    acyclic: list[bool] = []
     init = ChannelWaitingGraph.__init__
 
     def record(g, *args, **kwargs):
@@ -237,6 +248,25 @@ def test_acyclic_theorem_jobs_build_no_channel_views(monkeypatch):
     assert sum(free for free, _ in views.values()) == 14
     # the two cyclic jobs' True-Cycle searches read cid masks as well
     assert {n: v for n, (_, v) in views.items() if v} == {}
+
+
+def test_default_condition_jobs_build_no_channel_views(monkeypatch):
+    """Duato's check (coherence, ECDG, R1), Dally--Seitz and triage read cid
+    masks on the whole registry at the ``--quick`` sizes.  The one job that
+    builds views is incoherent-example, whose theorem verdict takes the
+    Section 8 reduction (``core/reduction.py``, ``core/false_cycles.py``)."""
+    built = count_views(monkeypatch)
+    by_job = {}
+    for spec in catalog_specs(**QUICK):
+        assert spec.conditions == DEFAULT_CONDITIONS and spec.triage
+        before = Counter(built)
+        job = run_job(spec)
+        assert job.error is None, job.error
+        if built != before:
+            by_job[spec.algorithm] = built - before
+    assert list(by_job) == ["incoherent-example"]
+    assert {reader for _, reader in by_job["incoherent-example"]} == {
+        "core/reduction.py", "core/false_cycles.py"}
 
 
 # ----------------------------------------------------------------------
