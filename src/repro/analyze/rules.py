@@ -249,12 +249,11 @@ def check_coherent(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 def check_pairs_deliverable(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     net = ctx.network
     for dest in net.nodes:
-        dt = ctx.transitions[dest]
+        reach = ctx.transitions[dest].downstream_node_masks
         for src in net.nodes:
             if src == dest:
                 continue
-            reach = dt.reachable_from(net.injection_channel(src))
-            if not any(c.dst == dest for c in reach):
+            if not reach[net.injection_channel(src).cid] >> dest & 1:
                 yield Diagnostic(
                     rule="RR003", severity=Severity.ERROR,
                     message=f"no permitted path delivers {src} -> {dest}",

@@ -16,8 +16,8 @@ builder uses too): one adjacency row per channel, the OR over destinations
 of ``dt.downstream_wait_masks``, emits a
 :class:`~repro.core.depgraph.DepGraph`.  The destinations realizing each
 edge are computed only when read -- by the False-Resource-Cycle classifier,
-which re-derives concrete witness paths from them, by the Section 8
-reduction and by the ``edge_dests`` adapter view.
+which re-derives concrete witness paths from them (Theorem 2's cycle census
+and the Section 8 reduction), and by :meth:`DepGraph.iter_edges`.
 """
 
 from __future__ import annotations

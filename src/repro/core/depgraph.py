@@ -30,9 +30,9 @@ run *inside* each nontrivial SCC, never on the whole graph.  On the acyclic
 CWGs that dominate the catalog this replaces an exhaustive cycle search
 (seconds on an 8x8 mesh) with a linear scan.
 
-Channel-level views (``edge_dests`` dicts, :meth:`DepGraph.channel_edges`)
-are adapters for reports; this kernel is what the verifiers, the cycle
-routines and the Section 8 reduction actually execute on.
+Channel-level views (:meth:`DepGraph.channel_edges`) are adapters for
+reports; this kernel is what the verifiers, the cycle routines and the
+Section 8 reduction actually execute on.
 """
 
 from __future__ import annotations

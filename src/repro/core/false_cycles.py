@@ -131,31 +131,30 @@ class CycleClassifier:
     # ------------------------------------------------------------------
     def segments_for_edge(self, a: Channel, b: Channel) -> list[Segment]:
         """All witness segments realizing CWG edge ``(a, b)``, shortest first."""
+        net = self.algorithm.network
+        channel = net.channel
+        w = b.cid
         out: list[Segment] = []
-        for dest in sorted(self.cwg.destinations_for((a, b))):
+        for dest in bits(self.cwg.dep.mask_of(a.cid, w)):
             dt = self.transitions[dest]
-            if a not in dt.usable:
-                continue
+            succ, wait = dt.succ_masks, dt.wait_masks
+            if a.cid not in succ or not net.link_mask >> a.cid & 1:
+                continue  # ``a`` is not usable for ``dest``
             path: list[Channel] = [a]
-            on_path = {a}
 
-            def dfs(c: Channel) -> None:
+            def dfs(c: int, on_path: int) -> None:
                 if len(out) >= self.max_segments_per_edge:
                     return
-                if b in dt.wait.get(c, ()):
+                if wait.get(c, 0) >> w & 1:
                     out.append(Segment(dest, tuple(path), b))
                 if len(path) >= self.max_segment_len:
                     return
-                for nxt in sorted(dt.succ.get(c, ()), key=lambda ch: ch.cid):
-                    if nxt in on_path:
-                        continue
-                    path.append(nxt)
-                    on_path.add(nxt)
-                    dfs(nxt)
+                for nxt in bits(succ.get(c, 0) & ~on_path):
+                    path.append(channel(nxt))
+                    dfs(nxt, on_path | 1 << nxt)
                     path.pop()
-                    on_path.discard(nxt)
 
-            dfs(a)
+            dfs(a.cid, 1 << a.cid)
         out.sort(key=lambda s: len(s.path))
         return out
 

@@ -90,7 +90,7 @@ class CWGReducer:
     # ------------------------------------------------------------------
     # wait-connectivity under a removal set
     # ------------------------------------------------------------------
-    def surviving_waits(self, removed: frozenset[Edge]) -> dict[tuple[int, int], frozenset[Channel]] | None:
+    def surviving_waits(self, removed: frozenset[Edge]) -> dict[tuple[int, int], int] | None:
         """Per-state surviving waiting sets, or ``None`` if some state has none.
 
         Definition 10 "wait-connected for CWG'": at every reachable routing
@@ -101,22 +101,24 @@ class CWGReducer:
         sustain a deadlock once every leading dependency is covered.)
 
         Keys are ``(input_channel_cid, dest)``; values are the surviving
-        waiting channels.  Injection-channel states always survive: the CWG
-        has no vertices for injection channels, so no edge of theirs can be
-        removed.
+        waiting channels as a cid bitmask.  Injection-channel states always
+        survive: the CWG has no vertices for injection channels, so no edge
+        of theirs can be removed.
         """
-        out: dict[tuple[int, int], frozenset[Channel]] = {}
+        cut: dict[int, int] = {}
+        for u, v in removed:
+            cut[u.cid] = cut.get(u.cid, 0) | 1 << v.cid
+        heads = self.cwg.algorithm.network.heads
+        out: dict[tuple[int, int], int] = {}
         for dt in self.cwg.transitions.all_destinations():
-            for c, waits in dt.wait.items():
-                if c.dst == dt.dest:
+            dest = dt.dest
+            for a, waits in dt.wait_masks.items():
+                if heads[a] == dest:
                     continue
-                if c.is_link:
-                    ok = frozenset(w for w in waits if (c, w) not in removed)
-                else:
-                    ok = waits
+                ok = waits & ~cut.get(a, 0)
                 if not ok:
                     return None
-                out[(c.cid, dt.dest)] = ok
+                out[(a, dest)] = ok
         return out
 
     def is_wait_connected(self, removed: frozenset[Edge]) -> bool:

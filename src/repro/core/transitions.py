@@ -19,18 +19,18 @@ bit ``i`` set iff channel ``i`` is in the set:
   waiting channels (Definition 8) at state ``c``, states in BFS order;
 * ``usable_cids`` -- link channels reachable from any injection channel,
   i.e. channels some message headed to ``d`` can actually occupy;
-* ``downstream_wait_masks[c]`` -- the union of ``wait`` over every state
-  reachable from ``c`` *including itself*: by Definition 9 (arbitrary
+* ``downstream_wait_masks[c]`` -- the union of the waiting masks over every
+  state reachable from ``c`` *including itself*: by Definition 9 (arbitrary
   message lengths), these are precisely the channels some message occupying
   ``c`` may end up waiting on, i.e. the CWG out-neighbourhood contributed by
   destination ``d``;
 * ``upstream_masks[c]`` -- link channels from which state ``c`` is
-  reachable: channels a message *blocked at* ``c`` might still hold, which
-  is what the CWG' reduction's wait-connectivity test needs;
+  reachable: channels a message *blocked at* ``c`` might still hold;
 * ``downstream_node_masks[c]`` -- the nodes of every state reachable from
   ``c``, itself included, as a node-id bitmask: what the coherence
   certificate in :mod:`repro.routing.properties` reads (``c`` can still
-  reach ``d`` iff bit ``d`` is set).
+  reach ``d`` iff bit ``d`` is set), and the linter's deliverability rule
+  (an injection channel's mask says which destinations its source reaches).
 
 Reachable-set computation runs on the SCC condensation so cyclic
 (nonminimal) relations cost the same as acyclic ones.
@@ -39,11 +39,13 @@ For an ``R(n, d)`` relation (:func:`~repro.routing.relation.is_node_dest`)
 the walk evaluates the relation once per *row* -- once per node -- and every
 input channel at that node shares the row's mask pair.
 
-``succ``, ``wait``, ``usable``, ``downstream_wait`` and ``upstream`` are
-Channel-keyed adapters over the masks, built on first read (in the walk's
-BFS order) for the consumers that still want objects; the graph builders,
-Definition 10, the coherence certificate and the relation fingerprint never
-read them.
+The masks are the one representation: every consumer -- the graph
+builders, Definition 10, the Section 7.2 classifier, the Section 8
+reduction, Theorem 3's CWG' candidates
+(:meth:`DestinationTransitions.with_waits`), the coherence certificate, the
+linter and the relation fingerprint -- reads them, and builds a
+:class:`~repro.topology.channel.Channel` only for a witness or a message.
+``usable`` is the one Channel view left, for the benchmark harness.
 
 :class:`TransitionGraph` is the one builder behind the CWG, the CDG and the
 fuzzers' planted immediate-wait CWG: it ORs one per-state target mask per
@@ -54,6 +56,7 @@ kernel consults only when a consumer reads them.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from typing import TypeVar
 
@@ -136,25 +139,26 @@ class DestinationTransitions:
         #: the walk shared each node's row among the node's states
         self._node_rows = rows is not None
         self._local: dict[bool, _Condensation] = {}
-        self._succ: dict[Channel, frozenset[Channel]] | None = None
-        self._wait: dict[Channel, frozenset[Channel]] | None = None
         self._usable: frozenset[Channel] | None = None
-        self._downstream_wait: dict[Channel, frozenset[Channel]] | None = None
-        self._upstream: dict[Channel, frozenset[Channel]] | None = None
 
     # ------------------------------------------------------------------
     # derived cid-bitmask views (canonical for the graph builders)
     # ------------------------------------------------------------------
     @property
     def downstream_wait_masks(self) -> dict[int, int]:
-        """``state cid -> bitmask`` form of :attr:`downstream_wait`."""
+        """``state cid -> bitmask`` of the waiting channels of every state
+        reachable from the state, itself included: the CWG out-neighbourhood
+        (Definition 9) this destination contributes."""
         if self._downstream_wait_masks is None:
             self._downstream_wait_masks = self._propagate(self.wait_masks, forward=True)
         return self._downstream_wait_masks
 
     @property
     def upstream_masks(self) -> dict[int, int]:
-        """``state cid -> bitmask`` form of :attr:`upstream`."""
+        """``state cid -> bitmask`` of the link channels from which the
+        state is reachable, itself included: the channels a message blocked
+        there may hold (a held injection channel can never be another
+        message's waiting channel)."""
         if self._upstream_masks is None:
             links = self.algorithm.network.link_mask
             held = {a: links & (1 << a) for a in self.succ_masks}
@@ -171,37 +175,7 @@ class DestinationTransitions:
             self._downstream_node_masks = self._propagate(at, forward=True)
         return self._downstream_node_masks
 
-    # ------------------------------------------------------------------
-    # Channel adapter views, built on first read
-    # ------------------------------------------------------------------
-    def _materialize(self, masks: dict[int, int]) -> dict[Channel, frozenset[Channel]]:
-        """``state -> set`` over Channel objects, states in BFS order; states
-        with equal masks share one frozenset."""
-        channel = self.algorithm.network.channel
-        memo: dict[int, frozenset[Channel]] = {}
-        out: dict[Channel, frozenset[Channel]] = {}
-        for a in self.succ_masks:
-            m = masks[a]
-            fs = memo.get(m)
-            if fs is None:
-                fs = memo[m] = frozenset([channel(b) for b in bits(m)])
-            out[channel(a)] = fs
-        return out
-
-    @property
-    def succ(self) -> dict[Channel, frozenset[Channel]]:
-        """State -> permitted outputs (adapter view of :attr:`succ_masks`)."""
-        if self._succ is None:
-            self._succ = self._materialize(self.succ_masks)
-        return self._succ
-
-    @property
-    def wait(self) -> dict[Channel, frozenset[Channel]]:
-        """State -> waiting channels (adapter view of :attr:`wait_masks`)."""
-        if self._wait is None:
-            self._wait = self._materialize(self.wait_masks)
-        return self._wait
-
+    # the one Channel view left: bench/workloads.py reads it
     @property
     def usable(self) -> frozenset[Channel]:
         """Link channels a message headed to ``dest`` can occupy."""
@@ -210,24 +184,21 @@ class DestinationTransitions:
             self._usable = frozenset([channel(a) for a in self.usable_cids])
         return self._usable
 
-    @property
-    def downstream_wait(self) -> dict[Channel, frozenset[Channel]]:
-        """CWG out-neighbourhoods: waiting sets over all reachable states."""
-        if self._downstream_wait is None:
-            self._downstream_wait = self._materialize(self.downstream_wait_masks)
-        return self._downstream_wait
+    def with_waits(self, wait_masks: dict[int, int]) -> DestinationTransitions:
+        """This walk under another waiting discipline: the same states,
+        successors, usable channels and state-graph condensation, with
+        ``wait_masks`` in place of the relation's waiting sets.
 
-    @property
-    def upstream(self) -> dict[Channel, frozenset[Channel]]:
-        """For each state ``c``: link channels a message at ``c`` may hold.
-
-        The reflexive-transitive predecessors of ``c`` in the state graph,
-        restricted to link channels (a held injection channel can never be
-        another message's waiting channel).
+        Theorem 3's CWG' candidates are built this way, without walking the
+        relation again.  A candidate discipline need not be a function of
+        the node (a repaired one is keyed by input channel), so the copy
+        propagates on the state graph.
         """
-        if self._upstream is None:
-            self._upstream = self._materialize(self.upstream_masks)
-        return self._upstream
+        dt = copy.copy(self)
+        dt.wait_masks = wait_masks
+        dt._downstream_wait_masks = None
+        dt._node_rows = False
+        return dt
 
     def _condensation(self, by_node: bool) -> _Condensation:
         """The state graph -- or, ``by_node``, the node graph -- on local
@@ -320,18 +291,6 @@ class DestinationTransitions:
                     if lj != li:
                         comp_val[lj] |= val
         return {a: comp_val[labels[v]] for v, a in zip(vertex, cids)}
-
-    def reachable_from(self, start: Channel) -> frozenset[Channel]:
-        """States reachable from ``start`` (inclusive)."""
-        succ = self.succ_masks
-        seen = 1 << start.cid
-        stack = [start.cid]
-        while stack:
-            fresh = succ.get(stack.pop(), 0) & ~seen
-            seen |= fresh
-            stack.extend(bits(fresh))
-        channel = self.algorithm.network.channel
-        return frozenset([channel(a) for a in bits(seen)])
 
 
 class TransitionCache:
@@ -464,25 +423,6 @@ class TransitionGraph:
             adjacency_rows(net.num_channels, dts, self.targets),
             DestinationWitnesses(dts, self.targets),
         )
-        self._edge_dests: dict[tuple[Channel, Channel], set[int]] | None = None
-
-    # ------------------------------------------------------------------
-    # Channel-level adapter views
-    # ------------------------------------------------------------------
-    @property
-    def edge_dests(self) -> dict[tuple[Channel, Channel], set[int]]:
-        """edge -> destinations whose traffic realizes it (adapter view)."""
-        if self._edge_dests is None:
-            channel = self.algorithm.network.channel
-            self._edge_dests = {
-                (channel(u), channel(v)): set(bits(m))
-                for u, v, m in self.dep.iter_edges()
-            }
-        return self._edge_dests
-
-    def destinations_for(self, edge: tuple[Channel, Channel]) -> frozenset[int]:
-        a, b = edge
-        return frozenset(bits(self.dep.mask_of(a.cid, b.cid)))
 
     @classmethod
     def from_depgraph(
@@ -502,7 +442,6 @@ class TransitionGraph:
         self.algorithm = algorithm
         self.transitions = transitions or TransitionCache(algorithm)
         self.dep = dep
-        self._edge_dests = None
         return self
 
     # ------------------------------------------------------------------

@@ -11,12 +11,13 @@ teeth.
 Variants
 --------
 ``cwg-immediate``
-    Builds the CWG from *immediate* waiting sets only (``dt.wait`` instead
-    of ``dt.downstream_wait``), ignoring the Definition 9 note that a
-    message of arbitrary length can occupy ``c1`` while waiting arbitrarily
-    far downstream.  The broken graph is missing wait edges, so the theorem
-    checker wrongly certifies relations whose deadlocks involve multi-hop
-    holds -- exactly what SPECIFIC-policy random relations exercise.
+    Builds the CWG from *immediate* waiting sets only (``dt.wait_masks``
+    instead of ``dt.downstream_wait_masks``), ignoring the Definition 9
+    note that a message of arbitrary length can occupy ``c1`` while waiting
+    arbitrarily far downstream.  The broken graph is missing wait edges, so
+    the theorem checker wrongly certifies relations whose deadlocks involve
+    multi-hop holds -- exactly what SPECIFIC-policy random relations
+    exercise.
     (ANY-policy verdicts are no longer fooled: Theorem 3's blocked-chain
     and configuration searches read the transition cache, not the
     dependency graph, so this variant's teeth are specific-waiting cases.)

@@ -85,16 +85,17 @@ class TableCase:
         # verifiers and the simulator touch): relations may legitimately
         # refuse -- or even raise on -- queries for states no message can
         # reach, and those states cannot affect any verdict.
+        from ..core.depgraph import bits
         from ..core.transitions import TransitionCache
 
         for dt in TransitionCache(algorithm).all_destinations():
-            for c_in, out in dt.succ.items():
+            for a, out in dt.succ_masks.items():
                 if not out:
                     continue
-                node = c_in.dst
-                key = _key_nd(node, dt.dest) if nd else _key_cnd(c_in, dt.dest)
-                routes[key] = sorted(c.cid for c in out)
-                waits[key] = sorted(c.cid for c in dt.wait[c_in])
+                key = (_key_nd(net.heads[a], dt.dest) if nd
+                       else _key_cnd(net.channel(a), dt.dest))
+                routes[key] = list(bits(out))
+                waits[key] = list(bits(dt.wait_masks[a]))
         return cls(
             name=f"table[{algorithm.name}]",
             num_nodes=net.num_nodes,

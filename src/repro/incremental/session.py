@@ -502,35 +502,29 @@ def default_table_edit(session: IncrementalSession) -> tuple[TableEdit, TableEdi
     fallback: tuple[str, tuple[int, ...]] | None = None
     for dest in sorted(net.nodes):
         dt = session.tc[dest]
-        for c in sorted(dt.succ, key=lambda ch: ch.cid):
-            if c.dst == dest:
-                continue
-            routes = dt.succ[c]
+        for a in sorted(dt.succ_masks):
+            routes = dt.succ_masks[a]
             if not routes:
                 continue
+            c = net.channel(a)
             key = overlay.table_key(c, c.dst, dest)
             if key in overlay.edits:
                 continue
-            if len(routes) >= 2:
-                keep = sorted(routes, key=lambda ch: ch.cid)[:-1]
-                waits = sorted(
-                    (w.cid for w in dt.wait[c] if w in set(keep))
-                )
+            if routes & (routes - 1):
+                keep = routes & ~(1 << (routes.bit_length() - 1))
                 edit = TableEdit(
                     key,
-                    routes=tuple(ch.cid for ch in keep),
-                    waits=tuple(waits),
+                    routes=tuple(bits(keep)),
+                    waits=tuple(bits(dt.wait_masks[a] & keep)),
                 )
                 return edit, TableEdit(key)
             if fallback is None:
-                node = c.dst
                 alts = [
-                    ch for ch in net.link_channels
-                    if ch.src == node and ch not in routes
+                    ch.cid for ch in net.link_channels
+                    if ch.src == c.dst and not routes >> ch.cid & 1
                 ]
                 if alts:
-                    alt = min(alts, key=lambda ch: ch.cid)
-                    fallback = (key, (alt.cid,))
+                    fallback = (key, (min(alts),))
     if fallback is not None:
         key, cids = fallback
         return TableEdit(key, routes=cids), TableEdit(key)

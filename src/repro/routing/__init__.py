@@ -10,7 +10,7 @@ examples of Figures 1 and 4.
 """
 
 from .adaptive3d import MinimalAdaptive3D
-from .catalog import CATALOG, CatalogEntry, entries_for_topology, make
+from .catalog import CATALOG, make
 from .duato_adaptive import (
     DuatoFullyAdaptiveHypercube,
     DuatoFullyAdaptiveMesh,
@@ -62,7 +62,6 @@ from .unrestricted import UnrestrictedMinimal
 
 __all__ = [
     "CATALOG",
-    "CatalogEntry",
     "CreditSelection",
     "DallySeitzTorus",
     "DimensionOrderHypercube",
@@ -94,7 +93,6 @@ __all__ = [
     "as_cnd",
     "count_minimal_paths",
     "count_paths",
-    "entries_for_topology",
     "enumerate_paths",
     "first_free",
     "has_route",

@@ -7,8 +7,7 @@ the *population site* of :mod:`repro.scenario`: every entry is a
 verification-sized :class:`~repro.scenario.TopologySpec`, VC requirement,
 certifying theorem, expected verdict, selection policy) registered into the
 shared registry.  ``CATALOG`` *is* that registry mapping -- existing callers
-keep iterating ``sorted(CATALOG)`` and indexing ``CATALOG[name]`` -- and
-``CatalogEntry`` is a backward-compatible alias of ``ScenarioSpec``.
+keep iterating ``sorted(CATALOG)`` and indexing ``CATALOG[name]``.
 """
 
 from __future__ import annotations
@@ -35,9 +34,6 @@ from .ring_example import RingExample
 from .torus_vc import DallySeitzTorus
 from .turn_model import NegativeFirst, NorthLast, WestFirst
 from .unrestricted import UnrestrictedMinimal
-
-#: backward-compatible name: one registered scenario
-CatalogEntry = ScenarioSpec
 
 #: the live scenario registry (shared object, not a copy)
 CATALOG: dict[str, ScenarioSpec] = scenario.REGISTRY
@@ -194,8 +190,3 @@ def make(name: str, network: Network, **kwargs: Any) -> RoutingAlgorithm:
     except KeyError:
         raise KeyError(f"unknown routing algorithm {name!r}; have {sorted(CATALOG)}") from None
     return entry.factory(network, **kwargs)  # type: ignore[call-arg]
-
-
-def entries_for_topology(topology: str) -> list[ScenarioSpec]:
-    """All catalog entries whose canonical topology family is ``topology``."""
-    return [e for e in CATALOG.values() if e.family == topology]

@@ -8,8 +8,8 @@ Two registries live here:
   add more via :func:`register_family`.
 * **scenarios** -- ``name -> ScenarioSpec``.  ``repro.routing.catalog``
   populates it with every relation the repository certifies; the mapping
-  object itself is exported there as ``CATALOG`` for backward-compatible
-  iteration (``sorted(CATALOG)``, membership tests, ``CATALOG[name]``).
+  object itself is exported there as ``CATALOG`` (``sorted(CATALOG)``,
+  membership tests, ``CATALOG[name]``).
 
 This module imports only :mod:`repro.topology`, never :mod:`repro.routing`,
 so relation modules are free to import it for registration.

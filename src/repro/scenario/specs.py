@@ -171,12 +171,10 @@ class TopologySpec:
 class ScenarioSpec:
     """One registered scenario: relation factory + canonical topology + knobs.
 
-    This is the former ``routing.catalog.CatalogEntry`` with the topology
-    string widened to a full :class:`TopologySpec` and the simulator's
-    output-selection policy added as a per-scenario knob.  ``topology`` is
-    the *canonical verification-sized* instance; drivers that want other
-    sizes derive them with :meth:`topology_for` / ``TopologySpec.with_dims``
-    rather than inventing their own dims convention.
+    ``topology`` is the *canonical verification-sized* instance; drivers
+    that want other sizes derive them with :meth:`topology_for` /
+    ``TopologySpec.with_dims`` rather than inventing their own dims
+    convention.
     """
 
     #: registry key, e.g. ``"duato-mesh"``

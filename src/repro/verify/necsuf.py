@@ -28,8 +28,10 @@ from typing import Any
 
 from ..core.cwg import ChannelWaitingGraph, wait_connected
 from ..core.cycles import find_cycles, find_one_cycle
+from ..core.depgraph import bits
 from ..core.false_cycles import CycleClass, CycleClassifier, Segment
 from ..core.reduction import CWGReducer
+from ..core.transitions import TransitionCache
 from ..routing.relation import RoutingAlgorithm, WaitPolicy
 from ..topology.channel import Channel
 from .report import Verdict
@@ -258,13 +260,8 @@ def theorem3(
     # exactly how the paper handles the wait-on-any variants of its Section
     # 9 algorithms: "CWG' is restricted to the first virtual channel in the
     # lowest dimension".)
-    narrowings: tuple[tuple[str, Callable[[Channel], Any]], ...] = (
-        ("lowest VC class", lambda c: (c.vc, c.cid)),
-        ("lowest cid", lambda c: c.cid),
-    )
-    for label, key in narrowings:
-        narrowed = _NarrowedWaiting(algorithm, key)
-        ncwg = ChannelWaitingGraph(narrowed)
+    for label, key in _NARROWINGS:
+        ncwg = _discipline_cwg(cwg, _narrowed(cwg, key))
         if find_one_cycle(ncwg.dep) is None:
             return Verdict(
                 algorithm.name, "Theorem 3", True,
@@ -323,7 +320,7 @@ def theorem3(
     surviving = dict(reducer.surviving_waits(result.removed) or {})
     seen_disciplines = {frozenset(surviving.items())}
     for _ in range(32):
-        ncwg = ChannelWaitingGraph(_ReducedWaiting(algorithm, surviving))
+        ncwg = _discipline_cwg(cwg, surviving)
         if find_one_cycle(ncwg.dep) is None:
             break
         check = TrueCycleSearch(ncwg, max_nodes=max_nodes).search()
@@ -369,8 +366,43 @@ def theorem3(
     )
 
 
+#: Section 9's narrowed disciplines: each state waits on the least of its
+#: waiting channels under the key
+_NARROWINGS: tuple[tuple[str, Callable[[Channel], Any]], ...] = (
+    ("lowest VC class", lambda c: (c.vc, c.cid)),
+    ("lowest cid", lambda c: c.cid),
+)
+
+
+def _narrowed(cwg: ChannelWaitingGraph, key: Callable[[Channel], Any]) -> dict[tuple[int, int], int]:
+    """The discipline narrowing every waiting set of ``cwg``'s relation to
+    its least channel under ``key``, as ``(state cid, dest) -> wait mask``."""
+    channel = cwg.algorithm.network.channel
+    return {
+        (a, dt.dest): 1 << min(bits(w), key=lambda b: key(channel(b)))
+        for dt in cwg.transitions.all_destinations()
+        for a, w in dt.wait_masks.items() if w
+    }
+
+
+def _discipline_cwg(
+    cwg: ChannelWaitingGraph, discipline: dict[tuple[int, int], int]
+) -> ChannelWaitingGraph:
+    """A CWG' candidate: the CWG of ``cwg``'s relation when each state waits
+    on ``discipline[(state cid, dest)]`` (a cid mask; states it does not name
+    keep the relation's waiting set).  Built on the relation's own walks
+    (:meth:`~repro.core.transitions.DestinationTransitions.with_waits`),
+    never walking the relation again."""
+    tc = TransitionCache(cwg.algorithm)
+    for dt in cwg.transitions.all_destinations():
+        d = dt.dest
+        tc.store(d, dt.with_waits(
+            {a: discipline.get((a, d), w) for a, w in dt.wait_masks.items()}))
+    return ChannelWaitingGraph(cwg.algorithm, transitions=tc)
+
+
 def _repair_discipline(
-    surviving: dict[tuple[int, int], frozenset[Channel]],
+    surviving: dict[tuple[int, int], int],
     witness: list[Segment],
     cwg: ChannelWaitingGraph,
 ) -> bool:
@@ -384,18 +416,19 @@ def _repair_discipline(
     offers alternatives, the state is re-widened to those instead.  Returns
     False when no state of the witness can be changed.
     """
-    swap: tuple[tuple[int, int], frozenset[Channel]] | None = None
+    swap: tuple[tuple[int, int], int] | None = None
     for seg in witness:
-        tail = seg.path[-1]
-        key = (tail.cid, seg.dest)
-        original = frozenset(cwg.transitions[seg.dest].wait.get(tail, ()))
+        tail = seg.path[-1].cid
+        key = (tail, seg.dest)
+        original = cwg.transitions[seg.dest].wait_masks.get(tail, 0)
         cur = surviving.get(key, original)
-        if seg.waits_on not in cur:
+        bit = 1 << seg.waits_on.cid
+        if not cur & bit:
             continue
-        if len(cur) > 1:
-            surviving[key] = cur - {seg.waits_on}
+        if cur & ~bit:
+            surviving[key] = cur & ~bit
             return True
-        alts = original - {seg.waits_on}
+        alts = original & ~bit
         if alts and swap is None:
             swap = (key, alts)
     if swap is not None:
@@ -469,64 +502,6 @@ def _theorem3_config_decision(
             },
         )
     return fallback
-
-
-class _ReducedWaiting(RoutingAlgorithm):
-    """The CWG' waiting discipline as a specific-waiting algorithm.
-
-    Routes are unchanged; the waiting set at every reachable state is the
-    per-state set that survived the Section 8 removals.  Used by Theorem 3
-    to verify a reduction certificate on the full downstream-propagated CWG.
-    """
-
-    def __init__(
-        self,
-        inner: RoutingAlgorithm,
-        surviving: dict[tuple[int, int], frozenset[Channel]],
-    ) -> None:
-        super().__init__(inner.network)
-        self.inner = inner
-        self.surviving = surviving
-        self.name = f"{inner.name}#cwg-prime"
-        self.form = inner.form
-        self.wait_policy = WaitPolicy.SPECIFIC
-
-    def route(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        return self.inner.route(c_in, node, dest)
-
-    def waiting_subset(self, c_in: Channel, node: int, dest: int,
-                       permitted: frozenset[Channel]) -> frozenset[Channel]:
-        waits = self.surviving.get((c_in.cid, dest))
-        if waits is None:
-            return self.inner.waiting_subset(c_in, node, dest, permitted)
-        return waits
-
-
-class _NarrowedWaiting(RoutingAlgorithm):
-    """A per-state single-waiting-channel narrowing of an algorithm.
-
-    Same routing relation; the waiting set at every state is collapsed to
-    the minimum element under ``key``.  Used by Theorem 3 as a cheap CWG'
-    candidate generator.
-    """
-
-    def __init__(self, inner: RoutingAlgorithm, key: Callable[[Channel], Any]) -> None:
-        super().__init__(inner.network)
-        self.inner = inner
-        self.key = key
-        self.name = f"{inner.name}#narrowed"
-        self.form = inner.form
-        self.wait_policy = WaitPolicy.SPECIFIC
-
-    def route(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        return self.inner.route(c_in, node, dest)
-
-    def waiting_subset(self, c_in: Channel, node: int, dest: int,
-                       permitted: frozenset[Channel]) -> frozenset[Channel]:
-        waits = self.inner.waiting_subset(c_in, node, dest, permitted)
-        if not waits:
-            return waits
-        return frozenset([min(waits, key=self.key)])
 
 
 # ----------------------------------------------------------------------

@@ -75,7 +75,7 @@ class TestSingleWaitOnly:
         for seg in outcome.true_cycle.witness:
             final = seg.path[-1]
             dt = cwg.transitions[seg.dest]
-            assert len(dt.wait[final]) == 1
+            assert dt.wait_masks[final.cid].bit_count() == 1
 
     def test_safe_algorithm_clean_under_single_wait(self, cube3_2vc):
         cwg = ChannelWaitingGraph(EnhancedFullyAdaptive(cube3_2vc, wait_any=True))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import DestinationTransitions, TransitionCache, bits
-from repro.routing import CATALOG, DimensionOrderMesh, IncoherentExample, make
+from repro.routing import DimensionOrderMesh, IncoherentExample, make
 from repro.topology import build_mesh
 
 
@@ -14,6 +14,9 @@ class TestFigure1:
         self.net = build_figure1_network()
         self.ra = IncoherentExample(self.net)
         self.by = self.net.channel_by_label
+
+    def labels(self, mask):
+        return {self.net.channel(b).label for b in bits(mask)}
 
     def test_usable_channels_for_dest0(self):
         dt = DestinationTransitions(self.ra, 0)
@@ -27,29 +30,29 @@ class TestFigure1:
 
     def test_succ_respects_relation(self):
         dt = DestinationTransitions(self.ra, 0)
-        assert dt.succ[self.by("cA1")] == frozenset([self.by("cL2"), self.by("cB2")])
-        assert dt.succ[self.by("cL2")] == frozenset([self.by("cL1"), self.by("cA1")])
+        assert self.labels(dt.succ_masks[self.by("cA1").cid]) == {"cL2", "cB2"}
+        assert self.labels(dt.succ_masks[self.by("cL2").cid]) == {"cL1", "cA1"}
 
     def test_delivered_states_have_no_succ(self):
         dt = DestinationTransitions(self.ra, 0)
-        assert dt.succ[self.by("cL1")] == frozenset()
+        assert dt.succ_masks[self.by("cL1").cid] == 0
 
     def test_downstream_wait_closure(self):
         dt = DestinationTransitions(self.ra, 0)
-        down = dt.downstream_wait
+        down = dt.downstream_wait_masks
         # from cL3 every waiting channel of the detour loop is downstream
-        assert {c.label for c in down[self.by("cL3")]} == {"cL1", "cL2", "cB2", "cA1"}
+        assert self.labels(down[self.by("cL3").cid]) == {"cL1", "cL2", "cB2", "cA1"}
 
     def test_upstream_includes_detour_loop(self):
         dt = DestinationTransitions(self.ra, 0)
-        up = dt.upstream
+        up = dt.upstream_masks
         # a message at state cA1 may hold any loop channel or cL3
-        assert {c.label for c in up[self.by("cA1")]} >= {"cA1", "cL2", "cB2", "cL3"}
+        assert self.labels(up[self.by("cA1").cid]) >= {"cA1", "cL2", "cB2", "cL3"}
 
     def test_reachable_from(self):
         dt = DestinationTransitions(self.ra, 0)
-        reach = dt.reachable_from(self.by("cL2"))
-        assert self.by("cL1") in reach and self.by("cB2") in reach
+        reach = _reach(lambda a: bits(dt.succ_masks[a]), self.by("cL2").cid)
+        assert self.by("cL1").cid in reach and self.by("cB2").cid in reach
 
 
 class TestCache:
@@ -61,36 +64,23 @@ class TestCache:
     def test_ecube_single_successor(self, mesh33):
         cache = TransitionCache(DimensionOrderMesh(mesh33))
         dt = cache[8]
-        for c, outs in dt.succ.items():
-            if c.dst != 8:
-                assert len(outs) == 1
+        for a, out in dt.succ_masks.items():
+            if mesh33.heads[a] != 8:
+                assert out.bit_count() == 1
 
     def test_wait_subset_of_succ(self, mesh33):
         cache = TransitionCache(DimensionOrderMesh(mesh33))
         for dt in cache.all_destinations():
-            for c in dt.succ:
-                assert dt.wait[c] <= dt.succ[c]
+            for a, out in dt.succ_masks.items():
+                assert not dt.wait_masks[a] & ~out
 
 
-def test_mask_views_match_frozenset_adapters():
-    net = build_mesh((4, 4), num_vcs=CATALOG["duato-mesh"].min_vcs)
-    tc = TransitionCache(make("duato-mesh", net))
-    for dest in (0, 5, 12):
-        dt = tc[dest]
-        dw_masks = dt.downstream_wait_masks
-        up_masks = dt.upstream_masks
-        for cid in dt.usable_cids:
-            assert {c.cid for c in dt.downstream_wait[net.channel(cid)]} \
-                == set(bits(dw_masks[cid]))
-            assert {c.cid for c in dt.upstream[net.channel(cid)]} \
-                == set(bits(up_masks[cid]))
-
-
-def _reach(dt, start):
-    """States reachable from ``start`` (inclusive), by plain search."""
+def _reach(succ, start):
+    """States reachable from ``start`` (inclusive) over ``succ(state)``, by
+    plain search."""
     seen, stack = {start}, [start]
     while stack:
-        for o in dt.succ[stack.pop()]:
+        for o in succ(stack.pop()):
             if o not in seen:
                 seen.add(o)
                 stack.append(o)
@@ -106,19 +96,21 @@ def test_propagations_match_plain_reachability(name, dims, vcs):
     from repro.topology import build_figure1_network
 
     net = build_figure1_network() if dims is None else build_mesh(dims, num_vcs=vcs)
-    tc = TransitionCache(make(name, net))
+    algorithm = make(name, net)
+    tc = TransitionCache(algorithm)
     for dt in tc.all_destinations():
-        for c in dt.succ:
-            down = _reach(dt, c)
-            up = {p for p in dt.succ if c in _reach(dt, p)}
+        succ, wait = _reference_walk(algorithm, dt.dest)
+        for c in succ:
+            down = _reach(succ.__getitem__, c)
+            up = {p for p in succ if c in _reach(succ.__getitem__, p)}
             assert set(bits(dt.downstream_wait_masks[c.cid])) \
-                == {w.cid for s in down for w in dt.wait[s]}
+                == {w.cid for s in down for w in wait[s]}
             assert set(bits(dt.downstream_node_masks[c.cid])) == {s.dst for s in down}
             assert set(bits(dt.upstream_masks[c.cid])) == {p.cid for p in up if p.is_link}
 
 
 # ----------------------------------------------------------------------
-# masks filled by the walk vs the Channel adapter views
+# masks filled by the walk vs an independent Channel-keyed walk
 # ----------------------------------------------------------------------
 def _reference_walk(algorithm, dest):
     """A Channel-keyed walk, one relation evaluation per state: states in
@@ -150,18 +142,14 @@ def _mask(channels):
     return m
 
 
-def assert_views_match_masks(algorithm):
-    for dest in algorithm.network.nodes:
-        dt = DestinationTransitions(algorithm, dest)
-        ref_succ, ref_wait = _reference_walk(algorithm, dest)
-        # the views, read after the masks, keep the walk's BFS order
-        assert list(dt.succ) == list(ref_succ) == list(dt.wait)
-        assert list(dt.succ_masks) == [c.cid for c in ref_succ]
-        assert dt.succ == ref_succ and dt.wait == ref_wait
-        assert dt.succ_masks == {c.cid: _mask(out) for c, out in dt.succ.items()}
-        assert dt.wait_masks == {c.cid: _mask(w) for c, w in dt.wait.items()}
-        assert dt.usable_cids == sorted(c.cid for c in dt.succ if c.is_link)
-        assert dt.usable == {c for c in dt.succ if c.is_link}
+def assert_masks_match_reference(algorithm, dt):
+    """``dt``'s masks are the reference walk's sets, states in its BFS order."""
+    ref_succ, ref_wait = _reference_walk(algorithm, dt.dest)
+    assert list(dt.succ_masks) == [c.cid for c in ref_succ] == list(dt.wait_masks)
+    assert dt.succ_masks == {c.cid: _mask(out) for c, out in ref_succ.items()}
+    assert dt.wait_masks == {c.cid: _mask(w) for c, w in ref_wait.items()}
+    assert dt.usable_cids == sorted(c.cid for c in ref_succ if c.is_link)
+    assert dt.usable == {c for c in ref_succ if c.is_link}
 
 
 def _quick_scenarios():
@@ -175,7 +163,9 @@ def _quick_scenarios():
 @pytest.mark.parametrize("name, topology", _quick_scenarios(),
                          ids=[n for n, _ in _quick_scenarios()])
 def test_walk_masks_match_channel_views(name, topology):
-    assert_views_match_masks(make(name, topology.build()))
+    algorithm = make(name, topology.build())
+    for dest in algorithm.network.nodes:
+        assert_masks_match_reference(algorithm, DestinationTransitions(algorithm, dest))
 
 
 def test_walk_masks_match_channel_views_on_an_overlay():
@@ -189,9 +179,8 @@ def test_walk_masks_match_channel_views_on_an_overlay():
         session.apply(down)
         session.apply(edit)
         assert session.overlay.down and session.overlay.edits
-        assert_views_match_masks(session.overlay)
         for dest in session.overlay.network.nodes:
+            assert_masks_match_reference(
+                session.overlay, DestinationTransitions(session.overlay, dest))
             # the session's own walks, rebuilt under the recorder, agree too
-            dt = session.tc[dest]
-            assert dt.succ_masks == {c.cid: _mask(o) for c, o in dt.succ.items()}
-            assert dt.wait_masks == {c.cid: _mask(w) for c, w in dt.wait.items()}
+            assert_masks_match_reference(session.overlay, session.tc[dest])

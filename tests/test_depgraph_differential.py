@@ -21,6 +21,7 @@ from repro.core import (
     ChannelWaitingGraph,
     Cycle,
     TransitionCache,
+    bits,
     find_cycles,
     find_one_cycle,
 )
@@ -39,13 +40,23 @@ from tests.nx_reference import nx_view
 # ----------------------------------------------------------------------
 # naive reference builders (straight from Definitions 8/9, no kernel)
 # ----------------------------------------------------------------------
-def naive_downstream_wait(dt):
+def channel_sets(dt, masks):
+    """``state -> frozenset[Channel]`` from a per-state cid-mask map."""
+    channel = dt.algorithm.network.channel
+    return {channel(a): frozenset(channel(b) for b in bits(m)) for a, m in masks.items()}
+
+
+def naive_downstream_wait(succ, wait):
     """Union of waiting sets over all states reachable from each state."""
     out = {}
-    for c in dt.succ:
-        out[c] = frozenset().union(
-            *(dt.wait[s] for s in dt.reachable_from(c))
-        )
+    for c in succ:
+        seen, stack = {c}, [c]
+        while stack:
+            for o in succ[stack.pop()]:
+                if o not in seen:
+                    seen.add(o)
+                    stack.append(o)
+        out[c] = frozenset().union(*(wait[s] for s in seen))
     return out
 
 
@@ -53,31 +64,41 @@ def naive_edge_dests(algorithm, *, waiting: bool):
     """``(c1, c2) -> {dests}`` built with per-state BFS and Python sets."""
     edges = {}
     for dt in TransitionCache(algorithm).all_destinations():
-        tmap = naive_downstream_wait(dt) if waiting else dt.succ
-        for c1 in dt.usable:
+        succ = channel_sets(dt, dt.succ_masks)
+        tmap = naive_downstream_wait(succ, channel_sets(dt, dt.wait_masks)) if waiting else succ
+        for c1 in succ:
+            if not c1.is_link:
+                continue
             for c2 in tmap[c1]:
                 edges.setdefault((c1, c2), set()).add(dt.dest)
     return edges
+
+
+def edge_dests(graph):
+    """``(c1, c2) -> {dests}`` read off a built graph's kernel."""
+    channel = graph.algorithm.network.channel
+    return {(channel(u), channel(v)): set(bits(m)) for u, v, m in graph.dep.iter_edges()}
 
 
 def naive_ecdg_edges(algorithm, escape):
     """ECDG edge set via the definition: direct + indirect dependencies."""
     edges = set()
     for dt in TransitionCache(algorithm).all_destinations():
-        for ci in dt.usable:
-            if ci not in escape:
+        succ = channel_sets(dt, dt.succ_masks)
+        for ci in succ:
+            if not ci.is_link or ci not in escape:
                 continue
-            for cj in dt.succ[ci]:
+            for cj in succ[ci]:
                 if cj in escape:
                     edges.add((ci, cj))
             seen = set()
-            stack = [c for c in dt.succ[ci] if c not in escape]
+            stack = [c for c in succ[ci] if c not in escape]
             while stack:
                 q = stack.pop()
                 if q in seen:
                     continue
                 seen.add(q)
-                for cj in dt.succ.get(q, ()):
+                for cj in succ.get(q, ()):
                     if cj in escape:
                         edges.add((ci, cj))
                     elif cj not in seen:
@@ -96,16 +117,16 @@ class TestWitnessSetsBitForBit:
     def test_cwg_witnesses(self, name, factory, fixture, request):
         ra = factory(request.getfixturevalue(fixture))
         cwg = ChannelWaitingGraph(ra)
-        assert cwg.edge_dests == naive_edge_dests(ra, waiting=True)
-        # the same sets through the mask API
-        for edge, dests in cwg.edge_dests.items():
-            assert cwg.destinations_for(edge) == frozenset(dests)
+        assert edge_dests(cwg) == naive_edge_dests(ra, waiting=True)
+        # the same sets through the kernel's per-edge witness lookup
+        for (a, b), dests in edge_dests(cwg).items():
+            assert set(bits(cwg.dep.mask_of(a.cid, b.cid))) == dests
 
     @pytest.mark.parametrize("name,factory,fixture", CASES, ids=[c[0] for c in CASES])
     def test_cdg_witnesses(self, name, factory, fixture, request):
         ra = factory(request.getfixturevalue(fixture))
         cdg = ChannelDependencyGraph(ra)
-        assert cdg.edge_dests == naive_edge_dests(ra, waiting=False)
+        assert edge_dests(cdg) == naive_edge_dests(ra, waiting=False)
 
     def test_ecdg_edges(self, cube3_2vc):
         ra = EnhancedFullyAdaptive(cube3_2vc)

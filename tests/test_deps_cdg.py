@@ -53,8 +53,8 @@ class TestEdges:
 
     def test_edges_have_destination_witnesses(self, mesh33):
         cdg = ChannelDependencyGraph(DimensionOrderMesh(mesh33))
-        for e in cdg.edges:
-            assert cdg.destinations_for(e)
+        for a, b in cdg.edges:
+            assert cdg.dep.mask_of(a.cid, b.cid)
 
     def test_unused_states_excluded(self, mesh33):
         """Dependencies are only recorded from channels actually reachable

@@ -149,7 +149,8 @@ def _assert_overlay_matches_fresh(session: IncrementalSession) -> None:
     """Every reachable query answers as on an overlay with an empty memo."""
     ov, fresh = session.overlay, _fresh_overlay(session)
     for dt in TransitionCache(fresh).all_destinations():
-        for c in dt.succ:
+        for a in dt.succ_masks:
+            c = fresh.network.channel(a)
             q = (c, c.dst, dt.dest)
             assert ov.route(*q) == fresh.route(*q), q
             assert ov.waiting_channels(*q) == fresh.waiting_channels(*q), q

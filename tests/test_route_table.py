@@ -41,10 +41,11 @@ def _uturn_relation() -> EscapeWildRouting:
 
 def _states(algo):
     """Every reachable routing state ``(c_in, dest)`` short of the destination."""
+    net = algo.network
     for dt in TransitionCache(algo).all_destinations():
-        for c_in in dt.succ:
-            if c_in.dst != dt.dest:
-                yield c_in, dt.dest
+        for a in dt.succ_masks:
+            if net.heads[a] != dt.dest:
+                yield net.channel(a), dt.dest
 
 
 def _fuzz_nd_relations() -> list[NodeDestRouting]:

@@ -229,7 +229,8 @@ def assert_same_relation(fast, reference):
     from repro.core import TransitionCache
 
     for dt in TransitionCache(fast).all_destinations():
-        for c in dt.succ:
+        for a in dt.succ_masks:
+            c = fast.network.channel(a)
             q = (c, c.dst, dt.dest)
             out = fast.route(*q)
             ref = reference.route(*q)

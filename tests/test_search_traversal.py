@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ChannelWaitingGraph
+from repro.core import ChannelWaitingGraph, bits
 from repro.core.deadlock_search import (
     AnyWaitConfigSearch,
     ConfigOutcome,
@@ -150,8 +150,11 @@ def reference_config(search: AnyWaitConfigSearch) -> ConfigOutcome:
     budget = search.max_nodes
     heads = sorted(search._waitable, key=lambda c: c.cid)
 
+    channel = search.cwg.algorithm.network.channel
+
     def waits(seg: Segment) -> frozenset[Channel]:
-        return frozenset(transitions[seg.dest].wait[seg.path[-1]])
+        mask = transitions[seg.dest].wait_masks[seg.path[-1].cid]
+        return frozenset(channel(b) for b in bits(mask))
 
     def done() -> ConfigOutcome:
         outcome.nodes_explored = search.max_nodes - budget

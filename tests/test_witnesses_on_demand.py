@@ -62,7 +62,10 @@ def test_graph_keeps_its_witnesses_across_a_session_rebuild():
     after = ChannelWaitingGraph.from_depgraph(
         session.overlay, session._dep, transitions=session.tc)
     cold = ChannelWaitingGraph(spec.build())
-    assert before.edge_dests == cold.edge_dests
-    assert after.edge_dests != cold.edge_dests
-    for edge, dests in cold.edge_dests.items():
-        assert before.destinations_for(edge) == frozenset(dests)
+
+    def witnesses(graph):
+        return {(u, v): m for u, v, m in graph.dep.iter_edges()}
+    assert witnesses(before) == witnesses(cold)
+    assert witnesses(after) != witnesses(cold)
+    for (u, v), mask in witnesses(cold).items():
+        assert before.dep.mask_of(u, v) == mask

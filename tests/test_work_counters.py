@@ -28,12 +28,10 @@ condition builds, are pinned for CI's checker-smoke job set (the whole
 registry at the ``--quick`` sizes, theorem and Duato, triage on), so
 that job guards the checker's speed without a wall-time assert.  The
 steps of the ECDG's cycle check (one SCC pass) are not counted.
-No theorem job builds the Channel-keyed ``succ`` / ``wait`` / ``usable``
-views of its transition graphs: its walk, Definition-10 check, CWG and
-fingerprint all read cid masks, and so do a cyclic CWG's True-Cycle search
-and its phase-2 reachability check.  With the default conditions and triage
-on, Duato's check, Dally--Seitz and the triage screens build none either;
-only incoherent-example's Section 8 reduction still reads the views.
+The checker reads its transition graphs as cid masks only: no module under
+``src/`` reads ``usable``, the one Channel view they keep, and Theorem 3's
+CWG' candidates reuse the relation's own walks instead of walking a
+wrapper relation again (no transition build, no relation evaluation).
 
 A change that does more work fails here on any host.  A change that does
 less updates the pins and says so.
@@ -52,7 +50,6 @@ from __future__ import annotations
 
 import ast
 import functools
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -64,7 +61,7 @@ from repro.core.transitions import DestinationTransitions, TransitionCache
 from repro.deps.cdg import ChannelDependencyGraph
 from repro.deps.ecdg import ExtendedChannelDependencyGraph
 from repro.pipeline import run_job
-from repro.pipeline.engine import DEFAULT_CONDITIONS, catalog_specs
+from repro.pipeline.engine import catalog_specs
 from repro.routing import RestrictedWaiting, make
 from repro.routing.duato_adaptive import DuatoFullyAdaptiveMesh
 from repro.routing.hpl import HighestPositiveLast
@@ -72,6 +69,8 @@ from repro.routing.relation import NodeDestRouting, RouteTable, RoutingAlgorithm
 from repro.scenario import registry
 from repro.sim import BernoulliTraffic, SimConfig, WormholeSimulator
 from repro.topology import build_mesh
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 #: the benchmark's --quick sizes
 QUICK = {"mesh_dims": (3, 3), "torus_dims": (4, 4), "hypercube_dim": 3}
@@ -91,11 +90,13 @@ PINNED = {
 
 #: CI's checker-smoke job set (``benchmarks/bench_checker_scaling.py``);
 #: search_expanded was 120,994 before the searches memoized failed states
-#: (ring-figure4's proof is 120,943 logical nodes)
+#: (ring-figure4's proof is 120,943 logical nodes); route_calls was 6,867 and
+#: dest_builds 270 while Theorem 3's CWG' candidates (incoherent-example's)
+#: walked a wrapper relation again
 SMOKE_PINNED = {
-    "route_calls": 6_867,
+    "route_calls": 6_747,
     "cwg_edges": 10_314,
-    "dest_builds": 270,
+    "dest_builds": 246,
     "search_nodes": 120_994,
     "search_expanded": 248,
     "ecdg_edges": 5_739,
@@ -208,77 +209,29 @@ def test_registry_verify_builds_one_cdg_per_job(monkeypatch):
     assert built["cdgs"] == 21
 
 
-def count_views(monkeypatch) -> Counter:
-    """Count the Channel-keyed ``succ`` / ``wait`` / ``usable`` views built,
-    keyed by ``(view, reading module)``."""
-    built: Counter = Counter()
-
-    def counted_view(name):
-        slot = f"_{name}"
-        view = getattr(DestinationTransitions, name)
-
-        def get(dt):
-            if getattr(dt, slot) is None:
-                reader = Path(sys._getframe(1).f_code.co_filename)
-                built[name, f"{reader.parent.name}/{reader.name}"] += 1
-            return view.fget(dt)
-        monkeypatch.setattr(DestinationTransitions, name, property(get))
-
-    for name in ("succ", "wait", "usable"):
-        counted_view(name)
-    return built
-
-
-def test_acyclic_theorem_jobs_build_no_channel_views(monkeypatch):
-    built = count_views(monkeypatch)
-    acyclic: list[bool] = []
-    init = ChannelWaitingGraph.__init__
-
-    def record(g, *args, **kwargs):
-        init(g, *args, **kwargs)
-        acyclic.append(g.is_acyclic())
-    monkeypatch.setattr(ChannelWaitingGraph, "__init__", record)
-    views = {}
-    for spec in quick_jobs():
-        acyclic.clear()
-        before = sum(built.values())
-        job = run_job(spec)
-        assert job.error is None, job.error
-        views[spec.algorithm] = (acyclic == [True], sum(built.values()) - before)
-    assert sum(free for free, _ in views.values()) == 14
-    # the two cyclic jobs' True-Cycle searches read cid masks as well
-    assert {n: v for n, (_, v) in views.items() if v} == {}
-
-
-def test_default_condition_jobs_build_no_channel_views(monkeypatch):
-    """Duato's check (coherence, ECDG, R1), Dally--Seitz and triage read cid
-    masks on the whole registry at the ``--quick`` sizes.  The one job that
-    builds views is incoherent-example, whose theorem verdict takes the
-    Section 8 reduction (``core/reduction.py``, ``core/false_cycles.py``)."""
-    built = count_views(monkeypatch)
-    by_job = {}
-    for spec in catalog_specs(**QUICK):
-        assert spec.conditions == DEFAULT_CONDITIONS and spec.triage
-        before = Counter(built)
-        job = run_job(spec)
-        assert job.error is None, job.error
-        if built != before:
-            by_job[spec.algorithm] = built - before
-    assert list(by_job) == ["incoherent-example"]
-    assert {reader for _, reader in by_job["incoherent-example"]} == {
-        "core/reduction.py", "core/false_cycles.py"}
+def test_no_src_module_reads_usable():
+    """The checker reads cid masks only: ``usable``, the one Channel view
+    :class:`~repro.core.transitions.DestinationTransitions` keeps, has no
+    reader under ``src/``."""
+    readers = []
+    for path in sorted((_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "usable":
+                readers.append(f"{path.relative_to(_ROOT)}:{node.lineno}")
+    assert readers == []
 
 
 # ----------------------------------------------------------------------
 # the (node, destination) row gate
 # ----------------------------------------------------------------------
 def _reachable_states(tc: TransitionCache) -> tuple[int, set[tuple[int, int]]]:
+    heads = tc.algorithm.network.heads
     states, rows = 0, set()
     for dt in tc.all_destinations():
-        for c in dt.succ:
-            if c.dst != dt.dest:
+        for a in dt.succ_masks:
+            if heads[a] != dt.dest:
                 states += 1
-                rows.add((c.dst, dt.dest))
+                rows.add((heads[a], dt.dest))
     return states, rows
 
 
@@ -328,8 +281,9 @@ def test_row_memo_keeps_the_transition_graph(name):
     per_state = RestrictedWaiting(ra)
     for dest in ra.network.nodes:
         rows, states = DestinationTransitions(ra, dest), DestinationTransitions(per_state, dest)
-        assert rows.succ == states.succ and list(rows.succ) == list(states.succ)
-        assert rows.wait == states.wait
+        assert rows.succ_masks == states.succ_masks
+        assert list(rows.succ_masks) == list(states.succ_masks)
+        assert rows.wait_masks == states.wait_masks
 
 
 # ----------------------------------------------------------------------
@@ -365,8 +319,9 @@ def _fill(table: RouteTable, states) -> None:
 
 
 def _states(algorithm: RoutingAlgorithm) -> list:
-    return [(c, dt.dest) for dt in TransitionCache(algorithm).all_destinations()
-            for c in dt.succ if c.dst != dt.dest]
+    net = algorithm.network
+    return [(net.channel(a), dt.dest) for dt in TransitionCache(algorithm).all_destinations()
+            for a in dt.succ_masks if net.heads[a] != dt.dest]
 
 
 def test_transition_walk_evaluates_each_node_dest_row_once():
@@ -397,7 +352,7 @@ def test_input_channel_relation_is_evaluated_once_per_state():
     ra = CountingHPL(net)
     states = set()
     for dt in TransitionCache(ra).all_destinations():
-        states |= {(c.cid, dt.dest) for c in dt.succ if c.dst != dt.dest}
+        states |= {(a, dt.dest) for a in dt.succ_masks if net.heads[a] != dt.dest}
     assert set(ra.evals) == states
     assert set(ra.evals.values()) == {1}
     ra.evals.clear()
@@ -416,9 +371,6 @@ def test_overriding_waiting_channels_is_rejected():
 
             def waiting_channels(self, c_in, node, dest):
                 return frozenset()
-
-
-_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_relation_class_overrides_waiting_channels():
