@@ -29,7 +29,8 @@ registry at the ``--quick`` sizes, theorem and Duato, triage on), so
 that job guards the checker's speed without a wall-time assert.  The
 steps of the ECDG's cycle check (one SCC pass) are not counted.
 The checker reads its transition graphs as cid masks only: no module under
-``src/`` reads ``usable``, the one Channel view they keep, and Theorem 3's
+``src/`` reads ``usable``, the one Channel view they keep, no registry job
+builds it, and Theorem 3's
 CWG' candidates reuse the relation's own walks instead of walking a
 wrapper relation again (no transition build, no relation evaluation).
 
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -61,7 +63,7 @@ from repro.core.transitions import DestinationTransitions, TransitionCache
 from repro.deps.cdg import ChannelDependencyGraph
 from repro.deps.ecdg import ExtendedChannelDependencyGraph
 from repro.pipeline import run_job
-from repro.pipeline.engine import catalog_specs
+from repro.pipeline.engine import DEFAULT_CONDITIONS, catalog_specs
 from repro.routing import RestrictedWaiting, make
 from repro.routing.duato_adaptive import DuatoFullyAdaptiveMesh
 from repro.routing.hpl import HighestPositiveLast
@@ -207,6 +209,53 @@ def test_registry_verify_builds_one_cdg_per_job(monkeypatch):
         assert job.error is None, job.error
     assert len(jobs) == 21
     assert built["cdgs"] == 21
+
+
+def count_views(monkeypatch) -> Counter:
+    """Count the Channel-keyed ``usable`` views built, keyed by reading module."""
+    built: Counter = Counter()
+    view = DestinationTransitions.usable
+
+    def get(dt):
+        if dt._usable is None:
+            reader = Path(sys._getframe(1).f_code.co_filename)
+            built[f"{reader.parent.name}/{reader.name}"] += 1
+        return view.fget(dt)
+    monkeypatch.setattr(DestinationTransitions, "usable", property(get))
+    return built
+
+
+def test_acyclic_theorem_jobs_build_no_channel_views(monkeypatch):
+    built = count_views(monkeypatch)
+    acyclic: list[bool] = []
+    init = ChannelWaitingGraph.__init__
+
+    def record(g, *args, **kwargs):
+        init(g, *args, **kwargs)
+        acyclic.append(g.is_acyclic())
+    monkeypatch.setattr(ChannelWaitingGraph, "__init__", record)
+    views = {}
+    for spec in quick_jobs():
+        acyclic.clear()
+        before = sum(built.values())
+        job = run_job(spec)
+        assert job.error is None, job.error
+        views[spec.algorithm] = (acyclic == [True], sum(built.values()) - before)
+    assert sum(free for free, _ in views.values()) == 14
+    # the two cyclic jobs' True-Cycle searches read cid masks as well
+    assert {n: v for n, (_, v) in views.items() if v} == {}
+
+
+def test_default_condition_jobs_build_no_channel_views(monkeypatch):
+    """Duato's check (coherence, ECDG, R1), Dally--Seitz, triage and the
+    Section 8 reduction (incoherent-example's theorem verdict) read cid masks
+    on the whole registry at the ``--quick`` sizes."""
+    built = count_views(monkeypatch)
+    for spec in catalog_specs(**QUICK):
+        assert spec.conditions == DEFAULT_CONDITIONS and spec.triage
+        job = run_job(spec)
+        assert job.error is None, job.error
+    assert built == Counter()
 
 
 def test_no_src_module_reads_usable():
