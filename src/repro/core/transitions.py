@@ -24,8 +24,6 @@ bit ``i`` set iff channel ``i`` is in the set:
   message lengths), these are precisely the channels some message occupying
   ``c`` may end up waiting on, i.e. the CWG out-neighbourhood contributed by
   destination ``d``;
-* ``upstream_masks[c]`` -- link channels from which state ``c`` is
-  reachable: channels a message *blocked at* ``c`` might still hold;
 * ``downstream_node_masks[c]`` -- the nodes of every state reachable from
   ``c``, itself included, as a node-id bitmask: what the coherence
   certificate in :mod:`repro.routing.properties` reads (``c`` can still
@@ -35,9 +33,15 @@ bit ``i`` set iff channel ``i`` is in the set:
 Reachable-set computation runs on the SCC condensation so cyclic
 (nonminimal) relations cost the same as acyclic ones.
 
-For an ``R(n, d)`` relation (:func:`~repro.routing.relation.is_node_dest`)
-the walk evaluates the relation once per *row* -- once per node -- and every
-input channel at that node shares the row's mask pair.
+The walk's one relation query is
+:meth:`~repro.routing.relation.RoutingAlgorithm.route_masks`, which answers
+in cid masks directly (a mask-native relation computes them from per-node
+tables; a Channel-authored one has them derived from ``route`` and its
+waiting hook), and each state's successors are queued in ascending cid
+order.  For an ``R(n, d)`` relation
+(:func:`~repro.routing.relation.is_node_dest`) the walk evaluates the
+relation once per *row* -- once per node -- and every input channel at that
+node shares the row's mask pair.
 
 The masks are the one representation: every consumer -- the graph
 builders, Definition 10, the Section 7.2 classifier, the Section 8
@@ -78,8 +82,7 @@ class DestinationTransitions:
         self.dest = dest
         net = algorithm.network
         heads = net.heads
-        channels = net.channels
-        route, narrow = algorithm.route, algorithm.waiting_subset
+        route_masks = algorithm.route_masks
         #: injection channels that start a journey to ``dest``
         self.starts: list[Channel] = [
             net.injection_channel(n) for n in net.nodes if n != dest
@@ -88,9 +91,12 @@ class DestinationTransitions:
         wait: dict[int, int] = {}
         #: node -> (route mask, wait mask) for an R(n, d) relation, else ``None``
         rows: dict[int, tuple[int, int]] | None = {} if is_node_dest(algorithm) else None
-        # Forward BFS from the injection channels over the routing relation.
+        # Forward BFS from the injection channels over the routing relation;
+        # ``unseen`` is a cid mask, so a state queues only its unseen outputs
         frontier = [c.cid for c in self.starts]
-        seen = set(frontier)
+        unseen = (1 << net.num_channels) - 1
+        for a in frontier:
+            unseen ^= 1 << a
         while frontier:
             nxt: list[int] = []
             for a in frontier:
@@ -104,23 +110,14 @@ class DestinationTransitions:
                         # the row's first state already queued every output
                         succ[a], wait[a] = row
                         continue
-                # one relation evaluation: route, then narrow to the waits
-                c = channels[a]
-                out = route(c, node, dest)
-                waits = narrow(c, node, dest, out)
-                m = 0
-                for o in out:
-                    b = o.cid
-                    m |= 1 << b
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-                if waits is out:
-                    w = m
-                else:
-                    w = 0
-                    for o in waits:
-                        w |= 1 << o.cid
+                m, w = route_masks(a, node, dest)
+                fresh = m & unseen
+                if fresh:
+                    unseen ^= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    nxt.append(low.bit_length() - 1)
+                    fresh ^= low
                 succ[a], wait[a] = m, w
                 if rows is not None:
                     rows[node] = (m, w)
@@ -134,7 +131,6 @@ class DestinationTransitions:
         #: sorted dense cids (the builders' index space)
         self.usable_cids: list[int] = sorted(a for a in succ if links >> a & 1)
         self._downstream_wait_masks: dict[int, int] | None = None
-        self._upstream_masks: dict[int, int] | None = None
         self._downstream_node_masks: dict[int, int] | None = None
         #: the walk shared each node's row among the node's states
         self._node_rows = rows is not None
@@ -150,20 +146,8 @@ class DestinationTransitions:
         reachable from the state, itself included: the CWG out-neighbourhood
         (Definition 9) this destination contributes."""
         if self._downstream_wait_masks is None:
-            self._downstream_wait_masks = self._propagate(self.wait_masks, forward=True)
+            self._downstream_wait_masks = self._propagate(self.wait_masks)
         return self._downstream_wait_masks
-
-    @property
-    def upstream_masks(self) -> dict[int, int]:
-        """``state cid -> bitmask`` of the link channels from which the
-        state is reachable, itself included: the channels a message blocked
-        there may hold (a held injection channel can never be another
-        message's waiting channel)."""
-        if self._upstream_masks is None:
-            links = self.algorithm.network.link_mask
-            held = {a: links & (1 << a) for a in self.succ_masks}
-            self._upstream_masks = self._propagate(held, forward=False)
-        return self._upstream_masks
 
     @property
     def downstream_node_masks(self) -> dict[int, int]:
@@ -172,7 +156,7 @@ class DestinationTransitions:
         if self._downstream_node_masks is None:
             heads = self.algorithm.network.heads
             at = {a: 1 << heads[a] for a in self.succ_masks}
-            self._downstream_node_masks = self._propagate(at, forward=True)
+            self._downstream_node_masks = self._propagate(at)
         return self._downstream_node_masks
 
     # the one Channel view left: bench/workloads.py reads it
@@ -250,46 +234,33 @@ class DestinationTransitions:
         got = self._local[by_node] = (vertex, indptr, indices, labels, ncomp, order)
         return got
 
-    def _propagate(self, seed: Mapping[int, int], *, forward: bool) -> dict[int, int]:
+    def _propagate(self, seed: Mapping[int, int]) -> dict[int, int]:
         """Reflexive-transitive closure aggregation over the SCC condensation.
 
-        Each state ``a`` contributes the bitmask ``seed[a]``; forward=True
-        accumulates it downstream (over every state reachable from a state),
-        forward=False upstream (over every state a state is reachable
-        from).  Runs on the integer kernel (:meth:`_condensation`): the
+        Each state ``a`` contributes the bitmask ``seed[a]``, accumulated
+        downstream: a state's value is the OR over every state reachable
+        from it.  Runs on the integer kernel (:meth:`_condensation`): the
         accumulated bitmasks are OR-ed along condensation arcs, visiting
         components in label order so every value read is final.  For an
-        ``R(n, d)`` relation a forward seed must be a function of the
-        state's node (both callers' are), and the node graph is used.
-        Returns ``state cid -> accumulated bitmask``.
+        ``R(n, d)`` relation the seed must be a function of the state's
+        node (both callers' are), and the node graph is used.  Returns
+        ``state cid -> accumulated bitmask``.
         """
-        vertex, indptr, indices, labels, ncomp, order = self._condensation(
-            forward and self._node_rows)
+        vertex, indptr, indices, labels, ncomp, order = self._condensation(self._node_rows)
         cids = list(self.succ_masks)
         comp_val = [0] * ncomp
         for v, a in zip(vertex, cids):
             comp_val[labels[v]] |= seed[a]
-        if forward:
-            # successors carry smaller labels: ascending order pulls from
-            # finished components
-            for i in order:
-                li = labels[i]
-                acc = comp_val[li]
-                for p in range(indptr[i], indptr[i + 1]):
-                    lj = labels[indices[p]]
-                    if lj != li:
-                        acc |= comp_val[lj]
-                comp_val[li] = acc
-        else:
-            # predecessors carry larger labels: descending order pushes
-            # finished components along
-            for i in reversed(order):
-                li = labels[i]
-                val = comp_val[li]
-                for p in range(indptr[i], indptr[i + 1]):
-                    lj = labels[indices[p]]
-                    if lj != li:
-                        comp_val[lj] |= val
+        # successors carry smaller labels: ascending order pulls from
+        # finished components
+        for i in order:
+            li = labels[i]
+            acc = comp_val[li]
+            for p in range(indptr[i], indptr[i + 1]):
+                lj = labels[indices[p]]
+                if lj != li:
+                    acc |= comp_val[lj]
+            comp_val[li] = acc
         return {a: comp_val[labels[v]] for v, a in zip(vertex, cids)}
 
 

@@ -27,7 +27,7 @@ from typing import Any
 from ..pipeline.observability import StageMetrics
 from .corpus import CorpusEntry, ReplayResult, load_corpus, replay_entry, save_entry
 from .generators import DEFAULT_FAMILIES, CaseSpec, build_case, case_stream
-from .oracles import OracleStack, REAL_STACK, run_stack
+from .oracles import OracleStack, run_stack
 from .shrink import discrepancy_predicate, shrink
 from .table import TableCase
 

@@ -34,6 +34,7 @@ from .properties import (
     provides_minimal_path,
 )
 from .relation import (
+    MaskNodeDestRouting,
     NodeDestRouting,
     RestrictedWaiting,
     RouteEntry,
@@ -72,6 +73,7 @@ __all__ = [
     "EnhancedFullyAdaptive",
     "HighestPositiveLast",
     "IncoherentExample",
+    "MaskNodeDestRouting",
     "MinimalAdaptive3D",
     "NegativeFirst",
     "NodeDestRouting",

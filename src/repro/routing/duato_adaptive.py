@@ -24,17 +24,21 @@ necessary-and-sufficient conditions apply to it and must agree.
 from __future__ import annotations
 
 from ..topology.channel import Channel
-from ..topology.grid import direction_moves
+from ..topology.grid import direction_masks
 from ..topology.network import Network
-from .relation import NodeDestRouting, RoutingError, WaitPolicy
+from .relation import MaskNodeDestRouting, NodeDestRouting, RoutingError, WaitPolicy
 from .torus_vc import DallySeitzTorus
 
 
-class DuatoFullyAdaptiveMesh(NodeDestRouting):
+class DuatoFullyAdaptiveMesh(MaskNodeDestRouting):
     """Duato's fully adaptive algorithm on an n-D mesh (2 VCs per link).
 
     Also serves hypercubes built as ``(2, ..., 2)`` meshes; see
     :class:`DuatoFullyAdaptiveHypercube` for the bit-level variant.
+
+    Mask-native: a decision ORs, per dimension still to correct, the VC-1
+    outputs stepping toward the destination, plus the VC-0 output of the
+    lowest such dimension -- the escape class and the waiting set.
     """
 
     name = "duato-mesh"
@@ -47,33 +51,29 @@ class DuatoFullyAdaptiveMesh(NodeDestRouting):
         if network.max_vcs() < 2:
             raise RoutingError(f"{self.name} needs 2 virtual channels per link")
         self.ndims = len(network.meta["dims"])
-        #: per node, ``(channel, dim, sign, vc)`` of each output moving along
-        #: a dimension, from :func:`direction_moves`: a row reads no ``meta`` dict
-        self._moves = [
-            [(c, dim, sign, c.vc) for (dim, sign), chans in by_dir.items() for c in chans]
-            for by_dir in direction_moves(network)
-        ]
+        #: per node, ``2 * dim + (sign > 0) -> cid mask`` of the adaptive
+        #: (VC 1) and the escape (VC 0) outputs
+        self._adaptive = direction_masks(network, vc=1)
+        self._escape = direction_masks(network, vc=0)
 
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
         if node == dest:
-            return frozenset()
+            return 0, 0
         coords = self.network.coords
-        deltas = [t - h for h, t in zip(coords[node], coords[dest])]
-        for esc, delta in enumerate(deltas):
-            if delta:
-                break  # the escape class corrects the lowest differing dimension
-        # minimal moves: any on VC 1, the escape dimension's on VC 0
-        return frozenset([c for c, dim, sign, vc in self._moves[node]
-                          if deltas[dim] * sign > 0 and (vc == 1 or (vc == 0 and dim == esc))])
-
-    def waiting_subset(self, c_in: Channel, node: int, dest: int,
-                       permitted: frozenset[Channel]) -> frozenset[Channel]:
-        if not permitted:
-            return permitted
-        wait = frozenset([c for c in permitted if c.vc == 0])
+        adaptive = self._adaptive[node]
+        route = 0
+        esc = -1
+        for dim, (h, t) in enumerate(zip(coords[node], coords[dest])):
+            if h != t:
+                k = 2 * dim + (t > h)
+                route |= adaptive[k]
+                if esc < 0:
+                    # the escape class corrects the lowest differing dimension
+                    esc = k
+        wait = self._escape[node][esc]
         if not wait:
             raise RoutingError(f"{self.name}: escape channel missing at node {node}")
-        return wait
+        return route | wait, wait
 
 
 class DuatoFullyAdaptiveHypercube(DuatoFullyAdaptiveMesh):

@@ -10,16 +10,33 @@ relations that ignore it.
 
 Waiting channels (Definition 8) are first-class: when every permitted output
 is busy, a blocked message waits on one or more *waiting channels*, which
-must be a subset of the permitted outputs.  A relation states its waiting
-set by *narrowing* the route set it was just asked for
-(:meth:`RoutingAlgorithm.waiting_subset`), so every consumer evaluates the
-relation once per routing decision: ``route`` first, then the hook on its
-answer.  Two waiting regimes exist:
+must be a subset of the permitted outputs.  Two waiting regimes exist:
 
 * :attr:`WaitPolicy.SPECIFIC` -- the algorithm designates a waiting channel
   and the message waits for that channel alone (Theorem 2 applies);
 * :attr:`WaitPolicy.ANY` -- the message may acquire whichever permitted
   output frees first (Theorem 3 applies).
+
+One query, two ways to write it
+-------------------------------
+Every consumer that walks the relation -- the checker's
+:class:`~repro.core.transitions.DestinationTransitions` and the simulator's
+:class:`RouteTable` -- asks one question per routing decision,
+:meth:`RoutingAlgorithm.route_masks`, and gets both sets as *cid bitmasks*
+(bit ``i`` set iff channel ``i`` is in the set).  A relation is authored in
+exactly one of two forms:
+
+* **Channel-authored**: it defines ``route`` (or ``route_nd``) and
+  optionally :meth:`RoutingAlgorithm.waiting_subset`, which narrows the
+  route set just computed; the base class derives ``route_masks`` from the
+  two, one evaluation per decision.
+* **Mask-native** (:class:`MaskNodeDestRouting`): it defines
+  ``route_masks`` from per-node cid-mask tables, and ``route_nd`` /
+  ``waiting_subset`` are derived :class:`~repro.topology.channel.Channel`
+  views for examples, tests and path enumeration.
+
+Defining both forms in one class raises :class:`TypeError` at class
+creation, since the consumers read only one of them.
 
 Conventions
 -----------
@@ -35,9 +52,8 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Sequence
-from operator import attrgetter
-from typing import NamedTuple
+from collections.abc import Callable, Iterable, Sequence
+from typing import TypeVar
 
 from ..topology.channel import Channel
 from ..topology.network import Network
@@ -58,16 +74,40 @@ class RoutingError(ValueError):
     """Raised for malformed routing queries or inconsistent relations."""
 
 
+_F = TypeVar("_F", bound=Callable)
+
+
+def _derived(fn: _F) -> _F:
+    """Mark a base class's derived query or default: a class inheriting it
+    has not authored that method."""
+    fn._derived = True  # type: ignore[attr-defined]
+    return fn
+
+
+def _authored(cls: type, name: str) -> bool:
+    fn = getattr(cls, name, None)
+    return (fn is not None and not getattr(fn, "_derived", False)
+            and not getattr(fn, "__isabstractmethod__", False))
+
+
+#: the Channel form of a relation; ``route_masks`` is the mask form
+_CHANNEL_FORM = ("route", "route_nd", "waiting_subset")
+
+
 class RoutingAlgorithm(ABC):
     """Base class for all routing algorithms (Definition 4).
 
-    Subclasses implement :meth:`route` and optionally override
-    :meth:`waiting_subset` (default: every permitted output is a waiting
-    channel) and :attr:`wait_policy` (default: :attr:`WaitPolicy.ANY`).
+    A Channel-authored subclass implements :meth:`route` and optionally
+    overrides :meth:`waiting_subset` (default: every permitted output is a
+    waiting channel); a mask-native one implements :meth:`route_masks`
+    instead (see :class:`MaskNodeDestRouting`).  Either may set
+    :attr:`wait_policy` (default: :attr:`WaitPolicy.ANY`).
     :meth:`waiting_channels` is a convenience defined here once, as the hook
-    applied to ``route``; overriding it raises :class:`TypeError` at class
-    creation, since the consumers call ``route`` and the hook and would
-    silently ignore such an override.
+    applied to ``route``.  Class creation raises :class:`TypeError` for an
+    override of ``waiting_channels`` and for a class that authors both
+    ``route_masks`` and a Channel-form method (its own or inherited), since
+    the consumers call only ``route_masks`` and would silently ignore the
+    other form.
 
     The class is deliberately stateless per-message: everything the relation
     may consult is the triple ``(c_in, node, dest)`` -- the paper's "only
@@ -87,6 +127,12 @@ class RoutingAlgorithm(ABC):
             raise TypeError(
                 f"{cls.__qualname__} overrides waiting_channels; override "
                 f"waiting_subset(c_in, node, dest, permitted) instead")
+        both = [n for n in _CHANNEL_FORM if _authored(cls, n)]
+        if both and _authored(cls, "route_masks"):
+            raise TypeError(
+                f"{cls.__qualname__} authors both route_masks and {', '.join(both)}; "
+                f"a relation is written in one form: route_masks alone, or "
+                f"route/route_nd with waiting_subset")
 
     def __init__(self, network: Network) -> None:
         if not network.frozen:
@@ -106,6 +152,7 @@ class RoutingAlgorithm(ABC):
         relation is broken, which verifiers will flag as not wait-connected).
         """
 
+    @_derived
     def waiting_subset(self, c_in: Channel, node: int, dest: int,
                        permitted: frozenset[Channel]) -> frozenset[Channel]:
         """Narrow ``permitted`` to the channels a blocked message waits on.
@@ -118,6 +165,29 @@ class RoutingAlgorithm(ABC):
         test with ``is`` to skip work.
         """
         return permitted
+
+    @_derived
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
+        """``(route mask, wait mask)`` for a header that arrived on ``c_in_cid``.
+
+        The one relation query the transition walk and the route table
+        make: the permitted outputs and the waiting channels as cid
+        bitmasks.  Derived here for a Channel-authored relation as one
+        evaluation -- ``route``, then :meth:`waiting_subset` on its answer;
+        the wait mask *is* the route mask when the hook returns its input.
+        """
+        c_in = self.network.channels[c_in_cid]
+        out = self.route(c_in, node, dest)
+        waits = self.waiting_subset(c_in, node, dest, out)
+        m = 0
+        for o in out:
+            m |= 1 << o.cid
+        if waits is out:
+            return m, m
+        w = 0
+        for o in waits:
+            w |= 1 << o.cid
+        return m, w
 
     def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
         """Channels the message may *wait on* when blocked (Definition 8).
@@ -189,8 +259,39 @@ class NodeDestRouting(RoutingAlgorithm):
     def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
         """Output channels for ``(node, dest)``, independent of input channel."""
 
+    @_derived
     def route(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
         return self.route_nd(node, dest)
+
+
+class MaskNodeDestRouting(NodeDestRouting):
+    """An ``R(n, d)`` relation authored in cid masks.
+
+    Subclasses implement :meth:`route_masks` only, typically from per-node
+    ``(dim, sign) -> cid mask`` tables built in ``__init__``
+    (:func:`~repro.topology.grid.direction_masks`), and ignore its input
+    channel.  ``route_nd``, ``route`` and ``waiting_subset`` are derived
+    Channel views, built from the network's per-channel singleton sets
+    (:meth:`~repro.topology.network.Network.channel_set`) so they hash no
+    channel; the transition walk and the route table never call them.
+    """
+
+    @abstractmethod
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
+        """``(route mask, wait mask)`` for ``(node, dest)``; ``c_in_cid`` is ignored."""
+
+    def _masks_at(self, node: int, dest: int) -> tuple[int, int]:
+        return self.route_masks(self.network.injection_channel(node).cid, node, dest)
+
+    @_derived
+    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
+        return self.network.channel_set(self._masks_at(node, dest)[0])
+
+    @_derived
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
+        route, wait = self._masks_at(node, dest)
+        return permitted if wait == route else self.network.channel_set(wait)
 
 
 def is_node_dest(algorithm: RoutingAlgorithm) -> bool:
@@ -230,25 +331,67 @@ class RestrictedWaiting(RoutingAlgorithm):
         return self.inner.waiting_subset(c_in, node, dest, permitted)
 
 
-class RouteEntry(NamedTuple):
+class RouteEntry:
     """One cached routing decision: everything ``R(c_in, node, dest)`` pins.
 
-    The permitted and waiting channels are stored both as dense channel-id
-    tuples (the simulator's fast allocator walks these with integer state
-    only) and as :class:`Channel` tuples in the same order (handed to
-    custom selection functions, which keep their object interface).
+    The permitted and waiting channels are stored as dense channel-id
+    tuples, sorted by the allocator's priority key: the simulator's fast
+    allocator walks these with integer state only.  The
+    :class:`~repro.topology.channel.Channel` forms -- for custom selection
+    functions, which keep their object interface, and for a blocked
+    message's ``waiting_for`` -- are built from the ids on first use, at
+    most once per entry.  Two entries are equal when their id tuples are.
     """
 
-    #: permitted output cids, pre-sorted by the allocator's priority key
-    cand_cids: tuple[int, ...]
-    #: the same channels as objects, same order
-    cand_channels: tuple[Channel, ...]
-    #: waiting-channel cids, pre-sorted by the same key
-    wait_cids: tuple[int, ...]
-    #: the same waiting channels as objects, same order
-    wait_channels: tuple[Channel, ...]
-    #: the raw waiting set (what a blocked message's ``waiting_for`` holds)
-    wait_set: frozenset[Channel]
+    __slots__ = ("cand_cids", "wait_cids", "_network", "_cands", "_waits", "_wait_set")
+
+    def __init__(self, cand_cids: tuple[int, ...], wait_cids: tuple[int, ...],
+                 network: Network) -> None:
+        #: permitted output cids, pre-sorted by the allocator's priority key
+        self.cand_cids = cand_cids
+        #: waiting-channel cids, pre-sorted by the same key (the candidate
+        #: tuple itself when every candidate is a waiting channel)
+        self.wait_cids = wait_cids
+        self._network = network
+        self._cands: tuple[Channel, ...] | None = None
+        self._waits: tuple[Channel, ...] | None = None
+        self._wait_set: frozenset[Channel] | None = None
+
+    @property
+    def cand_channels(self) -> tuple[Channel, ...]:
+        """The permitted channels as objects, in ``cand_cids`` order."""
+        if self._cands is None:
+            chan = self._network.channels
+            self._cands = tuple([chan[c] for c in self.cand_cids])
+        return self._cands
+
+    @property
+    def wait_channels(self) -> tuple[Channel, ...]:
+        """The waiting channels as objects, in ``wait_cids`` order."""
+        if self.wait_cids is self.cand_cids:
+            return self.cand_channels
+        if self._waits is None:
+            chan = self._network.channels
+            self._waits = tuple([chan[c] for c in self.wait_cids])
+        return self._waits
+
+    @property
+    def wait_set(self) -> frozenset[Channel]:
+        """The waiting set, what a blocked message's ``waiting_for`` holds."""
+        if self._wait_set is None:
+            m = 0
+            for c in self.wait_cids:
+                m |= 1 << c
+            self._wait_set = self._network.channel_set(m)
+        return self._wait_set
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RouteEntry):
+            return NotImplemented
+        return self.cand_cids == other.cand_cids and self.wait_cids == other.wait_cids
+
+    def __repr__(self) -> str:
+        return f"RouteEntry(cand_cids={self.cand_cids}, wait_cids={self.wait_cids})"
 
 
 class RouteTable:
@@ -256,19 +399,24 @@ class RouteTable:
 
     The relation ``R(c_in, node, dest)`` is a pure function of the input
     channel and the destination (``node`` is always ``c_in.dst``), so the
-    simulator need never call :meth:`RoutingAlgorithm.route` twice for the
-    same pair -- yet the original allocator did exactly that every cycle for
-    every blocked message, then re-sorted the result with per-message
-    closures.  This table computes each entry once, pre-sorted by the
-    allocator's ``(remaining distance, U-turn, vc, cid)`` priority key, and
-    serves it from a flat list indexed by ``cid * num_nodes + dest``.
+    simulator need never evaluate it twice for the same pair -- yet the
+    original allocator did exactly that every cycle for every blocked
+    message, then re-sorted the result with per-message closures.  This
+    table computes each entry once, pre-sorted by the allocator's
+    ``(remaining distance, U-turn, vc, cid)`` priority key, and serves it
+    from a flat list indexed by ``cid * num_nodes + dest``.
 
-    Each entry costs one relation evaluation -- ``route``, then
-    :meth:`RoutingAlgorithm.waiting_subset` on its answer -- and one sort
-    of the candidates by an integer key equal in order to the tuple above.
-    The waiting tuple is the sorted candidates filtered by membership (the
-    candidate tuple itself when the waiting set *is* the route set); only a
-    broken relation whose waits leave its route set sorts them separately.
+    Each entry costs one relation evaluation --
+    :meth:`RoutingAlgorithm.route_masks`, the one query -- and one sort of
+    integer keys equal in order to the tuple above, one key per set bit of
+    the route mask; the key's low digits are the cid, so the sorted keys
+    decode straight to the candidate tuple.  The waiting tuple is the sorted
+    candidates filtered by the wait mask (the candidate tuple itself when
+    the two masks are equal); only a broken relation whose waits leave its
+    route set sorts them separately.  No step builds a
+    :class:`~repro.topology.channel.Channel` set: an entry holds id tuples,
+    and its Channel forms are built only when a reader asks
+    (:class:`RouteEntry`).
 
     For a :class:`NodeDestRouting` relation both sets depend on ``(node,
     dest)`` alone, so the relation is consulted once per *row* ``(node,
@@ -297,9 +445,9 @@ class RouteTable:
 
     def __init__(self, algorithm: RoutingAlgorithm, *, dist: Sequence[Sequence[int]] | None = None) -> None:
         self.algorithm = algorithm
-        net = algorithm.network
+        net = self._network = algorithm.network
         channels = net.channels
-        num_ch = len(channels)
+        num_ch = self._num_ch = len(channels)
         self._num_nodes = net.num_nodes
         self._dist = dist
         self._entries: list[RouteEntry | None] = [None] * (num_ch * net.num_nodes)
@@ -309,14 +457,14 @@ class RouteTable:
             [None] * (net.num_nodes * net.num_nodes)
             if is_node_dest(algorithm) else None
         )
-        # per-cid facts, so a miss never touches a Channel to index them
-        self._chan: Sequence[Channel] = channels
+        # per-cid facts, so a miss never touches a Channel
         #: the node a channel leads to (an input's current node)
-        self._node: list[int] = [c.dst for c in channels]
+        self._node: Sequence[int] = net.heads
         #: an input's source node for the U-turn term, -1 off a link
         self._prev: list[int] = [c.src if c.is_link else -1 for c in channels]
         #: ``(vc, cid)`` as one rank below ``stride``; the sort key of a
-        #: candidate is ``(2 * distance + U-turn) * stride + rank``
+        #: candidate is ``(2 * distance + U-turn) * stride + rank``, and
+        #: ``key % num_channels`` is its cid (``stride`` is a multiple)
         self._rank: list[int] = [c.vc * num_ch + c.cid for c in channels]
         self._stride = (max((c.vc for c in channels), default=0) + 1) * num_ch
         self.hits = 0
@@ -359,31 +507,39 @@ class RouteTable:
     def _build(self, c_in_cid: int, dest: int, prev: int) -> RouteEntry:
         """Evaluate the relation for ``c_in_cid`` and sort with U-turns to ``prev`` last."""
         self.rows += 1
-        c_in = self._chan[c_in_cid]
-        node = self._node[c_in_cid]
-        algo = self.algorithm
-        permitted = algo.route(c_in, node, dest)
-        waiting = algo.waiting_subset(c_in, node, dest, permitted)
-        dist = self._dist
-        if dist is None:
-            key = _CID
-        else:
-            rank, stride = self._rank, self._stride
-
-            def key(c: Channel) -> int:
-                # progress first, then avoid immediate U-turns, then (vc, cid)
-                d = c.dst
-                return ((dist[d][dest] << 1) + (d == prev)) * stride + rank[c.cid]
-        cands = tuple(sorted(permitted, key=key))
-        cand_cids = tuple([c.cid for c in cands])
-        wait_set = waiting if isinstance(waiting, frozenset) else frozenset(waiting)
-        if waiting is permitted:
-            return RouteEntry(cand_cids, cands, cand_cids, cands, wait_set)
-        waits = tuple([c for c in cands if c in wait_set])
-        if len(waits) != len(wait_set):
+        route, wait = self.algorithm.route_masks(c_in_cid, self._node[c_in_cid], dest)
+        cands = self._order(route, dest, prev)
+        if wait == route:
+            waits = cands
+        elif wait & ~route:
             # a broken relation waits outside its route set
-            waits = tuple(sorted(wait_set, key=key))
-        return RouteEntry(cand_cids, cands, tuple([c.cid for c in waits]), waits, wait_set)
+            waits = self._order(wait, dest, prev)
+        else:
+            waits = tuple([c for c in cands if wait >> c & 1])
+        return RouteEntry(cands, waits, self._network)
+
+    def _order(self, mask: int, dest: int, prev: int) -> tuple[int, ...]:
+        """The cids of ``mask`` in priority order: progress first, then
+        avoid an immediate U-turn to ``prev``, then ``(vc, cid)``."""
+        dist = self._dist
+        out = []
+        if dist is None:
+            # raw cid order: the bits come out ascending
+            while mask:
+                low = mask & -mask
+                out.append(low.bit_length() - 1)
+                mask ^= low
+            return tuple(out)
+        node, rank, stride = self._node, self._rank, self._stride
+        while mask:
+            low = mask & -mask
+            c = low.bit_length() - 1
+            d = node[c]
+            out.append(((dist[d][dest] << 1) + (d == prev)) * stride + rank[c])
+            mask ^= low
+        out.sort()
+        num_ch = self._num_ch
+        return tuple([k % num_ch for k in out])
 
     def stats(self) -> dict[str, int]:
         """Cache-style counters for observability reports."""
@@ -391,10 +547,6 @@ class RouteTable:
         # miss count -- no scan over the num_channels x num_nodes slots
         return {"hits": self.hits, "misses": self.misses, "entries": self.misses,
                 "rows": self.rows}
-
-
-#: the candidate order without a distance matrix: raw cid
-_CID = attrgetter("cid")
 
 
 def as_cnd(algorithm: RoutingAlgorithm) -> RoutingAlgorithm:

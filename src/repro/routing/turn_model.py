@@ -15,13 +15,15 @@ comparisons); all have Duato's ``R(n, d)`` form and are coherent.
 
 from __future__ import annotations
 
-from ..topology.channel import Channel
-from ..topology.grid import direction_moves
+from ..topology.grid import direction_masks
 from ..topology.network import Network
-from .relation import NodeDestRouting, RoutingError, WaitPolicy
+from .relation import MaskNodeDestRouting, RoutingError, WaitPolicy
 
 
-class _MeshTurnBase(NodeDestRouting):
+class _MeshTurnBase(MaskNodeDestRouting):
+    """Mask-native: a decision ORs per-node direction masks, and every
+    permitted output is a waiting channel."""
+
     wait_policy = WaitPolicy.ANY
 
     def __init__(self, network: Network) -> None:
@@ -29,15 +31,12 @@ class _MeshTurnBase(NodeDestRouting):
         if network.meta.get("topology") not in ("mesh", "hypercube"):
             raise RoutingError(f"{self.name} requires a mesh network")
         self.ndims = len(network.meta["dims"])
-        #: per node, ``(dim, sign) -> channels`` in ``out_channels`` order
-        self._moves = direction_moves(network)
+        #: per node, ``2 * dim + (sign > 0) -> cid mask`` of the outputs
+        self._moves = direction_masks(network)
 
     def _deltas(self, node: int, dest: int) -> list[int]:
         coords = self.network.coords
         return [t - h for h, t in zip(coords[node], coords[dest])]
-
-    def _channels(self, node: int, dim: int, sign: int) -> tuple[Channel, ...]:
-        return self._moves[node].get((dim, sign), ())
 
 
 class NegativeFirst(_MeshTurnBase):
@@ -50,20 +49,20 @@ class NegativeFirst(_MeshTurnBase):
 
     name = "negative-first"
 
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
         if node == dest:
-            return frozenset()
-        deltas = self._deltas(node, dest)
-        out: list[Channel] = []
-        negs = [d for d, delta in enumerate(deltas) if delta < 0]
-        if negs:
-            for dim in negs:
-                out.extend(self._channels(node, dim, -1))
-        else:
-            for dim, delta in enumerate(deltas):
-                if delta > 0:
-                    out.extend(self._channels(node, dim, +1))
-        return frozenset(out)
+            return 0, 0
+        moves = self._moves[node]
+        negative = False
+        neg = pos = 0
+        for dim, delta in enumerate(self._deltas(node, dest)):
+            if delta < 0:
+                negative = True
+                neg |= moves[2 * dim]
+            elif delta > 0:
+                pos |= moves[2 * dim + 1]
+        out = neg if negative else pos
+        return out, out
 
 
 class WestFirst(_MeshTurnBase):
@@ -76,19 +75,18 @@ class WestFirst(_MeshTurnBase):
         if self.ndims != 2:
             raise RoutingError(f"{self.name} is defined for 2D meshes")
 
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
         if node == dest:
-            return frozenset()
+            return 0, 0
         dx, dy = self._deltas(node, dest)
-        out: list[Channel] = []
+        moves = self._moves[node]
         if dx < 0:
-            out.extend(self._channels(node, 0, -1))
+            out = moves[0]
         else:
-            if dx > 0:
-                out.extend(self._channels(node, 0, +1))
+            out = moves[1] if dx > 0 else 0
             if dy != 0:
-                out.extend(self._channels(node, 1, +1 if dy > 0 else -1))
-        return frozenset(out)
+                out |= moves[2 + (dy > 0)]
+        return out, out
 
 
 class NorthLast(_MeshTurnBase):
@@ -106,15 +104,14 @@ class NorthLast(_MeshTurnBase):
         if self.ndims != 2:
             raise RoutingError(f"{self.name} is defined for 2D meshes")
 
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
         if node == dest:
-            return frozenset()
+            return 0, 0
         dx, dy = self._deltas(node, dest)
-        out: list[Channel] = []
-        if dx != 0:
-            out.extend(self._channels(node, 0, +1 if dx > 0 else -1))
+        moves = self._moves[node]
+        out = moves[dx > 0] if dx != 0 else 0
         if dy < 0:
-            out.extend(self._channels(node, 1, -1))
+            out |= moves[2]
         if dy > 0 and dx == 0:
-            out.extend(self._channels(node, 1, +1))
-        return frozenset(out)
+            out |= moves[3]
+        return out, out

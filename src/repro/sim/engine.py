@@ -45,7 +45,9 @@ rather than per-flit objects and channel-keyed dictionaries:
   destination)`` pair instead of once per blocked message per cycle --
   and, for an ``R(n, d)`` relation, once per ``(node, destination)`` row
   shared by every input channel at the node.  One consultation is one
-  ``route`` call plus the waiting hook on its answer, and one sort;
+  ``route_masks`` query, answered in cid masks, and one sort of integer
+  keys; an entry holds cid tuples and builds its Channel forms only for a
+  custom selection function or a message that blocks on it;
 * allocation is event-driven: a dirty set tracks exactly the messages
   whose decision could have changed (a header reached a queue front, a
   channel they wait on freed, they reached the front of a source queue),

@@ -75,3 +75,24 @@ def direction_moves(network: Network) -> list[dict[tuple[int, int], tuple[Channe
                 by_dir.setdefault((c.meta["dim"], c.meta.get("sign")), []).append(c)
         moves.append({k: tuple(v) for k, v in by_dir.items()})
     return moves
+
+
+def direction_masks(network: Network, vc: int | None = None) -> list[list[int]]:
+    """Per node, the cid mask of the outputs moving along each dimension.
+
+    Row ``n`` is indexed ``2 * dim + (sign > 0)``: ``row[2 * dim]`` holds
+    the outputs that step ``dim`` down, ``row[2 * dim + 1]`` those that
+    step it up; with ``vc`` given, only that virtual channel's.  The
+    mask-native relations read these in place of :func:`direction_moves`,
+    so a routing decision is a few integer ORs.
+    """
+    ndims = len(network.meta["dims"])
+    masks = []
+    for by_dir in direction_moves(network):
+        row = [0] * (2 * ndims)
+        for (dim, sign), chans in by_dir.items():
+            for c in chans:
+                if vc is None or c.vc == vc:
+                    row[2 * dim + (sign > 0)] |= 1 << c.cid
+        masks.append(row)
+    return masks

@@ -20,6 +20,10 @@ from typing import Any
 from .channel import Channel, ChannelKind
 
 
+#: the empty channel set, shared
+_NO_CHANNELS: frozenset[Channel] = frozenset()
+
+
 class NetworkError(ValueError):
     """Raised for malformed network construction or queries."""
 
@@ -47,6 +51,10 @@ class Network:
         self.name = name
         self._num_nodes = 0
         self._channels: list[Channel] = []
+        #: all channels (link + injection + ejection) in cid order; a plain
+        #: attribute, not a property, since the relation's derived query
+        #: reads it once per routing decision
+        self.channels: Sequence[Channel] = self._channels
         self._out: list[list[Channel]] = []
         self._in: list[list[Channel]] = []
         self._injection: list[Channel | None] = []
@@ -55,6 +63,7 @@ class Network:
         self._frozen = False
         self._fingerprint: str | None = None
         self._dist: tuple[tuple[int, ...], ...] | None = None
+        self._singletons: tuple[frozenset[Channel], ...] | None = None
         #: per cid, the node the channel leads to (filled by :meth:`freeze`)
         self.heads: tuple[int, ...] = ()
         #: the link channels as a cid bitmask (filled by :meth:`freeze`)
@@ -182,11 +191,6 @@ class Network:
         return range(self._num_nodes)
 
     @property
-    def channels(self) -> Sequence[Channel]:
-        """All channels (link + injection + ejection) in cid order."""
-        return self._channels
-
-    @property
     def num_channels(self) -> int:
         return len(self._channels)
 
@@ -197,6 +201,27 @@ class Network:
 
     def channel(self, cid: int) -> Channel:
         return self._channels[cid]
+
+    def channel_set(self, mask: int) -> frozenset[Channel]:
+        """The channels whose cids are the set bits of ``mask``, as a frozenset.
+
+        Built as a union of per-channel singleton sets, made on the first
+        call (one ``Channel.__hash__`` call per channel) and shared after:
+        a union copies the stored hashes, so later calls hash no channel.
+        A one-channel set is the shared singleton itself.  The network must
+        be frozen.
+        """
+        singles = self._singletons
+        if singles is None:
+            singles = self._singletons = tuple(frozenset((c,)) for c in self._channels)
+        if not mask & (mask - 1):
+            return singles[mask.bit_length() - 1] if mask else _NO_CHANNELS
+        parts = []
+        while mask:
+            low = mask & -mask
+            parts.append(singles[low.bit_length() - 1])
+            mask ^= low
+        return _NO_CHANNELS.union(*parts)
 
     def channel_by_label(self, label: str) -> Channel:
         try:

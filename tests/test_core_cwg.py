@@ -9,9 +9,7 @@ from repro.routing import (
     EnhancedFullyAdaptive,
     HighestPositiveLast,
     IncoherentExample,
-    NodeDestRouting,
 )
-from repro.topology import build_figure1_network
 from tests.nx_reference import nx_view
 
 

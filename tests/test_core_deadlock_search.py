@@ -1,18 +1,15 @@
 """The direct True-Cycle search (segment chains, no cycle enumeration)."""
 
-import pytest
-
 from repro.core import ChannelWaitingGraph, CycleClass, CycleClassifier, find_cycles
 from repro.core.deadlock_search import TrueCycleSearch
 from repro.routing import (
     EnhancedFullyAdaptive,
     HighestPositiveLast,
     IncoherentExample,
-    RelaxedEFA,
     RingExample,
     UnrestrictedMinimal,
 )
-from repro.topology import build_hypercube, build_mesh
+from repro.topology import build_mesh
 
 
 class TestAgainstEnumeration:

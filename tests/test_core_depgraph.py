@@ -1,7 +1,6 @@
 """The integer-indexed dependency-graph kernel (repro.core.depgraph)."""
 
 import networkx as nx
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

@@ -9,7 +9,6 @@ from repro.core import (
     find_cycles,
 )
 from repro.routing import IncoherentExample, RingExample
-from repro.routing.paths import path_nodes
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from repro.core import (
     CycleClassifier,
     find_cycles,
 )
-from repro.routing import IncoherentExample, NodeDestRouting, UnrestrictedMinimal, WaitPolicy
+from repro.routing import IncoherentExample, NodeDestRouting, WaitPolicy
 from repro.topology import build_ring
 
 

@@ -1,5 +1,7 @@
 """Per-destination routing-state graphs (the substrate of all graph theory)."""
 
+from operator import attrgetter
+
 import pytest
 
 from repro.core import DestinationTransitions, TransitionCache, bits
@@ -42,12 +44,6 @@ class TestFigure1:
         down = dt.downstream_wait_masks
         # from cL3 every waiting channel of the detour loop is downstream
         assert self.labels(down[self.by("cL3").cid]) == {"cL1", "cL2", "cB2", "cA1"}
-
-    def test_upstream_includes_detour_loop(self):
-        dt = DestinationTransitions(self.ra, 0)
-        up = dt.upstream_masks
-        # a message at state cA1 may hold any loop channel or cL3
-        assert self.labels(up[self.by("cA1").cid]) >= {"cA1", "cL2", "cB2", "cL3"}
 
     def test_reachable_from(self):
         dt = DestinationTransitions(self.ra, 0)
@@ -102,11 +98,9 @@ def test_propagations_match_plain_reachability(name, dims, vcs):
         succ, wait = _reference_walk(algorithm, dt.dest)
         for c in succ:
             down = _reach(succ.__getitem__, c)
-            up = {p for p in succ if c in _reach(succ.__getitem__, p)}
             assert set(bits(dt.downstream_wait_masks[c.cid])) \
                 == {w.cid for s in down for w in wait[s]}
             assert set(bits(dt.downstream_node_masks[c.cid])) == {s.dst for s in down}
-            assert set(bits(dt.upstream_masks[c.cid])) == {p.cid for p in up if p.is_link}
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +108,8 @@ def test_propagations_match_plain_reachability(name, dims, vcs):
 # ----------------------------------------------------------------------
 def _reference_walk(algorithm, dest):
     """A Channel-keyed walk, one relation evaluation per state: states in
-    BFS order with their route and waiting sets."""
+    BFS order, each state's successors queued in ascending cid order, with
+    their route and waiting sets."""
     net = algorithm.network
     succ, wait = {}, {}
     frontier = [net.injection_channel(n) for n in net.nodes if n != dest]
@@ -127,7 +122,7 @@ def _reference_walk(algorithm, dest):
                 continue
             out = algorithm.route(c, c.dst, dest)
             succ[c], wait[c] = out, algorithm.waiting_subset(c, c.dst, dest, out)
-            for o in out:
+            for o in sorted(out, key=attrgetter("cid")):
                 if o not in seen:
                     seen.add(o)
                     nxt.append(o)

@@ -1,7 +1,5 @@
 """The channel dependency graph (Dally & Seitz)."""
 
-import pytest
-
 from repro.deps import ChannelDependencyGraph
 from repro.routing import (
     DallySeitzTorus,
@@ -10,7 +8,7 @@ from repro.routing import (
     NegativeFirst,
     UnrestrictedMinimal,
 )
-from repro.topology import build_ring, build_torus
+from repro.topology import build_ring
 from tests.nx_reference import nx_view
 
 

@@ -8,12 +8,10 @@ from repro.deps import (
     escape_by_vc,
 )
 from repro.routing import (
-    DimensionOrderMesh,
     DuatoFullyAdaptiveHypercube,
     DuatoFullyAdaptiveMesh,
     UnrestrictedMinimal,
 )
-from repro.topology import build_hypercube, build_mesh
 
 
 @pytest.fixture(scope="module")

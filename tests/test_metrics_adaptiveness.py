@@ -3,7 +3,7 @@
 from math import factorial, isclose
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.metrics import (

@@ -12,7 +12,7 @@ from repro.routing import (
     NegativeFirst,
     UnrestrictedMinimal,
 )
-from repro.topology import build_hypercube, build_mesh
+from repro.topology import build_hypercube
 
 
 def test_minimal_path_matrix_ecube(mesh33):

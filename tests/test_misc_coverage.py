@@ -7,7 +7,6 @@ import pytest
 from repro.core import ChannelWaitingGraph
 from repro.deps import ChannelDependencyGraph, escape_by_vc
 from repro.routing import (
-    CATALOG,
     DimensionOrderMesh,
     HighestPositiveLast,
     RestrictedWaiting,
@@ -17,7 +16,6 @@ from repro.routing import (
     make,
 )
 from repro.sim import BernoulliTraffic, ScriptedTraffic, SimConfig, WormholeSimulator
-from repro.topology import build_mesh
 from tests.nx_reference import nx_view
 
 

@@ -55,8 +55,9 @@ def _fuzz_nd_relations() -> list[NodeDestRouting]:
     return cases + [_uturn_relation()]
 
 
-def _reference_entry(algo, c_in, dest, dist) -> RouteEntry:
-    """The entry a table without row sharing builds for ``(c_in, dest)``."""
+def _reference_entry(algo, c_in, dest, dist) -> tuple[RouteEntry, tuple]:
+    """The entry a table without row sharing builds for ``(c_in, dest)``,
+    and its Channel forms ``(cand_channels, wait_channels, wait_set)``."""
     node = c_in.dst
     permitted = algo.route(c_in, node, dest)
     waiting = algo.waiting_channels(c_in, node, dest)
@@ -69,11 +70,12 @@ def _reference_entry(algo, c_in, dest, dist) -> RouteEntry:
             return (dist[c.dst][dest], c.dst == prev, c.vc, c.cid)
     cands = tuple(sorted(permitted, key=key))
     waits = tuple(sorted(waiting, key=key))
-    return RouteEntry(
-        cand_cids=tuple(c.cid for c in cands), cand_channels=cands,
-        wait_cids=tuple(c.cid for c in waits), wait_channels=waits,
-        wait_set=frozenset(waiting),
-    )
+    entry = RouteEntry(tuple(c.cid for c in cands), tuple(c.cid for c in waits), algo.network)
+    return entry, (cands, waits, frozenset(waiting))
+
+
+def _views(e: RouteEntry) -> tuple:
+    return e.cand_channels, e.wait_channels, e.wait_set
 
 
 def _assert_ignores_input_channel(algo) -> None:
@@ -106,8 +108,9 @@ def _check_table(algo, dist) -> RouteTable:
     table = RouteTable(algo, dist=dist)
     states = list(_states(algo))
     for c_in, dest in states:
-        expected = _reference_entry(algo, c_in, dest, dist)
-        assert table.entry(c_in.cid, dest) == expected, (algo.name, c_in, dest)
+        expected, views = _reference_entry(algo, c_in, dest, dist)
+        got = table.entry(c_in.cid, dest)
+        assert got == expected and _views(got) == views, (algo.name, c_in, dest)
     assert table.misses == table.stats()["entries"] == len(states)
     if not isinstance(algo, NodeDestRouting):
         assert table.rows == len(states)
@@ -144,7 +147,7 @@ def test_uturn_inputs_get_their_own_order():
     table = _check_table(algo, dist)
     reordered = 0
     for c_in, dest in _states(algo):
-        row = _reference_entry(algo, algo.network.injection_channel(c_in.dst), dest, dist)
+        row, _ = _reference_entry(algo, algo.network.injection_channel(c_in.dst), dest, dist)
         reordered += table.entry(c_in.cid, dest) != row
     assert reordered > 0
 

@@ -11,7 +11,7 @@ from repro.routing import (
     is_connected,
     is_minimal,
 )
-from repro.topology import build_hypercube, build_mesh
+from repro.topology import build_mesh
 from repro.verify import is_nonadaptive
 
 

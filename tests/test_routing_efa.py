@@ -12,7 +12,6 @@ from repro.routing import (
     is_prefix_closed,
     is_suffix_closed,
 )
-from repro.topology import build_hypercube
 
 
 @pytest.fixture(scope="module")

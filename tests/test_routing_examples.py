@@ -15,7 +15,6 @@ from repro.routing import (
     is_suffix_closed,
     never_revisits_node,
 )
-from repro.topology import build_figure4_ring, build_mesh
 
 
 class TestIncoherent:

@@ -14,7 +14,6 @@ from repro.routing import (
     is_connected,
     is_minimal,
 )
-from repro.topology import build_hypercube
 from repro.verify import verify
 
 

@@ -1,6 +1,5 @@
 """Selection functions (Definition 3)."""
 
-import numpy as np
 import pytest
 
 from repro.routing import (

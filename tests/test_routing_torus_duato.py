@@ -14,7 +14,7 @@ from repro.routing import (
     is_fully_adaptive,
     is_minimal,
 )
-from repro.topology import build_hypercube, build_mesh, build_torus
+from repro.topology import build_torus
 from repro.verify import is_nonadaptive
 
 

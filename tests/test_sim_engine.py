@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.routing import (
     DimensionOrderMesh,
     DuatoFullyAdaptiveMesh,
-    EnhancedFullyAdaptive,
     HighestPositiveLast,
     make,
 )

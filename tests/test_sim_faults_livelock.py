@@ -5,7 +5,6 @@ import pytest
 
 from repro.routing import DimensionOrderMesh, HighestPositiveLast
 from repro.sim import BernoulliTraffic, ScriptedTraffic, SimConfig, WormholeSimulator
-from repro.topology import build_mesh
 
 
 def chan(net, node, dim, sign):

@@ -17,7 +17,6 @@ from repro.sim import (
     transpose_pattern,
     uniform_pattern,
 )
-from repro.topology import build_figure4_ring, build_hypercube, build_mesh
 
 
 class TestPatterns:

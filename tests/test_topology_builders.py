@@ -4,7 +4,6 @@ import pytest
 
 from repro.topology import (
     FIGURE1_LABELS,
-    build_figure1_network,
     build_figure4_ring,
     build_hypercube,
     build_mesh,

@@ -1,10 +1,7 @@
 """The prior-generation verifiers: Dally--Seitz and Duato's condition."""
 
-import pytest
-
 from repro.routing import (
     DallySeitzTorus,
-    DimensionOrderHypercube,
     DimensionOrderMesh,
     DuatoFullyAdaptiveHypercube,
     DuatoFullyAdaptiveMesh,
@@ -15,7 +12,6 @@ from repro.routing import (
     UnrestrictedMinimal,
 )
 from repro.deps import escape_by_vc
-from repro.topology import build_hypercube, build_mesh
 from repro.verify import (
     applicability,
     dally_seitz,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.routing import (
     DimensionOrderMesh,
-    DuatoFullyAdaptiveMesh,
     EnhancedFullyAdaptive,
     HighestPositiveLast,
     IncoherentExample,
@@ -13,7 +12,7 @@ from repro.routing import (
     UnrestrictedMinimal,
 )
 from repro.topology import build_hypercube, build_mesh
-from repro.verify import theorem1, theorem2, theorem3, verify
+from repro.verify import theorem1, theorem2, verify
 
 
 class TestTheorem1:

@@ -6,11 +6,13 @@ registry at the benchmark's ``--quick`` sizes, theorem only, triage off)
 is run with the relation and the checker's layer entry points wrapped by
 counters, and these counts are pinned exactly:
 
-* relation evaluations -- outermost ``route`` or ``route_nd`` calls (a
-  wrapper relation delegating to its inner relation is one evaluation, and
-  so is ``NodeDestRouting.route`` calling ``route_nd``; a ``route_nd`` call
-  made from anywhere else, such as a waiting hook recomputing its row,
-  counts as one more);
+* relation evaluations -- outermost ``route_masks``, ``route`` or
+  ``route_nd`` calls (a wrapper relation delegating to its inner relation
+  is one evaluation, and so are ``NodeDestRouting.route`` calling
+  ``route_nd``, the derived ``route_masks`` calling ``route`` and a
+  mask-native relation's derived ``route_nd`` calling ``route_masks``; a
+  call made from anywhere else, such as a waiting hook recomputing its
+  row, counts as one more);
 * CWG edges built;
 * :class:`~repro.core.transitions.DestinationTransitions` builds;
 * True-Cycle / any-wait search nodes, logical (the budget's unit) and
@@ -22,6 +24,9 @@ cycles at 0.05 flits/node/cycle) and past it (500 cycles at 0.25), with
 fixed seeds, pinning the run's ``perf_counters()`` -- route-table rows and
 misses, allocator wakeups, flit hops -- and the relation evaluations behind
 the rows.  These pins, not wall-time asserts, guard the simulator's speed.
+The route table fills its entries from cid masks: filling duato-mesh's
+makes no ``Channel.__hash__`` call, and an entry builds its Channel forms
+only when a message blocks on it.
 
 The same counts, plus the edges of every extended CDG Duato's
 condition builds, are pinned for CI's checker-smoke job set (the whole
@@ -44,7 +49,8 @@ also pin "route once, then narrow": a waiting set is derived from the route
 set the consumer just evaluated (``waiting_subset``), so neither the
 checker's transition walk nor the simulator's route table evaluates a
 relation twice for one decision, and no relation class overrides
-``waiting_channels``.
+``waiting_channels``.  Both consumers ask that one question as
+``route_masks``.
 """
 
 from __future__ import annotations
@@ -67,10 +73,11 @@ from repro.pipeline.engine import DEFAULT_CONDITIONS, catalog_specs
 from repro.routing import RestrictedWaiting, make
 from repro.routing.duato_adaptive import DuatoFullyAdaptiveMesh
 from repro.routing.hpl import HighestPositiveLast
-from repro.routing.relation import NodeDestRouting, RouteTable, RoutingAlgorithm
+from repro.routing.relation import NodeDestRouting, RouteEntry, RouteTable, RoutingAlgorithm
 from repro.scenario import registry
 from repro.sim import BernoulliTraffic, SimConfig, WormholeSimulator
 from repro.topology import build_mesh
+from repro.topology.channel import Channel
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,15 +123,15 @@ def smoke_jobs():
 
 
 def _relation_methods():
-    """``(class, name)`` for every concrete ``route`` / ``route_nd`` a loaded
-    relation class defines itself."""
+    """``(class, name)`` for every concrete ``route_masks`` / ``route`` /
+    ``route_nd`` a loaded relation class defines itself."""
     todo, seen = [RoutingAlgorithm], set()
     while todo:
         for sub in todo.pop().__subclasses__():
             if sub not in seen:
                 seen.add(sub)
                 todo.append(sub)
-                for name in ("route", "route_nd"):
+                for name in ("route_masks", "route", "route_nd"):
                     fn = sub.__dict__.get(name)
                     if fn is not None and not getattr(fn, "__isabstractmethod__", False):
                         yield sub, name
@@ -285,9 +292,15 @@ def _reachable_states(tc: TransitionCache) -> tuple[int, set[tuple[int, int]]]:
 
 
 def _counting(algorithm: RoutingAlgorithm) -> Counter:
-    """Count route / waiting_subset calls on this instance, per (node, dest)."""
+    """Count route_masks / route / waiting_subset calls on this instance,
+    per (node, dest) for the first two."""
     calls: Counter = Counter()
-    route, waiting = algorithm.route, algorithm.waiting_subset
+    masks, route, waiting = algorithm.route_masks, algorithm.route, algorithm.waiting_subset
+
+    def counted_masks(c_in_cid, node, dest):
+        calls["route_masks"] += 1
+        calls[("route_masks", node, dest)] += 1
+        return masks(c_in_cid, node, dest)
 
     def counted_route(c_in, node, dest):
         calls["route"] += 1
@@ -298,19 +311,33 @@ def _counting(algorithm: RoutingAlgorithm) -> Counter:
         calls["waiting"] += 1
         return waiting(c_in, node, dest, permitted)
 
+    algorithm.route_masks = counted_masks
     algorithm.route = counted_route
     algorithm.waiting_subset = counted_waiting
     return calls
 
 
-def test_node_dest_relation_is_evaluated_once_per_row():
-    ra = make("duato-mesh", build_mesh((4, 4), num_vcs=2))
+def _once_per_row(ra: RoutingAlgorithm) -> tuple[Counter, set]:
     calls = _counting(ra)
-    tc = TransitionCache(ra)
-    states, rows = _reachable_states(tc)
+    states, rows = _reachable_states(TransitionCache(ra))
     assert states > len(rows)
+    assert calls["route_masks"] == len(rows)
+    assert all(calls[("route_masks", n, d)] == 1 for n, d in rows)
+    return calls, rows
+
+
+def test_node_dest_relation_is_evaluated_once_per_row():
+    """Mask-native duato-mesh answers the one query per row and never
+    builds its Channel views."""
+    calls, _ = _once_per_row(make("duato-mesh", build_mesh((4, 4), num_vcs=2)))
+    assert calls["route"] == calls["waiting"] == 0
+
+
+def test_channel_authored_row_is_one_route_and_one_hook():
+    """A Channel-authored relation's derived query is one ``route`` call and
+    one waiting hook per row."""
+    calls, rows = _once_per_row(make("e-cube-mesh", build_mesh((4, 4))))
     assert calls["route"] == calls["waiting"] == len(rows)
-    assert all(calls[("route", n, d)] == 1 for n, d in rows)
 
 
 def test_form_nd_wrapper_is_evaluated_once_per_state():
@@ -320,7 +347,7 @@ def test_form_nd_wrapper_is_evaluated_once_per_state():
     calls = _counting(wrapped)
     states, rows = _reachable_states(TransitionCache(wrapped))
     assert states > len(rows)
-    assert calls["route"] == calls["waiting"] == states
+    assert calls["route_masks"] == calls["route"] == calls["waiting"] == states
 
 
 @pytest.mark.parametrize("name", ["duato-mesh", "west-first", "e-cube-mesh"])
@@ -339,15 +366,15 @@ def test_row_memo_keeps_the_transition_graph(name):
 # route once, then narrow
 # ----------------------------------------------------------------------
 class CountingDuatoMesh(DuatoFullyAdaptiveMesh):
-    """duato-mesh counting every evaluation of its row function."""
+    """duato-mesh (mask-native) counting every evaluation of its one query."""
 
     def __init__(self, network) -> None:
         super().__init__(network)
         self.evals: Counter = Counter()
 
-    def route_nd(self, node, dest):
+    def route_masks(self, c_in_cid, node, dest):
         self.evals[node, dest] += 1
-        return super().route_nd(node, dest)
+        return super().route_masks(c_in_cid, node, dest)
 
 
 class CountingHPL(HighestPositiveLast):
@@ -462,3 +489,49 @@ def test_quick_sim_work_is_pinned(monkeypatch, rate, cycles, seed):
     assert sim.deadlock is None
     counts.update(sim.perf_counters())
     assert {k: counts[k] for k in SIM_PINNED[rate, cycles, seed]} == SIM_PINNED[rate, cycles, seed]
+
+
+#: distinct route-table entries a message blocked on in the light run below
+BLOCKED_ENTRIES = 5
+
+
+def test_route_table_fill_builds_channel_forms_only_for_blocks(monkeypatch):
+    """duato-mesh's route table fills from cid masks: a cold fill on a network
+    whose per-channel singleton sets exist hashes no channel, and an entry
+    builds its Channel forms only when a message blocks on it -- its waiting
+    set, once; the candidate tuples never, under the default selection."""
+    net = build_mesh((6, 6), num_vcs=2)
+    ra = make("duato-mesh", net)
+    hashes: Counter = Counter()
+    channel_hash = Channel.__hash__
+
+    def counted_hash(c):
+        hashes[c.cid] += 1
+        return channel_hash(c)
+    monkeypatch.setattr(Channel, "__hash__", counted_hash)
+    asked: list[RouteEntry] = []
+    wait_set = RouteEntry.wait_set
+
+    def asked_wait_set(e):
+        asked.append(e)
+        return wait_set.fget(e)
+    monkeypatch.setattr(RouteEntry, "wait_set", property(asked_wait_set))
+
+    def run() -> RouteTable:
+        traffic = BernoulliTraffic(net, rate=0.05, length=8, stop_at=1000)
+        sim = WormholeSimulator(ra, traffic, SimConfig(seed=3))
+        sim.run(1000)
+        return sim._route_table
+
+    run()
+    # the network's singleton sets, built at the first block: one hash per channel
+    assert hashes == Counter(range(net.num_channels))
+    hashes.clear()
+    asked.clear()
+    table = run()
+    assert hashes == Counter()
+    entries = list({id(e): e for e in table._entries if e is not None}.values())
+    assert not any(e._cands or e._waits for e in entries)
+    built = {id(e) for e in entries if e._wait_set is not None}
+    assert built == {id(e) for e in asked}
+    assert (len(built), len(entries), table.misses) == (BLOCKED_ENTRIES, 541, 722)
