@@ -8,34 +8,36 @@ The network object itself is never mutated -- a failed channel still exists
 stable); it is merely removed from every route and waiting set, exactly the
 semantics of the simulator's ``fail_channel``.
 
+The overlay is mask-native: it answers the one relation query,
+:meth:`~repro.routing.relation.RoutingAlgorithm.route_masks`, from the
+base's answer to the same query, and its ``route`` / ``waiting_subset`` are
+the derived Channel views.  Table edits and the down set are cid masks, and
+the down mask is applied with ``& ~down``.
+
 The overlay is also the session's *instrumentation point*: while a
 :class:`RouteRecorder` is attached, every query records the destination it
-was for and the **pre-mask** channels it consulted.  Those consulted sets
-drive the session's sound invalidation rules -- a link going down or up can
-only change behavior observable through a query whose base route/waiting set
-contains that channel, and the first diverging query of any deterministic
-consumer (the session's transition walks) is one both the cached
-run and a fresh run perform.  Recording is off during verification proper,
-so the overlay behaves as a plain relation there.
+was for and the **pre-mask** channels it consulted (the route and the
+waiting mask).  Those consulted sets drive the session's sound
+invalidation rules -- a link going down or up can only change behavior
+observable through a query whose base route/waiting set contains that
+channel, and the first diverging query of any deterministic consumer (the
+session's transition walks) is one both the cached run and a fresh run
+perform.  Recording is off during verification proper, so the overlay
+behaves as a plain relation there.
 
-Base rows are memoized per overlay, keyed by ``(c_in.cid, dest)`` (the
+Base rows are memoized per overlay, keyed by ``(c_in cid, dest)`` (the
 relation is a pure function of the input channel and the destination, as
 :class:`~repro.routing.relation.RouteTable` also relies on).  A row holds
-the base's route set and, once asked for, the waiting set narrowed from it:
-one evaluation of the base relation per row.  Deltas never
-invalidate the memo: table edits are consulted before it and the down mask
-is applied after it, and the recorder notes the pre-mask set on every
-query, memo hit or not.
+the base's ``(route mask, wait mask)`` from one ``base.route_masks`` call:
+one evaluation of the base relation per row.  Deltas never invalidate the
+memo: table edits are consulted before it and the down mask is applied
+after it, and the recorder notes the pre-mask masks on every query, memo
+hit or not.
 """
 
 from __future__ import annotations
 
 from ..routing.relation import RoutingAlgorithm
-from ..topology.channel import Channel
-
-_ROUTES, _WAITS = 0, 1
-
-_EMPTY: frozenset[Channel] = frozenset()
 
 
 class RouteRecorder:
@@ -47,50 +49,48 @@ class RouteRecorder:
         self.dests: set[int] = set()
         self.mask: int = 0
 
-    def note(self, dest: int, channels: frozenset[Channel]) -> None:
+    def note(self, dest: int, mask: int) -> None:
         self.dests.add(dest)
-        m = self.mask
-        for c in channels:
-            m |= 1 << c.cid
-        self.mask = m
+        self.mask |= mask
 
 
 class OverlayRouting(RoutingAlgorithm):
     """``base`` with down channels masked and table cells overridden.
 
-    ``down`` is a frozenset of :class:`Channel` objects removed from every
-    route and waiting set; ``edits`` maps a table key to its overriding
-    ``(routes, waits)`` frozensets (already validated by the session).
-    Form, wait policy, and name are the base algorithm's -- an overlay with
-    no deltas is observationally identical to its base.
+    ``down`` is the cid mask of the channels removed from every route and
+    waiting set; ``edits`` maps a table key to its overriding ``(route
+    mask, wait mask)`` (already validated by the session).  Form, wait
+    policy, and name are the base algorithm's -- an overlay with no deltas
+    is observationally identical to its base.
     """
 
     def __init__(
         self,
         base: RoutingAlgorithm,
         *,
-        down: frozenset[Channel] = _EMPTY,
-        edits: dict[str, tuple[frozenset[Channel], frozenset[Channel]]] | None = None,
+        down: int = 0,
+        edits: dict[str, tuple[int, int]] | None = None,
     ) -> None:
         super().__init__(base.network)
         self.base = base
         self.name = base.name
         self.form = base.form
         self.wait_policy = base.wait_policy
-        self.down: frozenset[Channel] = frozenset(down)
-        self.edits: dict[str, tuple[frozenset[Channel], frozenset[Channel]]] = dict(edits or {})
+        self.down: int = down
+        self.edits: dict[str, tuple[int, int]] = dict(edits or {})
         self._recorder: RouteRecorder | None = None
-        #: (c_in cid, dest) -> the base relation's pre-mask [routes, waits],
-        #: waits ``None`` until first asked for
-        self._rows: dict[tuple[int, int], list[frozenset[Channel] | None]] = {}
+        self._n = base.network.num_nodes
+        #: ``c_in cid * num_nodes + dest`` -> the base relation's pre-mask
+        #: ``(route mask, wait mask)``
+        self._rows: dict[int, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
-    def table_key(self, c_in: Channel, node: int, dest: int) -> str:
+    def table_key(self, c_in_cid: int, node: int, dest: int) -> str:
         """The TableCase-grammar key identifying this query's table cell."""
         if self.form == "ND":
             return f"n{node}->{dest}"
-        if c_in.is_link:
-            return f"c{c_in.cid}->{dest}"
+        if self.network.channels[c_in_cid].is_link:
+            return f"c{c_in_cid}->{dest}"
         return f"i{node}->{dest}"
 
     # ------------------------------------------------------------------
@@ -103,35 +103,20 @@ class OverlayRouting(RoutingAlgorithm):
     # ------------------------------------------------------------------
     # the relation
     # ------------------------------------------------------------------
-    def route(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        return self._query(_ROUTES, c_in, node, dest)
-
-    def waiting_subset(self, c_in: Channel, node: int, dest: int,
-                       permitted: frozenset[Channel]) -> frozenset[Channel]:
-        # ``permitted`` is already masked and may come from a table edit:
-        # the waits are read from the same cell, not narrowed from it
-        return self._query(_WAITS, c_in, node, dest)
-
-    def _query(self, slot: int, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        """One route (``slot`` 0) or waiting (1) query: a table edit wins,
-        else the memoized base row; then record, then mask."""
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
+        """A table edit wins, else the memoized base row; then record, then mask."""
         if node == dest:
-            return _EMPTY
-        hit = self.edits.get(self.table_key(c_in, node, dest)) if self.edits else None
-        if hit is not None:
-            got = hit[slot]
-        else:
-            key = (c_in.cid, dest)
-            row = self._rows.get(key)
-            if row is None:
-                row = self._rows[key] = [self.base.route(c_in, node, dest), None]
-            got = row[slot]
-            if got is None:
-                # narrowed on first use only: a state some consumer merely
-                # routes (a path walk) never asks the base for its waits
-                got = row[_WAITS] = self.base.waiting_subset(c_in, node, dest, row[_ROUTES])
+            return 0, 0
+        hit = self.edits.get(self.table_key(c_in_cid, node, dest)) if self.edits else None
+        if hit is None:
+            key = c_in_cid * self._n + dest
+            hit = self._rows.get(key)
+            if hit is None:
+                hit = self._rows[key] = self.base.route_masks(c_in_cid, node, dest)
+        route, wait = hit
         if self._recorder is not None:
-            self._recorder.note(dest, got)
-        if self.down and got:
-            return got - self.down
-        return got
+            self._recorder.note(dest, route | wait)
+        down = self.down
+        if down:
+            return route & ~down, wait & ~down
+        return route, wait

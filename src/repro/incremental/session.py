@@ -172,13 +172,13 @@ class IncrementalSession:
         self._link_index: dict[tuple[int, int, int], Channel] = {
             (c.src, c.dst, c.vc): c for c in net.link_channels
         }
-        down: set[Channel] = set()
+        down = 0
         for t in sorted(self._down_triples):
             c = self._link_index.get(t)
             if c is None:
                 raise ValueError(f"down link {t} does not exist in {net.name}")
-            down.add(c)
-        self.overlay = OverlayRouting(self.base, down=frozenset(down))
+            down |= 1 << c.cid
+        self.overlay = OverlayRouting(self.base, down=down)
         self.tc = TransitionCache(self.overlay)
         #: dest -> pre-mask channel bitmask its transition walk consulted
         self._relevant: dict[int, int] = {}
@@ -286,9 +286,10 @@ class IncrementalSession:
                 self._down_triples.add(triple)
             else:
                 self._down_triples.discard(triple)
-            self.overlay.down = frozenset(
-                self._link_index[t] for t in self._down_triples
-            )
+            down = 0
+            for t in self._down_triples:
+                down |= 1 << self._link_index[t].cid
+            self.overlay.down = down
             if not self.stale_scc:
                 # Sound by the recorder induction; the planted broken
                 # variant skips exactly this expansion.
@@ -355,13 +356,16 @@ class IncrementalSession:
             self._edits.pop(edit.key, None)
             self.overlay.edits.pop(edit.key, None)
             return dest
-        routes = frozenset(net.channel(cid) for cid in edit.routes)
-        for c in routes:
+        routes = 0
+        for cid in edit.routes:
+            c = net.channel(cid)
             if not c.is_link or c.src != node:
                 raise ValueError(f"route channel {c!r} does not leave node {node}")
-        wait_cids = edit.waits if edit.waits is not None else edit.routes
-        waits = frozenset(net.channel(cid) for cid in wait_cids)
-        if not waits <= routes:
+            routes |= 1 << cid
+        waits = 0
+        for cid in edit.waits if edit.waits is not None else edit.routes:
+            waits |= 1 << cid
+        if waits & ~routes:
             raise ValueError("waiting channels must be a subset of the route set")
         self._edits[edit.key] = edit
         self.overlay.edits[edit.key] = (routes, waits)
@@ -507,7 +511,7 @@ def default_table_edit(session: IncrementalSession) -> tuple[TableEdit, TableEdi
             if not routes:
                 continue
             c = net.channel(a)
-            key = overlay.table_key(c, c.dst, dest)
+            key = overlay.table_key(a, c.dst, dest)
             if key in overlay.edits:
                 continue
             if routes & (routes - 1):

@@ -34,7 +34,6 @@ from .properties import (
     provides_minimal_path,
 )
 from .relation import (
-    MaskNodeDestRouting,
     NodeDestRouting,
     RestrictedWaiting,
     RouteEntry,
@@ -42,7 +41,6 @@ from .relation import (
     RoutingAlgorithm,
     RoutingError,
     WaitPolicy,
-    as_cnd,
 )
 from .ring_example import RingExample
 from .selection import (
@@ -73,7 +71,6 @@ __all__ = [
     "EnhancedFullyAdaptive",
     "HighestPositiveLast",
     "IncoherentExample",
-    "MaskNodeDestRouting",
     "MinimalAdaptive3D",
     "NegativeFirst",
     "NodeDestRouting",
@@ -92,7 +89,6 @@ __all__ = [
     "SelectionFunction",
     "WaitPolicy",
     "WestFirst",
-    "as_cnd",
     "count_minimal_paths",
     "count_paths",
     "enumerate_paths",

@@ -50,7 +50,8 @@ class MinimalAdaptive3D(NodeDestRouting):
 
     Works on any grid-built network carrying ``dim``/``sign`` channel
     metadata and at least two virtual channels per link; registered for the
-    ``mesh3d`` and ``sparse-pillar`` families.
+    ``mesh3d`` and ``sparse-pillar`` families.  Mask-native: both sets are
+    precomputed per ``(node, dest)`` as cid masks.
     """
 
     form = "ND"
@@ -66,9 +67,9 @@ class MinimalAdaptive3D(NodeDestRouting):
                 f"(got {num_vcs} VC network)")
         dist = network.shortest_distances()
         n = network.num_nodes
-        empty: frozenset[Channel] = frozenset()
-        routes: list[frozenset[Channel]] = [empty] * (n * n)
-        waits: list[frozenset[Channel]] = [empty] * (n * n)
+        #: per ``node * num_nodes + dest``, the route and the wait cid masks
+        routes = [0] * (n * n)
+        waits = [0] * (n * n)
         for node in range(n):
             out = [c for c in network.out_channels(node) if c.is_link]
             drow = dist[node]
@@ -80,18 +81,17 @@ class MinimalAdaptive3D(NodeDestRouting):
                 if not minimal:  # unreachable destination: freeze() forbids this
                     raise RoutingError(
                         f"{self.name}: no minimal move from {node} to {dest}")
-                escape = min((c for c in minimal if c.vc == 0), key=_escape_key)
-                permitted = frozenset(
-                    c for c in minimal if c.vc >= 1) | {escape}
-                routes[node * n + dest] = permitted
-                waits[node * n + dest] = frozenset((escape,))
+                escape = 1 << min((c for c in minimal if c.vc == 0), key=_escape_key).cid
+                route = escape
+                for c in minimal:
+                    if c.vc >= 1:
+                        route |= 1 << c.cid
+                routes[node * n + dest] = route
+                waits[node * n + dest] = escape
         self._routes = routes
         self._waits = waits
         self._n = n
 
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
-        return self._routes[node * self._n + dest]
-
-    def waiting_subset(self, c_in: Channel, node: int, dest: int,
-                       permitted: frozenset[Channel]) -> frozenset[Channel]:
-        return self._waits[node * self._n + dest]
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
+        i = node * self._n + dest
+        return self._routes[i], self._waits[i]

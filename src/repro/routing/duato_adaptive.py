@@ -23,14 +23,13 @@ necessary-and-sufficient conditions apply to it and must agree.
 
 from __future__ import annotations
 
-from ..topology.channel import Channel
 from ..topology.grid import direction_masks
 from ..topology.network import Network
-from .relation import MaskNodeDestRouting, NodeDestRouting, RoutingError, WaitPolicy
+from .relation import NodeDestRouting, RoutingError, WaitPolicy
 from .torus_vc import DallySeitzTorus
 
 
-class DuatoFullyAdaptiveMesh(MaskNodeDestRouting):
+class DuatoFullyAdaptiveMesh(NodeDestRouting):
     """Duato's fully adaptive algorithm on an n-D mesh (2 VCs per link).
 
     Also serves hypercubes built as ``(2, ..., 2)`` meshes; see
@@ -97,7 +96,9 @@ class DuatoFullyAdaptiveTorus(NodeDestRouting):
 
     Escape class: Dally--Seitz dateline pair at VC indices 0 and 1;
     adaptive class: VC index 2, any minimal move (shortest way around each
-    ring, both directions when equidistant).
+    ring, both directions when equidistant).  Mask-native: the escape
+    relation's mask is the waiting set, and the adaptive outputs come from
+    per-node VC-2 direction masks.
     """
 
     name = "duato-torus"
@@ -111,6 +112,8 @@ class DuatoFullyAdaptiveTorus(NodeDestRouting):
             raise RoutingError(f"{self.name} needs 3 virtual channels per link")
         self.escape = DallySeitzTorus(network, vc_base=0)
         self.dims: tuple[int, ...] = network.meta["dims"]
+        #: per node, ``2 * dim + (sign > 0) -> cid mask`` of the VC-2 outputs
+        self._adaptive = direction_masks(network, vc=2)
 
     def _minimal_moves(self, node: int, dest: int) -> list[tuple[int, int]]:
         here = self.network.coord(node)
@@ -127,17 +130,13 @@ class DuatoFullyAdaptiveTorus(NodeDestRouting):
                 moves.append((dim, -1))
         return moves
 
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
         if node == dest:
-            return frozenset()
-        out = set(self.escape.route_nd(node, dest))
+            return 0, 0
+        # the escape part, the dateline pair at VC indices 0 and 1, is the waiting set
+        wait = self.escape.route_masks(c_in_cid, node, dest)[0]
+        adaptive = self._adaptive[node]
+        route = wait
         for dim, sign in self._minimal_moves(node, dest):
-            for c in self.network.out_channels(node):
-                if c.meta.get("dim") == dim and c.meta.get("sign") == sign and c.vc == 2:
-                    out.add(c)
-        return frozenset(out)
-
-    def waiting_subset(self, c_in: Channel, node: int, dest: int,
-                       permitted: frozenset[Channel]) -> frozenset[Channel]:
-        # the escape part: the dateline pair at VC indices 0 and 1
-        return frozenset([c for c in permitted if c.vc < 2])
+            route |= adaptive[2 * dim + (sign > 0)]
+        return route, wait

@@ -8,7 +8,7 @@ path per source-destination pair.  Its channel dependency graph is acyclic
 
 from __future__ import annotations
 
-from ..topology.channel import Channel
+from ..topology.grid import dimension_masks, direction_masks
 from ..topology.network import Network
 from .relation import NodeDestRouting, RoutingError, WaitPolicy
 
@@ -33,29 +33,21 @@ class DimensionOrderMesh(NodeDestRouting):
         if network.meta.get("topology") not in ("mesh", "hypercube"):
             raise RoutingError(f"{self.name} requires a mesh-like network, got {network.name}")
         self.vc = vc
+        #: per node, ``2 * dim + (sign > 0) -> cid mask`` of the permitted VC's outputs
+        self._moves = direction_masks(network, vc=vc)
 
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
         if node == dest:
-            return frozenset()
-        here = self.network.coord(node)
-        there = self.network.coord(dest)
-        for dim, (h, t) in enumerate(zip(here, there)):
+            return 0, 0
+        coords = self.network.coords
+        for dim, (h, t) in enumerate(zip(coords[node], coords[dest])):
             if h != t:
-                sign = 1 if t > h else -1
-                return self._channels(node, dim, sign)
-        return frozenset()
-
-    def _channels(self, node: int, dim: int, sign: int) -> frozenset[Channel]:
-        out = [
-            c
-            for c in self.network.out_channels(node)
-            if c.meta.get("dim") == dim and c.meta.get("sign") == sign
-        ]
-        if self.vc is not None:
-            out = [c for c in out if c.vc == self.vc]
-        if not out:
-            raise RoutingError(f"{self.name}: no channel dim={dim} sign={sign} at node {node}")
-        return frozenset(out)
+                out = self._moves[node][2 * dim + (t > h)]
+                if not out:
+                    sign = 1 if t > h else -1
+                    raise RoutingError(f"{self.name}: no channel dim={dim} sign={sign} at node {node}")
+                return out, out
+        return 0, 0
 
 
 class DimensionOrderHypercube(NodeDestRouting):
@@ -73,13 +65,12 @@ class DimensionOrderHypercube(NodeDestRouting):
         if network.meta.get("topology") != "hypercube":
             raise RoutingError(f"{self.name} requires a hypercube network")
         self.vc = vc
+        #: per node, ``dim -> cid mask`` of the permitted VC's outputs
+        self._dims = dimension_masks(network, vc=vc)
 
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
-        if node == dest:
-            return frozenset()
-        low = ((node ^ dest) & -(node ^ dest)).bit_length() - 1  # lowest set bit
-        nbr = node ^ (1 << low)
-        out = [c for c in self.network.channels_between(node, nbr)]
-        if self.vc is not None:
-            out = [c for c in out if c.vc == self.vc]
-        return frozenset(out)
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
+        diff = node ^ dest
+        if not diff:
+            return 0, 0
+        out = self._dims[node][(diff & -diff).bit_length() - 1]  # lowest set bit
+        return out, out

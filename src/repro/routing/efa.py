@@ -28,7 +28,7 @@ benchmarks can exhibit the resulting True Cycles and empirical deadlocks.
 
 from __future__ import annotations
 
-from ..topology.channel import Channel
+from ..topology.grid import dimension_masks
 from ..topology.hypercube import differing_dimensions
 from ..topology.network import Network
 from .relation import NodeDestRouting, RoutingError, WaitPolicy
@@ -36,6 +36,9 @@ from .relation import NodeDestRouting, RoutingError, WaitPolicy
 
 class EnhancedFullyAdaptive(NodeDestRouting):
     """The Enhanced Fully Adaptive routing algorithm on a hypercube with 2 VCs.
+
+    Mask-native: a decision ORs per-node, per-dimension masks of the two
+    classes.
 
     Parameters
     ----------
@@ -56,6 +59,10 @@ class EnhancedFullyAdaptive(NodeDestRouting):
         self.dimension: int = network.meta["dimension"]
         self.wait_policy = WaitPolicy.ANY if wait_any else WaitPolicy.SPECIFIC
         self._wait_any = wait_any
+        #: per node, ``dim -> cid mask`` of the first (VC 0) and the second
+        #: (VC 1) class's output
+        self._first = dimension_masks(network, vc=0)
+        self._second = dimension_masks(network, vc=1)
 
     # ------------------------------------------------------------------
     def _needed(self, node: int, dest: int) -> list[int]:
@@ -75,29 +82,23 @@ class EnhancedFullyAdaptive(NodeDestRouting):
             return needed
         return [mu]
 
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
         if node == dest:
-            return frozenset()
+            return 0, 0
+        first, second = self._first[node], self._second[node]
         needed = self._needed(node, dest)
-        allowed_first = set(self.first_class_dims(node, dest))
-        out: list[Channel] = []
+        route = 0
         for dim in needed:
-            nbr = node ^ (1 << dim)
-            for c in self.network.channels_between(node, nbr):
-                if c.vc == 1 or (c.vc == 0 and dim in allowed_first):
-                    out.append(c)
-        return frozenset(out)
-
-    def waiting_subset(self, c_in: Channel, node: int, dest: int,
-                       permitted: frozenset[Channel]) -> frozenset[Channel]:
-        if not permitted or self._wait_any:
-            return permitted
-        mu = self._needed(node, dest)[0]
-        nbr = node ^ (1 << mu)
-        wait = frozenset(c for c in permitted if c.dst == nbr and c.vc == 0)
+            route |= second[dim]
+        for dim in self.first_class_dims(node, dest):
+            route |= first[dim]
+        if self._wait_any:
+            return route, route
+        # c^(1,mu): the first class of the lowest needed dimension
+        wait = route & first[needed[0]]
         if not wait:
             raise RoutingError(f"{self.name}: c^(1,mu) missing from permitted set at node {node}")
-        return wait
+        return route, wait
 
 
 class RelaxedEFA(EnhancedFullyAdaptive):

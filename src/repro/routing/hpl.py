@@ -28,14 +28,19 @@ negative direction:
 
 from __future__ import annotations
 
-from ..topology.channel import Channel
-from ..topology.grid import direction_moves
+from ..topology.grid import direction_masks
 from ..topology.network import Network
 from .relation import RoutingAlgorithm, RoutingError, WaitPolicy
 
 
 class HighestPositiveLast(RoutingAlgorithm):
     """The Highest Positive Last routing algorithm on an n-D mesh.
+
+    Mask-native, though its route set depends on the input channel: the
+    rules above are evaluated once per ``(node, dest)`` into a row holding
+    the candidate outputs, per input direction the outputs a 180-degree
+    turn from it would use but the turn rule forbids, and the waiting
+    candidates; a decision then masks the row with the input's entry.
 
     Parameters
     ----------
@@ -61,14 +66,17 @@ class HighestPositiveLast(RoutingAlgorithm):
         self.misroute = misroute
         self.wait_policy = WaitPolicy.ANY if wait_any else WaitPolicy.SPECIFIC
         self._wait_any = wait_any
-        #: per node, ``(dim, sign) -> channels`` in ``out_channels`` order
-        self._moves = direction_moves(network)
-        #: per cid, a link channel's ``(dim, sign)``; ``None`` off a link
-        self._dir: list[tuple[int, int] | None] = [None] * network.num_channels
-        for by_dir in self._moves:
-            for key, chans in by_dir.items():
-                for c in chans:
-                    self._dir[c.cid] = key
+        #: per node, ``2 * dim + (sign > 0) -> cid mask`` of the outputs
+        self._moves = direction_masks(network)
+        #: per cid, the direction index ``2 * dim + (sign > 0)`` a link
+        #: channel moves in; ``2 * ndims`` (no turn yet) off a link
+        self._came = [2 * self.ndims] * network.num_channels
+        for c in network.link_channels:
+            if c.meta.get("dim") is not None:
+                self._came[c.cid] = 2 * c.meta["dim"] + (c.meta["sign"] > 0)
+        self._n = network.num_nodes
+        #: per ``node * num_nodes + dest``, the row :meth:`_row` builds, on first use
+        self._rows: list[tuple[int, list[int], int] | None] = [None] * self._n ** 2
 
     # ------------------------------------------------------------------
     def _deltas(self, node: int, dest: int) -> list[int]:
@@ -86,70 +94,78 @@ class HighestPositiveLast(RoutingAlgorithm):
             return False
         return any(deltas[q] < 0 for q in range(dim + 1, self.ndims))
 
-    # ------------------------------------------------------------------
-    def route(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        if node == dest:
-            return frozenset()
-        deltas = self._deltas(node, dest)
+    def _designated(self, deltas: list[int]) -> tuple[int, int]:
+        """``(p, -1)`` with ``p`` the highest dimension needing a negative
+        hop, else ``(low, +1)`` with ``low`` the lowest needing a positive
+        one: the first candidate and the designated waiting direction."""
         negs = [d for d in range(self.ndims) if deltas[d] < 0]
-        cand: list[tuple[int, int]] = []  # (dim, sign) pairs before turn filter
         if negs:
-            p = max(negs)
-            cand.append((p, -1))
-            for dim in range(p):
+            return max(negs), -1
+        return min(d for d in range(self.ndims) if deltas[d] > 0), +1
+
+    def _row(self, node: int, dest: int) -> tuple[int, list[int], int]:
+        """``(candidates, forbidden, waits)`` for ``node != dest``, as cid masks.
+
+        ``forbidden[k]`` holds the candidates an input moving in direction
+        ``k`` may not take (the 180-degree turn rule; the last entry, for an
+        injected message, is empty).  ``waits`` is the designated waiting
+        direction's outputs, or with ``wait_any`` every output moving toward
+        the destination.
+        """
+        deltas = self._deltas(node, dest)
+        first, first_sign = self._designated(deltas)
+        cand = [(first, first_sign)]  # (dim, sign) pairs before turn filter
+        if first_sign < 0:
+            for dim in range(first):
                 if self.misroute or deltas[dim] != 0:
                     signs = (+1, -1) if self.misroute else ((+1,) if deltas[dim] > 0 else (-1,))
                     for sign in signs:
                         cand.append((dim, sign))
-        else:
-            low = min(d for d in range(self.ndims) if deltas[d] > 0)
-            cand.append((low, +1))
-            if self.misroute:
-                # Misrouting in the negative direction of dimension ``low``
-                # itself or above is permitted (the Section 9.2 example: a
-                # message needing only North may turn South when its input
-                # channel allows the 180-degree turn); misrouting *below*
-                # ``low`` would violate increasing dimension order.
-                for q in range(low, self.ndims):
-                    cand.append((q, -1))
-        # the direction the message arrived in; None at the source (no turn yet)
-        came = self._dir[c_in.cid]
+        elif self.misroute:
+            # Misrouting in the negative direction of the lowest positive
+            # dimension itself or above is permitted (the Section 9.2
+            # example: a message needing only North may turn South when its
+            # input channel allows the 180-degree turn); misrouting *below*
+            # it would violate increasing dimension order.
+            for q in range(first, self.ndims):
+                cand.append((q, -1))
         moves = self._moves[node]
-        out: list[Channel] = []
+        route = 0
+        forbidden = [0] * (2 * self.ndims + 1)
         for dim, sign in cand:
-            here = moves.get((dim, sign))
-            if not here:
-                continue
-            if came is not None and came[0] == dim and came[1] != sign \
-                    and not self._u_turn_allowed(dim, sign, deltas):
-                continue
-            out.extend(here)
-        return frozenset(out)
-
-    def waiting_subset(self, c_in: Channel, node: int, dest: int,
-                       permitted: frozenset[Channel]) -> frozenset[Channel]:
-        if not permitted:
-            return permitted
-        deltas = self._deltas(node, dest)
+            k = 2 * dim + (sign > 0)
+            if moves[k] and not self._u_turn_allowed(dim, sign, deltas):
+                # an input moving along ``dim`` against ``sign``, direction k ^ 1
+                forbidden[k ^ 1] |= moves[k]
+            route |= moves[k]
         if self._wait_any:
             # the Note variant: wait on any channel moving toward the destination
-            dirs = self._dir
-            toward = frozenset([
-                c for c in permitted
-                if deltas[dirs[c.cid][0]] * dirs[c.cid][1] > 0
-            ])
-            return toward or permitted
-        negs = [d for d in range(self.ndims) if deltas[d] < 0]
-        if negs:
-            dim, sign = max(negs), -1
+            waits = 0
+            for dim, delta in enumerate(deltas):
+                if delta:
+                    waits |= moves[2 * dim + (delta > 0)]
         else:
-            dim, sign = min(d for d in range(self.ndims) if deltas[d] > 0), +1
-        # the designated direction's channels at this node, as permitted
-        here = self._moves[node].get((dim, sign), ())
-        wait = frozenset([c for c in here if c in permitted])
-        if not wait:
+            waits = moves[2 * first + (first_sign > 0)]
+        return route, forbidden, waits
+
+    # ------------------------------------------------------------------
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
+        if node == dest:
+            return 0, 0
+        i = node * self._n + dest
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = self._row(node, dest)
+        cand, forbidden, waits = row
+        route = cand & ~forbidden[self._came[c_in_cid]]
+        if self._wait_any:
+            return route, route & waits or route
+        wait = route & waits
+        if route and not wait:
+            dim, sign = self._designated(self._deltas(node, dest))
             raise RoutingError(
                 f"{self.name}: designated waiting channel dim={dim} sign={sign} "
-                f"not in permitted set at node {node} (input {c_in!r})"
+                f"not in permitted set at node {node} "
+                f"(input {self.network.channels[c_in_cid]!r})"
             )
-        return wait
+        return route, wait

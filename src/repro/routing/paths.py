@@ -47,8 +47,10 @@ def enumerate_paths(
     count = 0
     stack: list[Channel] = []
     visited = {src}
+    channels = net.channels
+    route_masks = algorithm.route_masks
 
-    def dfs(c_in: Channel, node: int) -> Iterator[tuple[Channel, ...]]:
+    def dfs(a: int, node: int) -> Iterator[tuple[Channel, ...]]:
         nonlocal count
         if node == dest:
             yield tuple(stack)
@@ -56,20 +58,25 @@ def enumerate_paths(
             return
         if len(stack) >= max_hops:
             return
-        for c in sorted(algorithm.route(c_in, node, dest), key=lambda ch: ch.cid):
+        # the route mask's bits in ascending cid order
+        m = route_masks(a, node, dest)[0]
+        while m:
+            low = m & -m
+            m ^= low
+            c = channels[low.bit_length() - 1]
             if simple and c.dst in visited:
                 continue
             stack.append(c)
             if simple:
                 visited.add(c.dst)
-            yield from dfs(c, c.dst)
+            yield from dfs(c.cid, c.dst)
             stack.pop()
             if simple:
                 visited.discard(c.dst)
             if limit is not None and count >= limit:
                 return
 
-    yield from dfs(net.injection_channel(src), src)
+    yield from dfs(net.injection_channel(src).cid, src)
 
 
 def count_paths(

@@ -38,13 +38,16 @@ the CWG condition certify them -- verified in the tests.
 
 from __future__ import annotations
 
-from ..topology.channel import Channel
+from ..topology.grid import dimension_masks
 from ..topology.hypercube import differing_dimensions
 from ..topology.network import Network
 from .relation import NodeDestRouting, RoutingError, WaitPolicy
 
 
 class _HypercubeBase(NodeDestRouting):
+    """Mask-native: a decision ORs per-node, per-dimension masks of the
+    first (VC 0) and the second (VC 1) class."""
+
     def __init__(self, network: Network, *, min_vcs: int) -> None:
         super().__init__(network)
         if network.meta.get("topology") != "hypercube":
@@ -52,10 +55,9 @@ class _HypercubeBase(NodeDestRouting):
         if network.max_vcs() < min_vcs:
             raise RoutingError(f"{self.name} needs {min_vcs} virtual channels per link")
         self.dimension: int = network.meta["dimension"]
-
-    def _channels(self, node: int, dim: int, vc: int) -> list[Channel]:
-        nbr = node ^ (1 << dim)
-        return [c for c in self.network.channels_between(node, nbr) if c.vc == vc]
+        #: per node, ``dim -> cid mask`` of each class's output
+        self._first = dimension_masks(network, vc=0)
+        self._second = dimension_masks(network, vc=1)
 
 
 class DraperGhoshMECA(_HypercubeBase):
@@ -75,11 +77,12 @@ class DraperGhoshMECA(_HypercubeBase):
     def __init__(self, network: Network) -> None:
         super().__init__(network, min_vcs=2)
 
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
         if node == dest:
-            return frozenset()
+            return 0, 0
         needed = differing_dimensions(node, dest)
-        out: list[Channel] = []
+        first = self._first[node]
+        route = 0
         # First class: any needed dimension (skipping permitted) -- but a
         # message that has "passed" a dimension cannot come back on class 0.
         # Locally that means class 0 offers every needed dimension >= the
@@ -89,15 +92,10 @@ class DraperGhoshMECA(_HypercubeBase):
         # dependency structure: class-0 hops strictly increase the lowest
         # *corrected* dimension.
         for dim in needed:
-            out.extend(self._channels(node, dim, 0))
-        # Second class: strict dimension order (the escape/waiting layer).
-        out.extend(self._channels(node, needed[0], 1))
-        return frozenset(out)
-
-    def waiting_subset(self, c_in: Channel, node: int, dest: int,
-                       permitted: frozenset[Channel]) -> frozenset[Channel]:
-        # the second class: strict dimension order
-        return frozenset([c for c in permitted if c.vc == 1])
+            route |= first[dim]
+        # Second class: strict dimension order, the escape and waiting layer.
+        wait = self._second[node][needed[0]]
+        return route | wait, wait
 
 
 class YangTsai(_HypercubeBase):
@@ -121,23 +119,18 @@ class YangTsai(_HypercubeBase):
     def __init__(self, network: Network) -> None:
         super().__init__(network, min_vcs=2)
 
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
         if node == dest:
-            return frozenset()
+            return 0, 0
         pos, neg = self._signed_needed(node, dest)
-        out: list[Channel] = []
+        first = self._first[node]
+        route = 0
         # class 0: all needed positive dims; once none remain, all negatives
         for dim in (pos if pos else neg):
-            out.extend(self._channels(node, dim, 0))
-        # class 1: the single next dimension in phase order
-        nxt = pos[0] if pos else neg[0]
-        out.extend(self._channels(node, nxt, 1))
-        return frozenset(out)
-
-    def waiting_subset(self, c_in: Channel, node: int, dest: int,
-                       permitted: frozenset[Channel]) -> frozenset[Channel]:
-        # class 1: the single next dimension in phase order
-        return frozenset([c for c in permitted if c.vc == 1])
+            route |= first[dim]
+        # class 1, the waiting set: the single next dimension in phase order
+        wait = self._second[node][pos[0] if pos else neg[0]]
+        return route | wait, wait
 
 
 class LiStyleHypercube(_HypercubeBase):
@@ -166,23 +159,17 @@ class LiStyleHypercube(_HypercubeBase):
     def __init__(self, network: Network) -> None:
         super().__init__(network, min_vcs=1)
 
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
         if node == dest:
-            return frozenset()
+            return 0, 0
         needed = differing_dimensions(node, dest)
         mu = needed[0]
+        first = self._first[node]
         if (node >> mu) & 1:  # negative hop needed in mu: full freedom
-            dims = needed
+            route = 0
+            for dim in needed:
+                route |= first[dim]
         else:
-            dims = [mu]
-        out: list[Channel] = []
-        for dim in dims:
-            out.extend(self._channels(node, dim, 0))
-        return frozenset(out)
-
-    def waiting_subset(self, c_in: Channel, node: int, dest: int,
-                       permitted: frozenset[Channel]) -> frozenset[Channel]:
+            route = first[mu]
         # the lowest needed dimension's channel
-        diff = node ^ dest
-        mu_nbr = node ^ (diff & -diff)
-        return frozenset([c for c in permitted if c.dst == mu_nbr])
+        return route, first[mu]

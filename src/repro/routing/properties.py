@@ -145,12 +145,12 @@ def _minimal_states(
 
 def _path_is_permitted(algorithm: RoutingAlgorithm, src: int, dest: int, path: tuple[Channel, ...]) -> bool:
     """Does the relation permit following exactly ``path`` from src to dest?"""
-    c_in = algorithm.network.injection_channel(src)
+    a = algorithm.network.injection_channel(src).cid
     node = src
     for c in path:
-        if c not in algorithm.route(c_in, node, dest):
+        if not algorithm.route_masks(a, node, dest)[0] >> c.cid & 1:
             return False
-        c_in, node = c, c.dst
+        a, node = c.cid, c.dst
     return node == dest
 
 
@@ -354,10 +354,7 @@ def certifies_coherence(algorithm: RoutingAlgorithm, transitions: TransitionCach
         for m, wanted in need.items():
             have = transitions[m].succ_masks.get(a)
             if have is None:
-                a_ch = net.channel(a)
-                have = 0
-                for c in algorithm.route(a_ch, a_ch.dst, m):
-                    have |= 1 << c.cid
+                have = algorithm.route_masks(a, heads[a], m)[0]
             if wanted & ~have:
                 return False
     return True

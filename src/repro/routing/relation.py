@@ -20,23 +20,30 @@ must be a subset of the permitted outputs.  Two waiting regimes exist:
 One query, two ways to write it
 -------------------------------
 Every consumer that walks the relation -- the checker's
-:class:`~repro.core.transitions.DestinationTransitions` and the simulator's
-:class:`RouteTable` -- asks one question per routing decision,
-:meth:`RoutingAlgorithm.route_masks`, and gets both sets as *cid bitmasks*
-(bit ``i`` set iff channel ``i`` is in the set).  A relation is authored in
-exactly one of two forms:
+:class:`~repro.core.transitions.DestinationTransitions`, the simulator's
+:class:`RouteTable` and the incremental overlay -- asks one question per
+routing decision, :meth:`RoutingAlgorithm.route_masks`, and gets both sets
+as *cid bitmasks* (bit ``i`` set iff channel ``i`` is in the set).  A
+relation is authored in exactly one of two forms:
 
+* **Mask-native**: it defines ``route_masks`` itself, typically from
+  per-node cid-mask tables built in ``__init__``
+  (:func:`~repro.topology.grid.direction_masks`), and ``route`` /
+  ``route_nd`` / ``waiting_subset`` are derived
+  :class:`~repro.topology.channel.Channel` views for examples, tests and
+  witnesses.  Every registry relation on the mesh, torus, hypercube and 3D
+  networks is written this way, the input-dependent HPL included, and so is
+  the incremental overlay.
 * **Channel-authored**: it defines ``route`` (or ``route_nd``) and
   optionally :meth:`RoutingAlgorithm.waiting_subset`, which narrows the
   route set just computed; the base class derives ``route_masks`` from the
-  two, one evaluation per decision.
-* **Mask-native** (:class:`MaskNodeDestRouting`): it defines
-  ``route_masks`` from per-node cid-mask tables, and ``route_nd`` /
-  ``waiting_subset`` are derived :class:`~repro.topology.channel.Channel`
-  views for examples, tests and path enumeration.
+  two, one evaluation per decision.  The Figure-1 and Figure-4
+  transcriptions, the fuzzers' and tables' relations, wrappers such as
+  :class:`RestrictedWaiting` and user code are written this way.
 
 Defining both forms in one class raises :class:`TypeError` at class
-creation, since the consumers read only one of them.
+creation, since the consumers read only one of them; instantiating a class
+that defines neither raises it too.
 
 Conventions
 -----------
@@ -51,7 +58,6 @@ Conventions
 from __future__ import annotations
 
 import enum
-from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Sequence
 from typing import TypeVar
 
@@ -86,28 +92,27 @@ def _derived(fn: _F) -> _F:
 
 def _authored(cls: type, name: str) -> bool:
     fn = getattr(cls, name, None)
-    return (fn is not None and not getattr(fn, "_derived", False)
-            and not getattr(fn, "__isabstractmethod__", False))
+    return fn is not None and not getattr(fn, "_derived", False)
 
 
 #: the Channel form of a relation; ``route_masks`` is the mask form
 _CHANNEL_FORM = ("route", "route_nd", "waiting_subset")
 
 
-class RoutingAlgorithm(ABC):
+class RoutingAlgorithm:
     """Base class for all routing algorithms (Definition 4).
 
-    A Channel-authored subclass implements :meth:`route` and optionally
-    overrides :meth:`waiting_subset` (default: every permitted output is a
-    waiting channel); a mask-native one implements :meth:`route_masks`
-    instead (see :class:`MaskNodeDestRouting`).  Either may set
+    A subclass implements either :meth:`route_masks` (mask-native) or
+    :meth:`route` and optionally :meth:`waiting_subset` (Channel-authored;
+    the hook's default makes every permitted output a waiting channel), and
+    the base class derives the other form.  Either may set
     :attr:`wait_policy` (default: :attr:`WaitPolicy.ANY`).
     :meth:`waiting_channels` is a convenience defined here once, as the hook
     applied to ``route``.  Class creation raises :class:`TypeError` for an
     override of ``waiting_channels`` and for a class that authors both
     ``route_masks`` and a Channel-form method (its own or inherited), since
     the consumers call only ``route_masks`` and would silently ignore the
-    other form.
+    other form; instantiation raises it for a class that authors neither.
 
     The class is deliberately stateless per-message: everything the relation
     may consult is the triple ``(c_in, node, dest)`` -- the paper's "only
@@ -120,6 +125,9 @@ class RoutingAlgorithm(ABC):
     wait_policy: WaitPolicy = WaitPolicy.ANY
     #: Human-readable algorithm name for reports.
     name: str = "routing"
+    #: Set at class creation: the class authors ``route_masks`` (its own or
+    #: inherited), so its Channel-form methods are derived views.
+    mask_native: bool = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -127,14 +135,20 @@ class RoutingAlgorithm(ABC):
             raise TypeError(
                 f"{cls.__qualname__} overrides waiting_channels; override "
                 f"waiting_subset(c_in, node, dest, permitted) instead")
+        cls.mask_native = _authored(cls, "route_masks")
         both = [n for n in _CHANNEL_FORM if _authored(cls, n)]
-        if both and _authored(cls, "route_masks"):
+        if both and cls.mask_native:
             raise TypeError(
                 f"{cls.__qualname__} authors both route_masks and {', '.join(both)}; "
                 f"a relation is written in one form: route_masks alone, or "
                 f"route/route_nd with waiting_subset")
 
     def __init__(self, network: Network) -> None:
+        cls = type(self)
+        if not (cls.mask_native or _authored(cls, "route") or _authored(cls, "route_nd")):
+            raise TypeError(
+                f"{cls.__qualname__} authors no form of the relation; define "
+                f"route_masks, or route/route_nd")
         if not network.frozen:
             raise RoutingError("routing algorithms require a frozen network")
         self.network = network
@@ -142,39 +156,16 @@ class RoutingAlgorithm(ABC):
     # ------------------------------------------------------------------
     # the relation
     # ------------------------------------------------------------------
-    @abstractmethod
-    def route(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
-        """Output channels permitted for a message at ``node`` heading to ``dest``.
-
-        ``c_in`` is the channel the message arrived on (the injection channel
-        when at the source).  Must return a subset of
-        ``network.out_channels(node)``; empty iff ``node == dest`` (or the
-        relation is broken, which verifiers will flag as not wait-connected).
-        """
-
-    @_derived
-    def waiting_subset(self, c_in: Channel, node: int, dest: int,
-                       permitted: frozenset[Channel]) -> frozenset[Channel]:
-        """Narrow ``permitted`` to the channels a blocked message waits on.
-
-        ``permitted`` is ``route(c_in, node, dest)``, already evaluated by
-        the caller.  The answer must be a subset of it and nonempty whenever
-        it is nonempty, or the algorithm is not wait-connected
-        (Definition 10) and therefore not deadlock-free.  The default
-        returns ``permitted`` itself -- the same object, which consumers
-        test with ``is`` to skip work.
-        """
-        return permitted
-
     @_derived
     def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
         """``(route mask, wait mask)`` for a header that arrived on ``c_in_cid``.
 
-        The one relation query the transition walk and the route table
-        make: the permitted outputs and the waiting channels as cid
-        bitmasks.  Derived here for a Channel-authored relation as one
-        evaluation -- ``route``, then :meth:`waiting_subset` on its answer;
-        the wait mask *is* the route mask when the hook returns its input.
+        The one relation query the transition walk, the route table and the
+        incremental overlay make: the permitted outputs and the waiting
+        channels as cid bitmasks.  Derived here for a Channel-authored
+        relation as one evaluation -- ``route``, then :meth:`waiting_subset`
+        on its answer; the wait mask *is* the route mask when the hook
+        returns its input.
         """
         c_in = self.network.channels[c_in_cid]
         out = self.route(c_in, node, dest)
@@ -188,6 +179,40 @@ class RoutingAlgorithm(ABC):
         for o in waits:
             w |= 1 << o.cid
         return m, w
+
+    @_derived
+    def route(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
+        """Output channels permitted for a message at ``node`` heading to ``dest``.
+
+        ``c_in`` is the channel the message arrived on (the injection channel
+        when at the source).  Must return a subset of
+        ``network.out_channels(node)``; empty iff ``node == dest`` (or the
+        relation is broken, which verifiers will flag as not wait-connected).
+        A Channel-authored relation implements this; for a mask-native one
+        it is the route mask's channels, built from the network's shared
+        singleton sets (:meth:`~repro.topology.network.Network.channel_set`)
+        so no channel is hashed.
+        """
+        return self.network.channel_set(self.route_masks(c_in.cid, node, dest)[0])
+
+    @_derived
+    def waiting_subset(self, c_in: Channel, node: int, dest: int,
+                       permitted: frozenset[Channel]) -> frozenset[Channel]:
+        """Narrow ``permitted`` to the channels a blocked message waits on.
+
+        ``permitted`` is ``route(c_in, node, dest)``, already evaluated by
+        the caller.  The answer must be a subset of it and nonempty whenever
+        it is nonempty, or the algorithm is not wait-connected
+        (Definition 10) and therefore not deadlock-free.  The default for a
+        Channel-authored relation returns ``permitted`` itself -- the same
+        object, which consumers test with ``is`` to skip work; for a
+        mask-native one it is the wait mask's channels (``permitted`` again
+        when the two masks are equal).
+        """
+        if not self.mask_native:
+            return permitted
+        route, wait = self.route_masks(c_in.cid, node, dest)
+        return permitted if wait == route else self.network.channel_set(wait)
 
     def waiting_channels(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
         """Channels the message may *wait on* when blocked (Definition 8).
@@ -213,10 +238,6 @@ class RoutingAlgorithm(ABC):
 
         return fingerprint_relation(self, transitions=transitions)
 
-    def route_from_source(self, node: int, dest: int) -> frozenset[Channel]:
-        """Route set for a newly injected message (input = injection channel)."""
-        return self.route(self.network.injection_channel(node), node, dest)
-
     def check_route_set(self, channels: Iterable[Channel], node: int) -> frozenset[Channel]:
         """Validate a route set: all outputs must leave ``node`` over links."""
         out = frozenset(channels)
@@ -239,59 +260,37 @@ class RoutingAlgorithm(ABC):
 class NodeDestRouting(RoutingAlgorithm):
     """Routing relation of Duato's restricted form ``R(n, d)`` (Definition 2 variant).
 
-    Subclasses implement :meth:`route_nd`; the input channel is ignored,
-    which makes the relation automatically suffix-closed (Definition 6 note).
+    Subclasses implement :meth:`route_nd` -- or, mask-native,
+    :meth:`~RoutingAlgorithm.route_masks` -- and ignore the input channel,
+    which makes the relation automatically suffix-closed (Definition 6
+    note).
 
-    Contract: an override of :meth:`waiting_subset` must ignore ``c_in``
-    too, so both sets are functions of ``(node, dest)`` alone.  Consumers
-    (:class:`RouteTable`, the checker's
-    :class:`~repro.core.transitions.DestinationTransitions`) call
-    ``route`` and then the hook once per row ``(node, dest)`` and serve the
-    row to every input channel at that node, and the fuzzers' table form
-    and the incremental overlay key ND waiting sets the same way.  A
+    Contract: an override of :meth:`waiting_subset` (or the wait mask of
+    ``route_masks``) must ignore ``c_in`` too, so both sets are functions
+    of ``(node, dest)`` alone.  Consumers (:class:`RouteTable`, the
+    checker's :class:`~repro.core.transitions.DestinationTransitions`) ask
+    ``route_masks`` once per row ``(node, dest)`` and serve the row to
+    every input channel at that node, and the fuzzers' table form and the
+    incremental overlay's table edits key ND waiting sets the same way.  A
     relation whose waiting set depends on the input channel is a general
     ``R(c_in, n, d)`` relation and subclasses :class:`RoutingAlgorithm`.
     """
 
     form = "ND"
 
-    @abstractmethod
+    @_derived
     def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
-        """Output channels for ``(node, dest)``, independent of input channel."""
+        """Output channels for ``(node, dest)``, independent of input channel.
+
+        A Channel-authored ``R(n, d)`` relation implements this; for a
+        mask-native one it is the derived view of the route mask.
+        """
+        inj = self.network.injection_channel(node).cid
+        return self.network.channel_set(self.route_masks(inj, node, dest)[0])
 
     @_derived
     def route(self, c_in: Channel, node: int, dest: int) -> frozenset[Channel]:
         return self.route_nd(node, dest)
-
-
-class MaskNodeDestRouting(NodeDestRouting):
-    """An ``R(n, d)`` relation authored in cid masks.
-
-    Subclasses implement :meth:`route_masks` only, typically from per-node
-    ``(dim, sign) -> cid mask`` tables built in ``__init__``
-    (:func:`~repro.topology.grid.direction_masks`), and ignore its input
-    channel.  ``route_nd``, ``route`` and ``waiting_subset`` are derived
-    Channel views, built from the network's per-channel singleton sets
-    (:meth:`~repro.topology.network.Network.channel_set`) so they hash no
-    channel; the transition walk and the route table never call them.
-    """
-
-    @abstractmethod
-    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
-        """``(route mask, wait mask)`` for ``(node, dest)``; ``c_in_cid`` is ignored."""
-
-    def _masks_at(self, node: int, dest: int) -> tuple[int, int]:
-        return self.route_masks(self.network.injection_channel(node).cid, node, dest)
-
-    @_derived
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
-        return self.network.channel_set(self._masks_at(node, dest)[0])
-
-    @_derived
-    def waiting_subset(self, c_in: Channel, node: int, dest: int,
-                       permitted: frozenset[Channel]) -> frozenset[Channel]:
-        route, wait = self._masks_at(node, dest)
-        return permitted if wait == route else self.network.channel_set(wait)
 
 
 def is_node_dest(algorithm: RoutingAlgorithm) -> bool:
@@ -547,16 +546,3 @@ class RouteTable:
         # miss count -- no scan over the num_channels x num_nodes slots
         return {"hits": self.hits, "misses": self.misses, "entries": self.misses,
                 "rows": self.rows}
-
-
-def as_cnd(algorithm: RoutingAlgorithm) -> RoutingAlgorithm:
-    """View any algorithm through the general ``R(c_in, n, d)`` interface.
-
-    ND-form relations "can always be converted to routing relations of the
-    former type by providing the same set of output channels for every input
-    channel" (Section 2); since :class:`NodeDestRouting` already ignores the
-    input channel, this is the identity -- it exists so callers can assert
-    the conversion direction that *is* always possible, as the paper notes
-    the reverse is not.
-    """
-    return algorithm

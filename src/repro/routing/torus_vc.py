@@ -15,7 +15,7 @@ backbone of the Figure-4 ring example.
 
 from __future__ import annotations
 
-from ..topology.channel import Channel
+from ..topology.grid import direction_masks
 from ..topology.network import Network
 from .relation import NodeDestRouting, RoutingError, WaitPolicy
 
@@ -30,6 +30,9 @@ class DallySeitzTorus(NodeDestRouting):
     ``vc_base`` lets the two dateline classes live at VC indices
     ``vc_base`` and ``vc_base + 1`` so adaptive algorithms can stack extra
     classes on the same links.
+
+    Mask-native: a decision reads one per-node direction mask of the
+    chosen class.
     """
 
     name = "dally-seitz-torus"
@@ -44,6 +47,10 @@ class DallySeitzTorus(NodeDestRouting):
             raise RoutingError(f"{self.name} needs >= {vc_base + 2} VCs per link")
         self.vc_base = vc_base
         self.unidirectional = bool(network.meta.get("unidirectional", False))
+        #: per node, ``2 * dim + (sign > 0) -> cid mask`` of the "high"
+        #: (before the dateline) and the "low" class
+        self._high = direction_masks(network, vc=vc_base)
+        self._low = direction_masks(network, vc=vc_base + 1)
 
     def direction(self, dim: int, here: int, there: int) -> int:
         """Travel direction in ``dim``: shortest way around, ties positive."""
@@ -62,23 +69,19 @@ class DallySeitzTorus(NodeDestRouting):
             return there < here
         return there > here
 
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
         if node == dest:
-            return frozenset()
-        here = self.network.coord(node)
-        there = self.network.coord(dest)
-        for dim in range(len(self.dims)):
-            if here[dim] != there[dim]:
-                sign = self.direction(dim, here[dim], there[dim])
-                vc = self.vc_base + (0 if self.crosses_dateline(dim, here[dim], there[dim], sign) else 1)
-                out = [
-                    c
-                    for c in self.network.out_channels(node)
-                    if c.meta.get("dim") == dim and c.meta.get("sign") == sign and c.vc == vc
-                ]
+            return 0, 0
+        coords = self.network.coords
+        for dim, (h, t) in enumerate(zip(coords[node], coords[dest])):
+            if h != t:
+                sign = self.direction(dim, h, t)
+                high = self.crosses_dateline(dim, h, t, sign)
+                out = (self._high if high else self._low)[node][2 * dim + (sign > 0)]
                 if not out:
+                    vc = self.vc_base + (0 if high else 1)
                     raise RoutingError(
                         f"{self.name}: missing channel dim={dim} sign={sign} vc={vc} at node {node}"
                     )
-                return frozenset(out)
-        return frozenset()
+                return out, out
+        return 0, 0

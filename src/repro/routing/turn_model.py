@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from ..topology.grid import direction_masks
 from ..topology.network import Network
-from .relation import MaskNodeDestRouting, RoutingError, WaitPolicy
+from .relation import NodeDestRouting, RoutingError, WaitPolicy
 
 
-class _MeshTurnBase(MaskNodeDestRouting):
+class _MeshTurnBase(NodeDestRouting):
     """Mask-native: a decision ORs per-node direction masks, and every
     permitted output is a waiting channel."""
 

@@ -12,7 +12,6 @@ benchmarks.
 
 from __future__ import annotations
 
-from ..topology.channel import Channel
 from ..topology.network import Network
 from .relation import NodeDestRouting, RoutingError, WaitPolicy
 
@@ -25,6 +24,9 @@ class UnrestrictedMinimal(NodeDestRouting):
 
     ``wait_any=False`` switches to the Theorem-2 regime: a blocked message
     designates the lowest-cid permitted channel and waits for it alone.
+
+    Mask-native: a decision ORs the bits of the node's outputs whose head
+    is one hop closer to the destination.
     """
 
     name = "unrestricted-minimal"
@@ -36,18 +38,19 @@ class UnrestrictedMinimal(NodeDestRouting):
         self._dist = network.shortest_distances()
         self.wait_policy = WaitPolicy.ANY if wait_any else WaitPolicy.SPECIFIC
         self._wait_any = wait_any
+        #: per node, ``(cid bit, head node)`` of each output
+        self._outs = [[(1 << c.cid, c.dst) for c in network.out_channels(n)]
+                      for n in network.nodes]
 
-    def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
+    def route_masks(self, c_in_cid: int, node: int, dest: int) -> tuple[int, int]:
         if node == dest:
-            return frozenset()
-        d = self._dist[node][dest]
-        return frozenset(
-            c for c in self.network.out_channels(node)
-            if self._dist[c.dst][dest] == d - 1
-        )
-
-    def waiting_subset(self, c_in: Channel, node: int, dest: int,
-                       permitted: frozenset[Channel]) -> frozenset[Channel]:
-        if self._wait_any or not permitted:
-            return permitted
-        return frozenset([min(permitted, key=lambda c: c.cid)])
+            return 0, 0
+        dist = self._dist
+        closer = dist[node][dest] - 1
+        route = 0
+        for bit, head in self._outs[node]:
+            if dist[head][dest] == closer:
+                route |= bit
+        if self._wait_any:
+            return route, route
+        return route, route & -route

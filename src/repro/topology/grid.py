@@ -96,3 +96,13 @@ def direction_masks(network: Network, vc: int | None = None) -> list[list[int]]:
                     row[2 * dim + (sign > 0)] |= 1 << c.cid
         masks.append(row)
     return masks
+
+
+def dimension_masks(network: Network, vc: int | None = None) -> list[list[int]]:
+    """Per node, the cid mask of the outputs moving along each dimension in
+    either direction: row ``n`` is indexed by ``dim``.  With ``vc`` given,
+    only that virtual channel's.  On a hypercube, where a node steps each
+    dimension one way only, entry ``dim`` is the link to ``n ^ (1 << dim)``.
+    """
+    return [[row[k] | row[k + 1] for k in range(0, len(row), 2)]
+            for row in direction_masks(network, vc=vc)]

@@ -10,21 +10,26 @@ from __future__ import annotations
 
 from ..deps.cdg import ChannelDependencyGraph
 from ..core.cycles import find_one_cycle
+from ..core.transitions import TransitionCache
 from ..routing.relation import RoutingAlgorithm
 from .report import Verdict
 
 
-def is_nonadaptive(algorithm: RoutingAlgorithm) -> bool:
-    """Does the relation ever offer more than one output channel?"""
-    net = algorithm.network
-    for dest in net.nodes:
-        for node in net.nodes:
-            if node == dest:
-                continue
-            inputs = [net.injection_channel(node), *net.in_channels(node)]
-            for c_in in inputs:
-                if len(algorithm.route(c_in, node, dest)) > 1:
-                    return False
+def is_nonadaptive(algorithm: RoutingAlgorithm, *,
+                   transitions: TransitionCache | None = None) -> bool:
+    """Does the relation offer at most one output channel at every routing
+    state a message can reach?
+
+    Read off the per-destination transition graphs (pass the ``transitions``
+    already built for ``algorithm`` to share them): a state the walk never
+    reaches carries no message, and a relation such as HPL raises for
+    some of those (its designated waiting channel is not permitted there).
+    """
+    tc = transitions if transitions is not None else TransitionCache(algorithm)
+    for dt in tc.all_destinations():
+        for m in dt.succ_masks.values():
+            if m & (m - 1):
+                return False
     return True
 
 
@@ -41,7 +46,7 @@ def dally_seitz(
     ``necessary_and_sufficient=False``, i.e. "cannot certify").
     """
     cdg = cdg or ChannelDependencyGraph(algorithm)
-    nonadaptive = is_nonadaptive(algorithm)
+    nonadaptive = is_nonadaptive(algorithm, transitions=cdg.transitions)
     cycle = find_one_cycle(cdg.dep)
     if cycle is None:
         numbering = cdg.numbering()

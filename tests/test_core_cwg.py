@@ -128,29 +128,33 @@ class TestWaitConnected:
 class _NoRouteAt4(DimensionOrderMesh):
     """e-cube with no output at (node 4, dest 8)."""
 
-    def route_nd(self, node, dest):
-        return frozenset() if (node, dest) == (4, 8) else super().route_nd(node, dest)
+    def route_masks(self, c_in_cid, node, dest):
+        if (node, dest) == (4, 8):
+            return 0, 0
+        return super().route_masks(c_in_cid, node, dest)
 
 
 class _NoRouteButAWait(_NoRouteAt4):
-    def waiting_subset(self, c_in, node, dest, permitted):
+    def route_masks(self, c_in_cid, node, dest):
         if (node, dest) == (4, 8):
-            return frozenset(self.network.out_channels(4)[:1])
-        return permitted
+            return 0, 1 << self.network.out_channels(4)[0].cid
+        return super().route_masks(c_in_cid, node, dest)
 
 
 class _LinkInputNoWait(HighestPositiveLast):
-    def waiting_subset(self, c_in, node, dest, permitted):
-        if c_in.is_link and (node, dest) == (4, 8):
-            return frozenset()
-        return super().waiting_subset(c_in, node, dest, permitted)
+    def route_masks(self, c_in_cid, node, dest):
+        route, wait = super().route_masks(c_in_cid, node, dest)
+        if self.network.channels[c_in_cid].is_link and (node, dest) == (4, 8):
+            return route, 0
+        return route, wait
 
 
 class _LinkInputWaitsOutside(HighestPositiveLast):
-    def waiting_subset(self, c_in, node, dest, permitted):
-        if c_in.is_link and (node, dest) == (4, 0):
-            return frozenset(self.network.out_channels(4))
-        return super().waiting_subset(c_in, node, dest, permitted)
+    def route_masks(self, c_in_cid, node, dest):
+        route, wait = super().route_masks(c_in_cid, node, dest)
+        if self.network.channels[c_in_cid].is_link and (node, dest) == (4, 0):
+            return route, sum(1 << c.cid for c in self.network.out_channels(4))
+        return route, wait
 
 
 @pytest.mark.parametrize("cls, message", [

@@ -31,8 +31,9 @@ from repro.incremental import (
     parse_table_key,
 )
 from repro.incremental.overlay import OverlayRouting, RouteRecorder
-from repro.pipeline.engine import catalog_spec
+from repro.pipeline.engine import build_topology, catalog_spec
 from repro.routing import make
+from repro.routing.duato_adaptive import DuatoFullyAdaptiveMesh
 from repro.topology import build_mesh
 
 
@@ -154,6 +155,23 @@ def _assert_overlay_matches_fresh(session: IncrementalSession) -> None:
             q = (c, c.dst, dt.dest)
             assert ov.route(*q) == fresh.route(*q), q
             assert ov.waiting_channels(*q) == fresh.waiting_channels(*q), q
+
+
+def test_overlay_row_is_one_base_evaluation():
+    """A duato-mesh 4x4 session plus its first check evaluates the base
+    relation once per overlay row: 768 rows, one ``route_masks`` call each
+    (1,536 while a row asked the base for its route and its waiting set
+    separately)."""
+    evals = []
+
+    class Counting(DuatoFullyAdaptiveMesh):
+        def route_masks(self, c_in_cid, node, dest):
+            evals.append((c_in_cid, dest))
+            return super().route_masks(c_in_cid, node, dest)
+
+    session = IncrementalSession(Counting(build_topology("mesh", (4, 4), 2)))
+    session.check()
+    assert len(session.overlay._rows) == len(evals) == len(set(evals)) == 768
 
 
 def _cold_dirty(session: IncrementalSession, cid: int) -> set[int]:

@@ -50,7 +50,7 @@ def _random_delta(session: IncrementalSession, rng: random.Random,
                   *, allow_vc_add: bool = False) -> Delta | None:
     """Draw one applicable delta for the session's current state."""
     net = session.base.network
-    down = {(c.src, c.dst, c.vc) for c in session.overlay.down}
+    down = {(c.src, c.dst, c.vc) for c in net.channel_set(session.overlay.down)}
     moves: list[str] = []
     up_links = [c for c in net.link_channels if (c.src, c.dst, c.vc) not in down]
     if up_links and len(down) < 2:

@@ -12,7 +12,6 @@ from repro.routing import (
     RestrictedWaiting,
     RoutingError,
     WaitPolicy,
-    as_cnd,
     make,
 )
 from repro.sim import BernoulliTraffic, ScriptedTraffic, SimConfig, WormholeSimulator
@@ -25,10 +24,6 @@ class TestRelationHelpers:
         assert "e-cube-mesh" in ra.describe()
         assert "wait=specific" in ra.describe()
         assert "DimensionOrderMesh" in repr(ra)
-
-    def test_as_cnd_identity(self, mesh33):
-        ra = DimensionOrderMesh(mesh33)
-        assert as_cnd(ra) is ra
 
     def test_restricted_waiting_wrapper(self, mesh33):
         inner = HighestPositiveLast(mesh33)
@@ -58,9 +53,12 @@ class TestRelationHelpers:
             ra.check_route_set([mesh33.injection_channel(0)], 0)
 
     def test_route_from_source(self, mesh33):
+        """A message at its source presents the injection channel."""
         ra = DimensionOrderMesh(mesh33)
         inj = mesh33.injection_channel(0)
-        assert ra.route_from_source(0, 8) == ra.route(inj, 0, 8)
+        (c,) = ra.route(inj, 0, 8)
+        assert (c.src, c.dst) == (0, 1)
+        assert ra.route_masks(inj.cid, 0, 8) == (1 << c.cid, 1 << c.cid)
 
 
 class TestSimConfigKnobs:

@@ -1,13 +1,13 @@
 """Mask-native relations against Channel references, and the one-form rule.
 
-duato-mesh / duato-hypercube and the three turn models answer the one
-relation query, ``route_masks``, from per-node cid-mask tables; their
-``route`` / ``route_nd`` / ``waiting_subset`` are derived Channel views.
-The references below are the Channel bodies those classes had before
-(``route_nd`` over ``direction_moves`` plus the waiting hook), and at every
-state reachable under the reference, on the registry networks at the
-benchmark's ``--quick`` sizes and at the batch sizes, both the masks and
-the derived views must equal them.
+Every registry relation on the mesh, torus, hypercube and 3D networks
+answers the one relation query, ``route_masks``, from cid-mask tables;
+its ``route`` / ``route_nd`` / ``waiting_subset`` are derived Channel
+views.  The references (:mod:`tests.channel_references`) are the Channel
+bodies those classes had before, and at every state reachable under the
+reference, on the registry networks at the benchmark's ``--quick``, batch
+and deep-verify sizes, both the masks and the derived views must equal
+them.
 """
 
 from __future__ import annotations
@@ -15,81 +15,17 @@ from __future__ import annotations
 import pytest
 
 from repro.pipeline.engine import catalog_specs
-from repro.routing import make
-from repro.routing.duato_adaptive import DuatoFullyAdaptiveHypercube, DuatoFullyAdaptiveMesh
-from repro.routing.ecube import DimensionOrderMesh
-from repro.routing.relation import MaskNodeDestRouting, RoutingError
-from repro.routing.turn_model import NegativeFirst, NorthLast, WestFirst
+from repro.routing import CATALOG, HighestPositiveLast, make
+from repro.routing.duato_adaptive import DuatoFullyAdaptiveMesh
+from repro.routing.incoherent import IncoherentExample
+from repro.routing.relation import NodeDestRouting, RoutingAlgorithm, RoutingError
+from repro.routing.turn_model import WestFirst
 from repro.topology import build_mesh
-from repro.topology.grid import direction_moves
+from tests.channel_references import REFERENCES, HPLReference, reference_for
 
 QUICK = {"mesh_dims": (3, 3), "torus_dims": (4, 4), "hypercube_dim": 3}
-
-
-# ----------------------------------------------------------------------
-# Channel references: the pre-mask route_nd bodies and waiting hooks
-# ----------------------------------------------------------------------
-def _deltas(net, node, dest):
-    return [t - h for h, t in zip(net.coords[node], net.coords[dest])]
-
-
-def _duato(net, moves, node, dest):
-    deltas = _deltas(net, node, dest)
-    for esc, delta in enumerate(deltas):
-        if delta:
-            break
-    route = frozenset([c for (dim, sign), chans in moves[node].items() for c in chans
-                       if deltas[dim] * sign > 0
-                       and (c.vc == 1 or (c.vc == 0 and dim == esc))])
-    return route, frozenset([c for c in route if c.vc == 0])
-
-
-def _negative_first(net, moves, node, dest):
-    deltas = _deltas(net, node, dest)
-    out = []
-    negs = [d for d, delta in enumerate(deltas) if delta < 0]
-    if negs:
-        for dim in negs:
-            out.extend(moves[node].get((dim, -1), ()))
-    else:
-        for dim, delta in enumerate(deltas):
-            if delta > 0:
-                out.extend(moves[node].get((dim, +1), ()))
-    return frozenset(out), frozenset(out)
-
-
-def _west_first(net, moves, node, dest):
-    dx, dy = _deltas(net, node, dest)
-    out = []
-    if dx < 0:
-        out.extend(moves[node].get((0, -1), ()))
-    else:
-        if dx > 0:
-            out.extend(moves[node].get((0, +1), ()))
-        if dy != 0:
-            out.extend(moves[node].get((1, +1 if dy > 0 else -1), ()))
-    return frozenset(out), frozenset(out)
-
-
-def _north_last(net, moves, node, dest):
-    dx, dy = _deltas(net, node, dest)
-    out = []
-    if dx != 0:
-        out.extend(moves[node].get((0, +1 if dx > 0 else -1), ()))
-    if dy < 0:
-        out.extend(moves[node].get((1, -1), ()))
-    if dy > 0 and dx == 0:
-        out.extend(moves[node].get((1, +1), ()))
-    return frozenset(out), frozenset(out)
-
-
-REFERENCES = {
-    DuatoFullyAdaptiveMesh: _duato,
-    DuatoFullyAdaptiveHypercube: _duato,
-    NegativeFirst: _negative_first,
-    WestFirst: _west_first,
-    NorthLast: _north_last,
-}
+#: deep-verify's sizes; unrestricted-minimal runs there at 5x5
+DEEP = {"mesh_dims": (8, 8), "torus_dims": (6, 6), "hypercube_dim": 5}
 
 
 def _mask(channels) -> int:
@@ -99,10 +35,10 @@ def _mask(channels) -> int:
     return m
 
 
-def _reference_states(net, reference):
+def _reference_states(reference):
     """Every ``(c_in, dest)`` state short of the destination that the
     reference reaches from an injection channel, with its two sets."""
-    moves = direction_moves(net)
+    net = reference.network
     for dest in net.nodes:
         frontier = [net.injection_channel(n) for n in net.nodes if n != dest]
         seen = set(frontier)
@@ -111,8 +47,8 @@ def _reference_states(net, reference):
             for c in frontier:
                 if c.dst == dest:
                     continue
-                route, wait = reference(net, moves, c.dst, dest)
-                yield c, dest, route, wait
+                route = reference.route(c, c.dst, dest)
+                yield c, dest, route, reference.waiting_subset(c, c.dst, dest, route)
                 for o in sorted(route, key=lambda ch: ch.cid):
                     if o not in seen:
                         seen.add(o)
@@ -120,37 +56,47 @@ def _reference_states(net, reference):
             frontier = nxt
 
 
-def _mask_native_specs():
-    """The registry's mask-native relations, each distinct network once."""
-    specs = catalog_specs(conditions=("theorem",), **QUICK) + catalog_specs(conditions=("theorem",))
+def _registry_relations():
+    """Every registry relation at the three sizes, each distinct network once."""
+    names = sorted(set(CATALOG) - {"unrestricted-minimal"})
+    specs = (catalog_specs(conditions=("theorem",), **QUICK)
+             + catalog_specs(conditions=("theorem",))
+             + catalog_specs(names, conditions=("theorem",), **DEEP)
+             + catalog_specs(["unrestricted-minimal"], conditions=("theorem",), mesh_dims=(5, 5)))
     out = {}
     for spec in specs:
-        algorithm = make(spec.algorithm, spec.topology.build())
-        if isinstance(algorithm, MaskNodeDestRouting):
-            dims = "x".join(map(str, spec.topology.dims))
-            out.setdefault(f"{spec.algorithm}-{dims}", algorithm)
-    return list(out.items())
+        dims = "x".join(map(str, spec.topology.dims or ()))
+        key = f"{spec.algorithm}-{dims or spec.topology.family}"
+        if key not in out:
+            out[key] = make(spec.algorithm, spec.topology.build())
+    return out
 
 
-_SPECS = _mask_native_specs()
+_RELATIONS = _registry_relations()
+_SPECS = [(n, a) for n, a in _RELATIONS.items() if a.mask_native]
 
 
 def test_every_mask_native_registry_relation_has_a_reference():
     assert {type(a) for _, a in _SPECS} == set(REFERENCES)
-    # the mesh relations at both sizes (the hypercube is 3-D at both)
-    assert len(_SPECS) == 9
+    # only the two figure transcriptions stay Channel-authored
+    assert {a.name for a in _RELATIONS.values() if not a.mask_native} == {
+        "incoherent-example", "ring-figure4"}
+    # seven mesh relations at three sizes, two torus and seven hypercube
+    # ones at two (--quick and batch share theirs), and the three 3D ones
+    assert len(_SPECS) == 7 * 3 + 2 * 2 + 7 * 2 + 3
 
 
-@pytest.mark.parametrize("algorithm", [a for _, a in _SPECS], ids=[n for n, _ in _SPECS])
-def test_masks_and_views_match_the_channel_reference(algorithm):
+def _assert_matches_reference(algorithm, reference):
     net = algorithm.network
-    reference = REFERENCES[type(algorithm)]
+    node_dest = isinstance(algorithm, NodeDestRouting)
     states = 0
-    for c, dest, route, wait in _reference_states(net, reference):
+    for c, dest, route, wait in _reference_states(reference):
         node = c.dst
         assert algorithm.route_masks(c.cid, node, dest) == (_mask(route), _mask(wait)), (c, dest)
         got = algorithm.route(c, node, dest)
-        assert got == route and algorithm.route_nd(node, dest) == route
+        assert got == route
+        if node_dest:
+            assert algorithm.route_nd(node, dest) == route
         assert algorithm.waiting_subset(c, node, dest, got) == wait
         assert algorithm.waiting_channels(c, node, dest) == wait
         states += 1
@@ -160,6 +106,44 @@ def test_masks_and_views_match_the_channel_reference(algorithm):
         inj = net.injection_channel(dest)
         assert algorithm.route_masks(inj.cid, dest, dest) == (0, 0)
         assert algorithm.route(inj, dest, dest) == frozenset()
+
+
+@pytest.mark.parametrize("algorithm", [a for _, a in _SPECS], ids=[n for n, _ in _SPECS])
+def test_masks_and_views_match_the_channel_reference(algorithm):
+    _assert_matches_reference(algorithm, reference_for(algorithm))
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (3, 3, 3)], ids=["4x4", "3x3x3"])
+@pytest.mark.parametrize("misroute", [True, False], ids=["misroute", "minimal"])
+@pytest.mark.parametrize("wait_any", [False, True], ids=["specific", "any"])
+def test_hpl_variants_match_the_channel_reference(dims, misroute, wait_any):
+    net = build_mesh(dims)
+    _assert_matches_reference(
+        HighestPositiveLast(net, misroute=misroute, wait_any=wait_any),
+        HPLReference(net, misroute=misroute, wait_any=wait_any))
+
+
+def test_hpl_raises_its_designated_waiting_error_from_route_masks():
+    """An input whose 180-degree turn rule removes the designated waiting
+    direction but leaves other outputs (unreachable in HPL itself): the
+    query raises, so the derived views do too, as the Channel body's
+    waiting hook did."""
+    net = build_mesh((3, 3))
+    hpl, reference = HighestPositiveLast(net), HPLReference(net)
+    # node 3 = (0, 1) heading to 0 = (0, 0), arrived moving +y from node 0;
+    # at node 4 = (1, 1) heading to 0, arrived moving +y from node 1
+    for src, node in ((0, 3), (1, 4)):
+        (c,) = net.channels_between(src, node)
+        message = (f"designated waiting channel dim=1 sign=-1 not in permitted set "
+                   f"at node {node} \\(input <c1,\\+1@{src}:{src}->{node}/vc0>\\)")
+        with pytest.raises(RoutingError, match=message):
+            reference.waiting_channels(c, node, 0)
+        with pytest.raises(RoutingError, match=message):
+            hpl.route_masks(c.cid, node, 0)
+        with pytest.raises(RoutingError, match=message):
+            hpl.route(c, node, 0)
+        with pytest.raises(RoutingError, match=message):
+            hpl.waiting_channels(c, node, 0)
 
 
 def test_missing_escape_channel_is_reported():
@@ -183,7 +167,7 @@ def test_channel_set_is_the_set_of_the_mask():
 # ----------------------------------------------------------------------
 def test_defining_both_forms_is_rejected():
     with pytest.raises(TypeError, match="both route_masks and route_nd"):
-        class BothForms(MaskNodeDestRouting):
+        class BothForms(NodeDestRouting):
             def route_masks(self, c_in_cid, node, dest):
                 return 0, 0
 
@@ -204,6 +188,18 @@ def test_overriding_a_derived_view_of_a_mask_native_relation_is_rejected():
 
 def test_masks_on_a_channel_authored_relation_are_rejected():
     with pytest.raises(TypeError, match="both route_masks and route_nd"):
-        class FastECube(DimensionOrderMesh):
+        class FastFigure1(IncoherentExample):
             def route_masks(self, c_in_cid, node, dest):
                 return 0, 0
+
+
+def test_defining_neither_form_is_rejected():
+    class Neither(RoutingAlgorithm):
+        pass
+
+    class NeitherND(NodeDestRouting):
+        pass
+
+    for cls in (Neither, NeitherND, RoutingAlgorithm):
+        with pytest.raises(TypeError, match="authors no form of the relation"):
+            cls(build_mesh((3, 3)))

@@ -157,10 +157,11 @@ class _WaitsOffRoute(DimensionOrderMesh):
 
     name = "waits-off-route"
 
-    def waiting_subset(self, c_in, node, dest, permitted):
-        if not permitted:
-            return permitted
-        return frozenset(self.network.out_channels(node))
+    def route_masks(self, c_in_cid, node, dest):
+        route, _ = super().route_masks(c_in_cid, node, dest)
+        if not route:
+            return 0, 0
+        return route, sum(1 << c.cid for c in self.network.out_channels(node))
 
 
 @pytest.mark.parametrize("ordered", [True, False], ids=["dist", "no-dist"])

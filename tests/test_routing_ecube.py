@@ -29,17 +29,17 @@ class TestMesh:
 
     def test_dimension_order(self, ecm, mesh33):
         # 0=(0,0) -> 8=(2,2): first hop corrects dimension 0 (east)
-        out = ecm.route_from_source(0, 8)
+        out = ecm.route(ecm.network.injection_channel(0), 0, 8)
         (c,) = out
         assert c.meta["dim"] == 0 and c.meta["sign"] == 1
 
     def test_y_only(self, ecm, mesh33):
-        out = ecm.route_from_source(1, 7)  # (1,0) -> (1,2)
+        out = ecm.route(ecm.network.injection_channel(1), 1, 7)  # (1,0) -> (1,2)
         (c,) = out
         assert c.meta["dim"] == 1 and c.meta["sign"] == 1
 
     def test_delivered_empty(self, ecm):
-        assert ecm.route_from_source(3, 3) == frozenset()
+        assert ecm.route(ecm.network.injection_channel(3), 3, 3) == frozenset()
 
     def test_nonadaptive(self, ecm):
         assert is_nonadaptive(ecm)
@@ -52,7 +52,7 @@ class TestMesh:
     def test_all_vcs_variant(self):
         m = build_mesh((3, 3), num_vcs=2)
         ra = DimensionOrderMesh(m, vc=None)
-        assert len(ra.route_from_source(0, 2)) == 2  # both VCs of the link
+        assert len(ra.route(ra.network.injection_channel(0), 0, 2)) == 2  # both VCs of the link
 
     def test_requires_mesh(self, torus44_3vc):
         with pytest.raises(RoutingError):
@@ -62,9 +62,9 @@ class TestMesh:
 class TestHypercube:
     def test_lowest_bit_first(self, cube3):
         ra = DimensionOrderHypercube(cube3)
-        (c,) = ra.route_from_source(0b000, 0b110)
+        (c,) = ra.route(ra.network.injection_channel(0b000), 0b000, 0b110)
         assert c.dst == 0b010
-        (c,) = ra.route_from_source(0b010, 0b110)
+        (c,) = ra.route(ra.network.injection_channel(0b010), 0b010, 0b110)
         assert c.dst == 0b110
 
     def test_matches_mesh_variant(self, cube3):

@@ -10,6 +10,7 @@ from repro.core import ChannelWaitingGraph, find_one_cycle
 from repro.deps import ChannelDependencyGraph
 from repro.routing import (
     HighestPositiveLast,
+    RoutingAlgorithm,
     RoutingError,
     WaitPolicy,
     is_coherent,
@@ -161,8 +162,18 @@ class TestStructure:
 # ----------------------------------------------------------------------
 # the per-node move tables answer as the channel-metadata scan did
 # ----------------------------------------------------------------------
-class MetaScanHPL(HighestPositiveLast):
-    """HPL reading every channel's ``meta`` dict per query (the reference)."""
+class MetaScanHPL(RoutingAlgorithm):
+    """HPL in the Channel form, reading every channel's ``meta`` dict per
+    query (the reference)."""
+
+    name = HighestPositiveLast.name
+
+    def __init__(self, network, *, misroute=True, wait_any=False):
+        super().__init__(network)
+        self.ndims = len(network.meta["dims"])
+        self.misroute = misroute
+        self._wait_any = wait_any
+        self.wait_policy = WaitPolicy.ANY if wait_any else WaitPolicy.SPECIFIC
 
     def _scan(self, node, dim, sign):
         return [c for c in self.network.out_channels(node)
@@ -225,7 +236,7 @@ class MetaScanHPL(HighestPositiveLast):
 
 
 def assert_same_relation(fast, reference):
-    """Same route and waiting sets, in the same order, on every reachable state."""
+    """Same route and waiting sets on every reachable state."""
     from repro.core import TransitionCache
 
     for dt in TransitionCache(fast).all_destinations():
@@ -234,7 +245,7 @@ def assert_same_relation(fast, reference):
             q = (c, c.dst, dt.dest)
             out = fast.route(*q)
             ref = reference.route(*q)
-            assert list(out) == list(ref), q
+            assert out == ref, q
             assert fast.waiting_subset(*q, out) == reference.waiting_subset(*q, ref), q
 
 

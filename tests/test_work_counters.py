@@ -76,7 +76,7 @@ from repro.routing.hpl import HighestPositiveLast
 from repro.routing.relation import NodeDestRouting, RouteEntry, RouteTable, RoutingAlgorithm
 from repro.scenario import registry
 from repro.sim import BernoulliTraffic, SimConfig, WormholeSimulator
-from repro.topology import build_mesh
+from repro.topology import build_figure1_network, build_mesh
 from repro.topology.channel import Channel
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -198,6 +198,34 @@ def test_quick_theorem_work_is_pinned(monkeypatch):
 def test_checker_smoke_work_is_pinned(monkeypatch):
     counts = count_work(monkeypatch, smoke_jobs())
     assert {k: counts[k] for k in SMOKE_PINNED} == SMOKE_PINNED
+
+
+def test_quick_theorem_jobs_build_no_channel_view(monkeypatch):
+    """Every relation of the ``--quick`` theorem job set (the mesh, torus
+    and hypercube families) is mask-native, so the checker asks
+    ``route_masks`` alone and never a derived Channel view."""
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    todo, classes = [RoutingAlgorithm], []
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    for cls in classes:
+        for name in ("route", "route_nd", "waiting_subset"):
+            if name in cls.__dict__:
+                monkeypatch.setattr(cls, name, counted(name, cls.__dict__[name]))
+    for spec in quick_jobs():
+        job = run_job(spec)
+        assert job.error is None, job.error
+    assert calls == Counter()
 
 
 def test_registry_verify_builds_one_cdg_per_job(monkeypatch):
@@ -335,8 +363,9 @@ def test_node_dest_relation_is_evaluated_once_per_row():
 
 def test_channel_authored_row_is_one_route_and_one_hook():
     """A Channel-authored relation's derived query is one ``route`` call and
-    one waiting hook per row."""
-    calls, rows = _once_per_row(make("e-cube-mesh", build_mesh((4, 4))))
+    one waiting hook per row (incoherent-example transcribes Figure 1 in
+    the Channel form)."""
+    calls, rows = _once_per_row(make("incoherent-example", build_figure1_network()))
     assert calls["route"] == calls["waiting"] == len(rows)
 
 
@@ -384,9 +413,9 @@ class CountingHPL(HighestPositiveLast):
         super().__init__(network)
         self.evals: Counter = Counter()
 
-    def route(self, c_in, node, dest):
-        self.evals[c_in.cid, dest] += 1
-        return super().route(c_in, node, dest)
+    def route_masks(self, c_in_cid, node, dest):
+        self.evals[c_in_cid, dest] += 1
+        return super().route_masks(c_in_cid, node, dest)
 
 
 def _fill(table: RouteTable, states) -> None:
