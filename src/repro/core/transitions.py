@@ -132,8 +132,9 @@ class DestinationTransitions:
         self.usable_cids: list[int] = sorted(a for a in succ if links >> a & 1)
         self._downstream_wait_masks: dict[int, int] | None = None
         self._downstream_node_masks: dict[int, int] | None = None
-        #: the walk shared each node's row among the node's states
-        self._node_rows = rows is not None
+        #: ``node -> (route mask, wait mask)``: the row the walk shared
+        #: among the node's states, for an R(n, d) relation; else ``None``
+        self.node_rows: dict[int, tuple[int, int]] | None = rows
         self._local: dict[bool, _Condensation] = {}
         self._usable: frozenset[Channel] | None = None
 
@@ -146,7 +147,7 @@ class DestinationTransitions:
         reachable from the state, itself included: the CWG out-neighbourhood
         (Definition 9) this destination contributes."""
         if self._downstream_wait_masks is None:
-            self._downstream_wait_masks = self._propagate(self.wait_masks)
+            self._downstream_wait_masks = self.propagate(self.wait_masks)
         return self._downstream_wait_masks
 
     @property
@@ -156,7 +157,7 @@ class DestinationTransitions:
         if self._downstream_node_masks is None:
             heads = self.algorithm.network.heads
             at = {a: 1 << heads[a] for a in self.succ_masks}
-            self._downstream_node_masks = self._propagate(at)
+            self._downstream_node_masks = self.propagate(at)
         return self._downstream_node_masks
 
     # the one Channel view left: bench/workloads.py reads it
@@ -181,7 +182,7 @@ class DestinationTransitions:
         dt = copy.copy(self)
         dt.wait_masks = wait_masks
         dt._downstream_wait_masks = None
-        dt._node_rows = False
+        dt.node_rows = None
         return dt
 
     def _condensation(self, by_node: bool) -> _Condensation:
@@ -234,7 +235,7 @@ class DestinationTransitions:
         got = self._local[by_node] = (vertex, indptr, indices, labels, ncomp, order)
         return got
 
-    def _propagate(self, seed: Mapping[int, int]) -> dict[int, int]:
+    def propagate(self, seed: Mapping[int, int]) -> dict[int, int]:
         """Reflexive-transitive closure aggregation over the SCC condensation.
 
         Each state ``a`` contributes the bitmask ``seed[a]``, accumulated
@@ -242,11 +243,12 @@ class DestinationTransitions:
         from it.  Runs on the integer kernel (:meth:`_condensation`): the
         accumulated bitmasks are OR-ed along condensation arcs, visiting
         components in label order so every value read is final.  For an
-        ``R(n, d)`` relation the seed must be a function of the state's
-        node (both callers' are), and the node graph is used.  Returns
-        ``state cid -> accumulated bitmask``.
+        ``R(n, d)`` walk (:attr:`node_rows` set) the seed must be a function
+        of the state's node (every caller's is), and the node graph is used.
+        Returns ``state cid -> accumulated bitmask``.
         """
-        vertex, indptr, indices, labels, ncomp, order = self._condensation(self._node_rows)
+        by_node = self.node_rows is not None
+        vertex, indptr, indices, labels, ncomp, order = self._condensation(by_node)
         cids = list(self.succ_masks)
         comp_val = [0] * ncomp
         for v, a in zip(vertex, cids):

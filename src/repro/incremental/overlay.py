@@ -25,19 +25,30 @@ session's transition walks) is one both the cached run and a fresh run
 perform.  Recording is off during verification proper, so the overlay
 behaves as a plain relation there.
 
-Base rows are memoized per overlay, keyed by ``(c_in cid, dest)`` (the
-relation is a pure function of the input channel and the destination, as
+The overlay keeps its base's row form.  Over an ``R(n, d)`` base
+(:func:`~repro.routing.relation.is_node_dest`) an ND table edit is keyed
+per node (``n<node>->dest``) and the down mask ignores the input channel,
+so the overlay honours the same contract and copies the base's
+``node_dest``: the transition walks evaluate it once per ``(node, dest)``
+row, condense on the node graph, and the coherence certificate checks it
+per row.  Over any other base -- a ``CND`` relation, or
+:class:`~repro.routing.relation.RestrictedWaiting` -- it stays per-state.
+
+Base rows are memoized per overlay, keyed by ``(node, dest)`` for an
+``R(n, d)`` base and by ``(c_in cid, dest)`` otherwise (the relation is a
+pure function of the input channel and the destination, as
 :class:`~repro.routing.relation.RouteTable` also relies on).  A row holds
 the base's ``(route mask, wait mask)`` from one ``base.route_masks`` call:
 one evaluation of the base relation per row.  Deltas never invalidate the
 memo: table edits are consulted before it and the down mask is applied
 after it, and the recorder notes the pre-mask masks on every query, memo
-hit or not.
+hit or not -- once per row for an ``R(n, d)`` walk, whose states at a
+node would all note the same masks.
 """
 
 from __future__ import annotations
 
-from ..routing.relation import RoutingAlgorithm
+from ..routing.relation import RoutingAlgorithm, is_node_dest
 
 
 class RouteRecorder:
@@ -60,8 +71,8 @@ class OverlayRouting(RoutingAlgorithm):
     ``down`` is the cid mask of the channels removed from every route and
     waiting set; ``edits`` maps a table key to its overriding ``(route
     mask, wait mask)`` (already validated by the session).  Form, wait
-    policy, and name are the base algorithm's -- an overlay with no deltas
-    is observationally identical to its base.
+    policy, name and ``node_dest`` are the base algorithm's -- an overlay
+    with no deltas is observationally identical to its base.
     """
 
     def __init__(
@@ -76,12 +87,14 @@ class OverlayRouting(RoutingAlgorithm):
         self.name = base.name
         self.form = base.form
         self.wait_policy = base.wait_policy
+        self.node_dest = is_node_dest(base)
         self.down: int = down
         self.edits: dict[str, tuple[int, int]] = dict(edits or {})
         self._recorder: RouteRecorder | None = None
         self._n = base.network.num_nodes
-        #: ``c_in cid * num_nodes + dest`` -> the base relation's pre-mask
-        #: ``(route mask, wait mask)``
+        #: ``row * num_nodes + dest`` -> the base relation's pre-mask
+        #: ``(route mask, wait mask)``; the row is the node for an
+        #: ``R(n, d)`` base, else the input cid
         self._rows: dict[int, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
@@ -109,7 +122,7 @@ class OverlayRouting(RoutingAlgorithm):
             return 0, 0
         hit = self.edits.get(self.table_key(c_in_cid, node, dest)) if self.edits else None
         if hit is None:
-            key = c_in_cid * self._n + dest
+            key = (node if self.node_dest else c_in_cid) * self._n + dest
             hit = self._rows.get(key)
             if hit is None:
                 hit = self._rows[key] = self.base.route_masks(c_in_cid, node, dest)

@@ -356,6 +356,11 @@ class IncrementalSession:
             self._edits.pop(edit.key, None)
             self.overlay.edits.pop(edit.key, None)
             return dest
+        waits_given = edit.waits if edit.waits is not None else edit.routes
+        for kind, cids in (("route", edit.routes), ("wait", waits_given)):
+            for cid in cids:
+                if not 0 <= cid < net.num_channels:
+                    raise ValueError(f"{kind} channel {cid} out of range in {edit.key!r}")
         routes = 0
         for cid in edit.routes:
             c = net.channel(cid)
@@ -363,7 +368,7 @@ class IncrementalSession:
                 raise ValueError(f"route channel {c!r} does not leave node {node}")
             routes |= 1 << cid
         waits = 0
-        for cid in edit.waits if edit.waits is not None else edit.routes:
+        for cid in waits_given:
             waits |= 1 << cid
         if waits & ~routes:
             raise ValueError("waiting channels must be a subset of the route set")

@@ -8,11 +8,12 @@ make the distinction executable: the Section-9 algorithms (HPL, EFA) fail
 
 The per-pair checks work by path enumeration (:mod:`repro.routing.paths`),
 which names the first offending path but grows with the number of permitted
-paths.  :func:`is_coherent` therefore first tries a sufficient certificate
-read off the per-destination routing-state graphs
-(:class:`~repro.core.transitions.TransitionCache`), whose cost grows with
-the number of routing states; only when the certificate declines does the
-enumeration run, and it alone words every counterexample.
+paths.  :func:`is_coherent` therefore decides on the per-destination
+routing-state graphs (:class:`~repro.core.transitions.TransitionCache`),
+whose cost grows with the number of routing states -- once per ``(node,
+dest)`` row for an ``R(n, d)`` relation.  When its certificate declines,
+each violation flags the pairs it can affect, and only those are
+enumerated, to find and word the first counterexample.
 :func:`provides_minimal_path` reads the same graphs and decides exactly,
 without enumerating.
 """
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from ..topology.channel import Channel
 from .paths import enumerate_paths, has_route, path_nodes
-from .relation import RoutingAlgorithm
+from .relation import RoutingAlgorithm, is_node_dest
 
 if TYPE_CHECKING:
     from ..core.transitions import DestinationTransitions, TransitionCache
@@ -268,29 +269,42 @@ def is_coherent(
 ) -> PropertyReport:
     """Definition 7: prefix-closed, suffix-closed, and never revisits a node.
 
-    Decided on the per-destination state graphs when
-    :func:`certifies_coherence` holds; otherwise the per-pair enumeration
-    runs and reports the first failing check with its counterexample.  Pass
-    the ``transitions`` already built for ``algorithm`` to share them.
+    Decided on the per-destination state graphs (``transitions``, built
+    here when absent; pass the ones already built for ``algorithm`` to
+    share them): when :func:`certifies_coherence` holds, so does the
+    relation.  Otherwise each violation of the certificate flags the
+    ``(src, dest)`` pairs whose source lies upstream of it, and only the
+    flagged pairs are enumerated -- prefix closure, then suffix closure,
+    then node revisits, each over its flagged pairs in ``(src, dest)``
+    order, the first failure reported with its counterexample.  A pair
+    left unflagged passes that check's enumeration for every
+    ``max_hops`` (see :func:`certifies_coherence`), so the report is the
+    one the full per-pair enumeration -- prefix, suffix and revisit checks
+    over every pair in turn -- would give, and a relation whose flagged
+    pairs all pass holds.
     """
     from ..core.transitions import TransitionCache  # importing repro.core is heavy
 
-    if certifies_coherence(algorithm, transitions or TransitionCache(algorithm)):
+    tc = transitions or TransitionCache(algorithm)
+    bad = _violations(algorithm, tc)
+    if not bad:
         return PropertyReport(True)
-    return enumerate_coherence(algorithm, max_hops=max_hops)
-
-
-def enumerate_coherence(algorithm: RoutingAlgorithm, *, max_hops: int | None = None) -> PropertyReport:
-    """Definition 7 by path enumeration alone: the first failing check wins."""
-    for check, label in (
-        (is_prefix_closed, "prefix-closed"),
-        (is_suffix_closed, "suffix-closed"),
-        (never_revisits_node, "node-revisit-free"),
-    ):
-        rep = check(algorithm, max_hops=max_hops)
-        if not rep:
-            return PropertyReport(False, f"not {label}: {rep.counterexample}", rep.details)
+    bound = max_hops if max_hops is not None else algorithm.network.num_nodes + 1
+    checks = (
+        ("prefix-closed", prefix_closed_pair, max_hops),
+        ("suffix-closed", suffix_closed_pair, max_hops),
+        ("node-revisit-free", revisit_free_pair, bound),
+    )
+    for (label, check, hops), pairs in zip(checks, _flagged_pairs(tc, bad)):
+        for src, dest in pairs:
+            rep = check(algorithm, src, dest, max_hops=hops)
+            if not rep:
+                return PropertyReport(False, f"not {label}: {rep.counterexample}", rep.details)
     return PropertyReport(True)
+
+
+#: violation bits, one per check of Definition 7, in reporting order
+_PREFIX, _SUFFIX, _REVISIT = 1, 2, 4
 
 
 def certifies_coherence(algorithm: RoutingAlgorithm, transitions: TransitionCache) -> bool:
@@ -298,66 +312,154 @@ def certifies_coherence(algorithm: RoutingAlgorithm, transitions: TransitionCach
 
     Every permitted path to ``d`` is a walk through the states of
     ``transitions[d]`` that can still reach ``d`` ("live" states), and every
-    live transition ``a -> c`` lies on such a path.  The certificate holds
+    live transition ``a -> c`` lies on such a walk.  The certificate holds
     when, for every destination ``d`` and live transition ``a -> c`` at
     node ``n = a.dst``:
 
     * ``c`` leaves ``n`` and no state reachable from ``c`` sits at ``n``, so
-      no walk revisits a node (node-revisit-freedom, any hop bound);
+      no walk revisits a node (node-revisit-freedom, any hop bound) and no
+      path is discontinuous;
     * for a link state ``a``, ``c in R(inj(n), n, d)``: the hop taken after
       arriving over ``a`` is also offered to a message injected at ``n``,
       and the rest of the suffix is the same walk (suffix closure);
-    * ``c in R(a, n, m)`` for every node ``m != d`` reachable from ``c``:
-      each hop of a path is offered again towards every later node of it
-      (prefix closure).  The later nodes are merged per ``(a, c)`` across
-      destinations, each union is expanded into per-``(a, m)`` demands
-      once, and each demand is checked once, against ``transitions[m]``
-      when ``a`` is one of its states.
+    * ``c in R(a, n, m)`` for every node ``m`` other than ``d`` and ``n``
+      reachable from ``c``: each hop of a path is offered again towards
+      every later node of it (prefix closure).  The later nodes are merged
+      per ``(a, c)`` across destinations, each union is expanded into
+      per-``(a, m)`` demands once, and each demand is checked once,
+      against ``transitions[m]`` when ``a`` is one of its states.
 
-    Holding implies :func:`enumerate_coherence` holds for every
-    ``max_hops``; declining proves nothing.  Nothing assumes that an
-    ND-declared relation ignores its input channel.
+    For an ``R(n, d)`` relation (:func:`~repro.routing.relation.is_node_dest`)
+    every state at ``n`` shares the walk's row ``R(n, d)``, so each test
+    runs once per ``(n, d)`` row instead of once per state: the suffix test
+    holds trivially, and each prefix demand ``c in R(n, m)`` is checked
+    once per ``(n, c, m)``, against ``n``'s row in ``transitions[m]`` or,
+    when ``n`` has no state there, one ``route_masks`` query at ``n``'s
+    injection channel.
+
+    Holding implies the per-pair enumeration of all three checks holds for
+    every ``max_hops``.  A violation is exact for walks, not for paths: a
+    path failing a check is a live walk that violates the matching test,
+    but a violation on a walk that revisits a node need not show on any
+    simple path, so declining proves nothing by itself.
     """
+    return not _violations(algorithm, transitions)
+
+
+def _violations(
+    algorithm: RoutingAlgorithm, transitions: TransitionCache
+) -> dict[int, dict[int, int]]:
+    """Every violation of :func:`certifies_coherence`'s tests, as ``dest ->
+    key -> violation bits``, where the key is the violating state -- its
+    node for an ``R(n, d)`` relation.  Empty exactly when the certificate
+    holds.  A discontinuous hop violates all three checks, since every
+    check's enumeration rejects a path that contains one."""
     from ..core.depgraph import bits
 
     net = algorithm.network
     heads, links = net.heads, net.link_mask
     tails = [ch.src for ch in net.channels]
     inj = [net.injection_channel(n).cid for n in net.nodes]
-    # a -> c -> node mask of every m whose R(a, a.dst, m) must offer c
+    by_node = is_node_dest(algorithm)
+    # a key's node, and the input channel to query the relation at it with
+    node_of, query_in = (
+        (range(net.num_nodes), inj) if by_node else (heads, range(net.num_channels))
+    )
+    # dest -> key -> route mask at the key in dest's walk
+    rows_at: dict[int, dict[int, int]] = {
+        dt.dest: {n: row[0] for n, row in dt.node_rows.items()} if by_node else dt.succ_masks
+        for dt in transitions.all_destinations()
+    }
+    bad: dict[int, dict[int, int]] = {}
+    # key -> c -> node mask of every m whose R(key, m) must offer c
     later_of: dict[int, dict[int, int]] = {}
-    for dt in transitions.all_destinations():
-        dest_bit = 1 << dt.dest
-        succ = dt.succ_masks
-        reach = dt.downstream_node_masks
-        for a, outs in succ.items():
+    for dest, rows in rows_at.items():
+        dest_bit = 1 << dest
+        reach = transitions[dest].downstream_node_masks
+        flags: dict[int, int] = {}
+        for key, outs in rows.items():
             if not outs:
                 continue
-            here = heads[a]
-            fresh = succ[inj[here]] if links >> a & 1 else outs
-            row = later_of.get(a)
-            if row is None:
-                row = later_of[a] = {}
+            here = node_of[key]
+            fresh = rows[inj[here]] if not by_node and links >> key & 1 else outs
+            row = later_of.setdefault(key, {})
+            f = 0
             for c in bits(outs):
                 later = reach[c]
                 if not later & dest_bit:
                     continue
-                if later >> here & 1 or tails[c] != here or not fresh >> c & 1:
-                    return False
-                row[c] = row.get(c, 0) | (later ^ dest_bit)
-    for a, row in later_of.items():
-        need: dict[int, int] = {}  # m -> cids c required in R(a, a.dst, m)
+                if tails[c] != here:
+                    f |= _PREFIX | _SUFFIX | _REVISIT
+                elif later >> here & 1:
+                    f |= _REVISIT
+                if not fresh >> c & 1:
+                    f |= _SUFFIX
+                row[c] = row.get(c, 0) | later & ~(dest_bit | 1 << here)
+            if f:
+                flags[key] = f
+        if flags:
+            bad[dest] = flags
+    # key -> c -> node mask of every m whose R(key, m) lacks c
+    missing: dict[int, dict[int, int]] = {}
+    for key, row in later_of.items():
+        need: dict[int, int] = {}  # m -> cids c required in R(key, m)
         for c, nodes in row.items():
             bit = 1 << c
             for m in bits(nodes):
                 need[m] = need.get(m, 0) | bit
         for m, wanted in need.items():
-            have = transitions[m].succ_masks.get(a)
+            have = rows_at[m].get(key)
             if have is None:
-                have = algorithm.route_masks(a, heads[a], m)[0]
-            if wanted & ~have:
-                return False
-    return True
+                have = algorithm.route_masks(query_in[key], node_of[key], m)[0]
+            lack = wanted & ~have
+            if lack:
+                miss = missing.setdefault(key, {})
+                for c in bits(lack):
+                    miss[c] = miss.get(c, 0) | 1 << m
+    if missing:
+        # the prefix violations each walk itself contains
+        for dest, rows in rows_at.items():
+            reach = transitions[dest].downstream_node_masks
+            live = 1 << dest
+            flags = bad.get(dest, {})
+            for key, miss in missing.items():
+                outs = rows.get(key, 0)
+                for c, ms in miss.items():
+                    if outs >> c & 1 and reach[c] & live and reach[c] & ms & ~live:
+                        flags[key] = flags.get(key, 0) | _PREFIX
+                        break
+            if flags:
+                bad[dest] = flags
+    return bad
+
+
+def _flagged_pairs(
+    transitions: TransitionCache, bad: dict[int, dict[int, int]]
+) -> list[list[tuple[int, int]]]:
+    """Per check, in reporting order, the sorted ``(src, dest)`` pairs
+    whose injection state reaches a state that violates it in ``dest``'s
+    walk.  A path of ``(src, dest)`` failing the check's enumeration runs
+    through such a state, so every other pair passes it."""
+    net = transitions.algorithm.network
+    heads = net.heads
+    out: list[list[tuple[int, int]]] = [[], [], []]
+    for dest, flags in bad.items():
+        dt = transitions[dest]
+        if dt.node_rows is not None:
+            seed = {a: flags.get(heads[a], 0) for a in dt.succ_masks}
+        else:
+            seed = {a: flags.get(a, 0) for a in dt.succ_masks}
+        up = dt.propagate(seed)
+        for src in net.nodes:
+            if src == dest:
+                continue
+            f = up[net.injection_channel(src).cid]
+            for i, pairs in enumerate(out):
+                if f >> i & 1:
+                    pairs.append((src, dest))
+    for pairs in out:
+        pairs.sort()
+    return out
 
 
 def is_fully_adaptive(algorithm: RoutingAlgorithm) -> PropertyReport:

@@ -128,6 +128,8 @@ class RoutingAlgorithm:
     #: Set at class creation: the class authors ``route_masks`` (its own or
     #: inherited), so its Channel-form methods are derived views.
     mask_native: bool = False
+    #: Both sets depend on ``(node, dest)`` alone (:func:`is_node_dest`).
+    node_dest: bool = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -277,6 +279,7 @@ class NodeDestRouting(RoutingAlgorithm):
     """
 
     form = "ND"
+    node_dest = True
 
     @_derived
     def route_nd(self, node: int, dest: int) -> frozenset[Channel]:
@@ -296,15 +299,18 @@ class NodeDestRouting(RoutingAlgorithm):
 def is_node_dest(algorithm: RoutingAlgorithm) -> bool:
     """Do ``route`` and ``waiting_subset`` depend on ``(node, dest)`` alone?
 
-    True exactly for :class:`NodeDestRouting` instances, whose contract
-    makes both sets functions of the current node and the destination, so
-    a consumer may evaluate the relation once per *row* ``(node, dest)``
-    and serve the answer to every input channel at the node.  The gate is
-    the class, not :attr:`RoutingAlgorithm.form`: wrappers such as
-    :class:`RestrictedWaiting` copy ``form="ND"`` from the relation they
-    wrap while keying their waiting sets by input channel.
+    True for :class:`NodeDestRouting` instances, whose contract makes both
+    sets functions of the current node and the destination, so a consumer
+    may evaluate the relation once per *row* ``(node, dest)`` and serve the
+    answer to every input channel at the node; the walk, the route table
+    and the coherence certificate all do.  The gate is the attribute
+    :attr:`RoutingAlgorithm.node_dest`, not :attr:`RoutingAlgorithm.form`:
+    :class:`RestrictedWaiting` copies ``form="ND"`` from the relation it
+    wraps while keying its waiting sets by input channel, so it keeps the
+    default ``False``.  The incremental overlay copies the attribute from
+    its base, since its edits and down mask honour the contract too.
     """
-    return isinstance(algorithm, NodeDestRouting)
+    return algorithm.node_dest
 
 
 class RestrictedWaiting(RoutingAlgorithm):
@@ -417,12 +423,12 @@ class RouteTable:
     and its Channel forms are built only when a reader asks
     (:class:`RouteEntry`).
 
-    For a :class:`NodeDestRouting` relation both sets depend on ``(node,
-    dest)`` alone, so the relation is consulted once per *row* ``(node,
-    dest)`` and that row's entry serves every input channel at the node.
-    The one exception is an input whose source node some candidate leads
-    back to: the U-turn term of the sort key can reorder that row, so the
-    input gets its own entry, built exactly as for a general relation.
+    For an ``R(n, d)`` relation both sets depend on ``(node, dest)``
+    alone, so the relation is consulted once per *row* ``(node, dest)`` and
+    that row's entry serves every input channel at the node.  The one
+    exception is an input whose source node some candidate leads back to:
+    the U-turn term of the sort key can reorder that row, so the input gets
+    its own entry, built exactly as for a general relation.
     :func:`is_node_dest` is the gate, shared with the checker's
     :class:`~repro.core.transitions.DestinationTransitions`.
 

@@ -10,6 +10,8 @@ knob actually being unsound.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core.cwg import ChannelWaitingGraph
@@ -34,6 +36,7 @@ from repro.incremental.overlay import OverlayRouting, RouteRecorder
 from repro.pipeline.engine import build_topology, catalog_spec
 from repro.routing import make
 from repro.routing.duato_adaptive import DuatoFullyAdaptiveMesh
+from repro.routing.relation import RestrictedWaiting, is_node_dest
 from repro.topology import build_mesh
 
 
@@ -159,19 +162,49 @@ def _assert_overlay_matches_fresh(session: IncrementalSession) -> None:
 
 def test_overlay_row_is_one_base_evaluation():
     """A duato-mesh 4x4 session plus its first check evaluates the base
-    relation once per overlay row: 768 rows, one ``route_masks`` call each
-    (1,536 while a row asked the base for its route and its waiting set
-    separately)."""
+    relation once per ``(node, dest)`` row: the overlay over an ``R(n, d)``
+    base is itself ``R(n, d)``, so its walks share each node's row.  That
+    is 240 rows, one ``route_masks`` call each (768 while the overlay was
+    evaluated once per input channel, 1,536 while a row asked the base for
+    its route and its waiting set separately)."""
     evals = []
 
     class Counting(DuatoFullyAdaptiveMesh):
         def route_masks(self, c_in_cid, node, dest):
-            evals.append((c_in_cid, dest))
+            evals.append((node, dest))
             return super().route_masks(c_in_cid, node, dest)
 
     session = IncrementalSession(Counting(build_topology("mesh", (4, 4), 2)))
     session.check()
-    assert len(session.overlay._rows) == len(evals) == len(set(evals)) == 768
+    assert is_node_dest(session.overlay)
+    assert all(session.tc[d].node_rows is not None for d in range(16))
+    assert len(session.overlay._rows) == len(evals) == len(set(evals)) == 240 == 16 * 15
+
+
+@pytest.mark.parametrize("name, wrap", [
+    ("highest-positive-last", False),
+    ("highest-positive-last", True),
+    ("duato-mesh", True),
+])
+def test_overlay_over_a_per_state_base_stays_per_state(name, wrap):
+    """An overlay is ``R(n, d)`` only over an ``R(n, d)`` base: over a CND
+    relation, or over :class:`RestrictedWaiting` (``form`` copied from the
+    relation it wraps, waiting sets keyed by input channel), its memo and
+    its walks stay per state, one base evaluation per reachable state."""
+    base = catalog_spec(name, mesh_dims=(3, 3)).build()
+    if wrap:
+        base = RestrictedWaiting(base)
+    session = IncrementalSession(base)
+    session.check()
+    overlay, net = session.overlay, base.network
+    assert not is_node_dest(overlay)
+    assert all(session.tc[d].node_rows is None for d in net.nodes)
+    queried = {
+        a * net.num_nodes + d
+        for d in net.nodes for a in session.tc[d].succ_masks if net.heads[a] != d
+    }
+    assert set(overlay._rows) == queried
+    assert len(queried) > net.num_nodes * (net.num_nodes - 1)
 
 
 def _cold_dirty(session: IncrementalSession, cid: int) -> set[int]:
@@ -198,13 +231,17 @@ def _apply_and_compare(session: IncrementalSession, delta) -> None:
     else:
         session.apply(delta)
     _assert_overlay_matches_fresh(session)
-    assert session.check(delta).digest == session.full_check().digest
+    result = session.check(delta)
+    assert result.digest == session.full_check().digest
+    assert result.fingerprint == _fresh_overlay(session).fingerprint()
 
 
-@pytest.mark.parametrize("name", ["duato-mesh", "west-first"])
+@pytest.mark.parametrize("name", ["duato-mesh", "west-first", "duato-torus"])
 def test_overlay_memo_survives_every_delta_kind(name):
-    """duato-mesh overrides waiting_channels; west-first shares the route slot."""
-    session = IncrementalSession(spec=catalog_spec(name, mesh_dims=(3, 3)))
+    """Each is an ``R(n, d)`` relation, so its overlay memo and walks are
+    per row; duato-torus is the incoherent one, whose coherence check
+    enumerates flagged pairs after every delta."""
+    session = IncrementalSession(spec=catalog_spec(name, mesh_dims=(3, 3), torus_dims=(3, 3)))
     session.baseline()
     _assert_overlay_matches_fresh(session)
     for phase in range(2):
@@ -266,6 +303,17 @@ def test_table_edit_validation_errors():
     with pytest.raises(ValueError, match="subset of the route set"):
         out4 = [c.cid for c in session.base.network.out_channels(4) if c.is_link]
         session.apply(TableEdit("n4->1", routes=(out4[0],), waits=(out4[1],)))
+    # a cid outside the network is named, never indexed or shifted
+    num = session.base.network.num_channels
+    for routes, waits, bad in (
+        ((num,), None, f"route channel {num} out of range in 'n4->1'"),
+        ((-1,), None, "route channel -1 out of range in 'n4->1'"),
+        ((out4[0],), (-1,), "wait channel -1 out of range in 'n4->1'"),
+        ((out4[0],), (99999,), "wait channel 99999 out of range in 'n4->1'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            session.apply(TableEdit("n4->1", routes=routes, waits=waits))
+    assert not session.overlay.edits
 
 
 def test_unknown_link_deltas_are_rejected():

@@ -16,6 +16,7 @@ from repro.incremental import (
     LinkDown,
     LinkUp,
     ReverifyJob,
+    TableEdit,
     default_fault_pair,
     run_jobs,
 )
@@ -101,6 +102,25 @@ def test_invalid_delta_is_a_recorded_error():
     assert outcomes[0].error is not None and "no link channel" in outcomes[0].error
     # repairing an already-up link is a no-op, not a failure
     assert outcomes[1].error is None and outcomes[1].result.deadlock_free
+
+
+def test_out_of_range_edit_cid_is_a_recorded_error_and_the_stream_goes_on():
+    outcomes = _run([
+        ReverifyJob(0, "west-first", TableEdit("n0->8", routes=(99999,))),
+        ReverifyJob(1, "west-first", LinkDown(0, 1, 0)),
+    ], _targets())
+    assert outcomes[0].error == "route channel 99999 out of range in 'n0->8'"
+    assert outcomes[1].error is None and outcomes[1].result is not None
+
+
+@pytest.mark.parametrize("cid", ["99999", "-1"])
+def test_reverify_names_an_out_of_range_edit_cid(cid):
+    with pytest.raises(SystemExit) as exc:
+        main(["reverify", "--algorithm", "e-cube-mesh", "--dims", "3,3",
+              "--delta", f"edit:n0->8={cid}"])
+    # a message is a non-zero exit with no traceback
+    assert isinstance(exc.value.code, str)
+    assert exc.value.code.endswith(f"route channel {cid} out of range in 'n0->8'")
 
 
 def test_sample_outside_unit_interval_is_rejected():
