@@ -57,18 +57,11 @@ import json
 from pathlib import Path
 
 from repro.routing import make
-from repro.routing.selection import CreditSelection, lowest_vc_first
+from repro.routing.selection import make_selection
 from repro.scenario import TopologySpec
 from repro.sim import BernoulliTraffic, SimConfig, WormholeSimulator
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "sim_golden_digests.json"
-
-#: selection-policy factories: stateful policies get a fresh instance per
-#: case so repeated runs of the same case stay bit-identical
-SELECTIONS = {
-    "lowest_vc_first": lambda: lowest_vc_first,
-    "credit": CreditSelection,
-}
 
 #: case id -> spec; every field is plain data (topologies are scenario-layer
 #: spec strings) so the matrix itself can be diffed when cases are added.
@@ -118,7 +111,18 @@ _case("duato-mesh-eject2", algorithm="duato-mesh", topology="mesh:3x3:v2",
 _case("efa-raw-order", algorithm="enhanced-fully-adaptive",
       topology="hypercube:3:v2", seed=8, config={"prefer_minimal": False})
 _case("duato-mesh-lowvc", algorithm="duato-mesh", topology="mesh:3x3:v2",
-      seed=8, config={"selection": "lowest_vc_first"})
+      seed=8, config={"selection": "lowest-vc-first"})
+# every other named policy on the slow path; round-robin and random keep
+# state across decisions, and round-robin under SPECIFIC waiting also picks
+# among a committed message's designated waiting channels
+_case("west-first-straight", algorithm="west-first", topology="mesh:4x4",
+      pattern="transpose", seed=31, config={"selection": "straight-first"})
+_case("duato-mesh-highvc", algorithm="duato-mesh", topology="mesh:3x3:v2",
+      seed=33, config={"selection": "highest-vc-first"})
+_case("hpl-specific-rr", algorithm="highest-positive-last", topology="mesh:3x3",
+      seed=35, rate=0.25, config={"selection": "round-robin"})
+_case("efa-cube-random", algorithm="enhanced-fully-adaptive",
+      topology="hypercube:3:v2", seed=37, config={"selection": "random"})
 
 # -- faults: adaptive rerouting around a channel killed mid-sweep -------
 # (cycle, "fail"|"repair", src node, dim, sign[, vc]) applied before that
@@ -161,7 +165,8 @@ def build_case(cid: str) -> WormholeSimulator:
     ra = make(spec["algorithm"], net, **spec.get("algo_kwargs", {}))
     cfg_kwargs = dict(spec["config"])
     if "selection" in cfg_kwargs:
-        cfg_kwargs["selection"] = SELECTIONS[cfg_kwargs["selection"]]()
+        # a fresh instance per run, so stateful policies replay bit-identically
+        cfg_kwargs["selection"] = make_selection(cfg_kwargs["selection"])
     config = SimConfig(seed=spec["seed"], deadlock_check_interval=32, **cfg_kwargs)
     traffic = BernoulliTraffic(
         net, rate=spec["rate"], pattern=spec["pattern"],
