@@ -101,4 +101,5 @@ def test_deadlock_report_is_definition12(benchmark, once):
         assert m.held, "every member occupies at least one channel"
         assert m.waiting_for, "every member is blocked on waiting channels"
         for w in m.waiting_for:
-            assert sim.owner[w] in ids, "waiting channels held within the set"
+            assert sim.owner[sim.network.channels[w]] in ids, \
+                "waiting channels held within the set"

@@ -59,8 +59,9 @@ def main() -> None:
     for line in deadlock.describe().splitlines():
         print(" ", line)
     ids = set(deadlock.message_ids)
+    channels = sim.network.channels
     holders = {
-        w.label or f"c{w.cid}": sim.owner[w]
+        channels[w].label or f"c{w}": sim.owner[channels[w]]
         for mid in deadlock.message_ids
         for w in sim.messages[mid].waiting_for
     }

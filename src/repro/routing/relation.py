@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Iterable, Sequence
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from ..topology.channel import Channel
 from ..topology.network import Network
@@ -336,67 +336,20 @@ class RestrictedWaiting(RoutingAlgorithm):
         return self.inner.waiting_subset(c_in, node, dest, permitted)
 
 
-class RouteEntry:
+class RouteEntry(NamedTuple):
     """One cached routing decision: everything ``R(c_in, node, dest)`` pins.
 
-    The permitted and waiting channels are stored as dense channel-id
-    tuples, sorted by the allocator's priority key: the simulator's fast
-    allocator walks these with integer state only.  The
-    :class:`~repro.topology.channel.Channel` forms -- for custom selection
-    functions, which keep their object interface, and for a blocked
-    message's ``waiting_for`` -- are built from the ids on first use, at
-    most once per entry.  Two entries are equal when their id tuples are.
+    The permitted and waiting channels as dense channel-id tuples, sorted
+    by the allocator's priority key: the simulator's allocator, every
+    selection function and a blocked message's ``waiting_for`` read these
+    ids directly.
     """
 
-    __slots__ = ("cand_cids", "wait_cids", "_network", "_cands", "_waits", "_wait_set")
-
-    def __init__(self, cand_cids: tuple[int, ...], wait_cids: tuple[int, ...],
-                 network: Network) -> None:
-        #: permitted output cids, pre-sorted by the allocator's priority key
-        self.cand_cids = cand_cids
-        #: waiting-channel cids, pre-sorted by the same key (the candidate
-        #: tuple itself when every candidate is a waiting channel)
-        self.wait_cids = wait_cids
-        self._network = network
-        self._cands: tuple[Channel, ...] | None = None
-        self._waits: tuple[Channel, ...] | None = None
-        self._wait_set: frozenset[Channel] | None = None
-
-    @property
-    def cand_channels(self) -> tuple[Channel, ...]:
-        """The permitted channels as objects, in ``cand_cids`` order."""
-        if self._cands is None:
-            chan = self._network.channels
-            self._cands = tuple([chan[c] for c in self.cand_cids])
-        return self._cands
-
-    @property
-    def wait_channels(self) -> tuple[Channel, ...]:
-        """The waiting channels as objects, in ``wait_cids`` order."""
-        if self.wait_cids is self.cand_cids:
-            return self.cand_channels
-        if self._waits is None:
-            chan = self._network.channels
-            self._waits = tuple([chan[c] for c in self.wait_cids])
-        return self._waits
-
-    @property
-    def wait_set(self) -> frozenset[Channel]:
-        """The waiting set, what a blocked message's ``waiting_for`` holds."""
-        if self._wait_set is None:
-            m = 0
-            for c in self.wait_cids:
-                m |= 1 << c
-            self._wait_set = self._network.channel_set(m)
-        return self._wait_set
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RouteEntry):
-            return NotImplemented
-        return self.cand_cids == other.cand_cids and self.wait_cids == other.wait_cids
-
-    def __repr__(self) -> str:
-        return f"RouteEntry(cand_cids={self.cand_cids}, wait_cids={self.wait_cids})"
+    #: permitted output cids, pre-sorted by the allocator's priority key
+    cand_cids: tuple[int, ...]
+    #: waiting-channel cids, pre-sorted by the same key (the candidate
+    #: tuple itself when every candidate is a waiting channel)
+    wait_cids: tuple[int, ...]
 
 
 class RouteTable:
@@ -419,8 +372,7 @@ class RouteTable:
     candidates filtered by the wait mask (the candidate tuple itself when
     the two masks are equal); only a broken relation whose waits leave its
     route set sorts them separately.  No step builds a
-    :class:`~repro.topology.channel.Channel` set: an entry holds id tuples,
-    and its Channel forms are built only when a reader asks
+    :class:`~repro.topology.channel.Channel` set: an entry is two id tuples
     (:class:`RouteEntry`).
 
     For an ``R(n, d)`` relation both sets depend on ``(node, dest)``
@@ -450,7 +402,7 @@ class RouteTable:
 
     def __init__(self, algorithm: RoutingAlgorithm, *, dist: Sequence[Sequence[int]] | None = None) -> None:
         self.algorithm = algorithm
-        net = self._network = algorithm.network
+        net = algorithm.network
         channels = net.channels
         num_ch = self._num_ch = len(channels)
         self._num_nodes = net.num_nodes
@@ -521,7 +473,7 @@ class RouteTable:
             waits = self._order(wait, dest, prev)
         else:
             waits = tuple([c for c in cands if wait >> c & 1])
-        return RouteEntry(cands, waits, self._network)
+        return RouteEntry(cands, waits)
 
     def _order(self, mask: int, dest: int, prev: int) -> tuple[int, ...]:
         """The cids of ``mask`` in priority order: progress first, then

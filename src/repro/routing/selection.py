@@ -6,9 +6,12 @@ determines deadlock freedom; the selection function only affects
 performance -- so these live apart from the relations and are consumed by
 the simulator's virtual-channel allocator.
 
-All selection functions here receive the candidate channels in a stable
-order (network cid order) together with a ``free`` predicate, and must
-return a free candidate or ``None`` when none is free.
+All selection functions here receive the network, the input channel and
+the candidate channels as dense channel ids, the candidates in the
+allocator's priority order, together with a ``free`` predicate on ids; they
+must return a free candidate's id or ``None`` when none is free.  A policy
+that ranks by a channel's ``vc``, ``src`` or ``meta`` reads it from
+``network.channels[cid]``.
 
 Scenario integration: every policy has a name in :data:`SELECTIONS`
 (factories, so stateful policies get a fresh instance per simulator);
@@ -21,46 +24,51 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any, Protocol
 
-from ..topology.channel import Channel
-
 if TYPE_CHECKING:
     import numpy as np
 
     from ..sim.engine import WormholeSimulator
+    from ..topology.network import Network
 
 
 class SelectionFunction(Protocol):
-    """Callable picking one free channel from an ordered candidate list."""
+    """Callable picking one free channel id from an ordered candidate list."""
 
     def __call__(
         self,
-        c_in: Channel,
-        candidates: Sequence[Channel],
-        free: Callable[[Channel], bool],
-    ) -> Channel | None: ...
+        network: Network,
+        c_in: int,
+        candidates: Sequence[int],
+        free: Callable[[int], bool],
+    ) -> int | None: ...
 
 
-def first_free(c_in: Channel, candidates: Sequence[Channel], free: Callable[[Channel], bool]) -> Channel | None:
-    """Deterministic: lowest-cid free candidate.  Good for reproducible tests."""
+def first_free(network: Network, c_in: int, candidates: Sequence[int],
+               free: Callable[[int], bool]) -> int | None:
+    """Deterministic: the first free candidate.  Good for reproducible tests."""
     for c in candidates:
         if free(c):
             return c
     return None
 
 
-def straight_first(c_in: Channel, candidates: Sequence[Channel], free: Callable[[Channel], bool]) -> Channel | None:
+def straight_first(network: Network, c_in: int, candidates: Sequence[int],
+                   free: Callable[[int], bool]) -> int | None:
     """Prefer continuing in the same dimension/direction as ``c_in``.
 
     Falls back to the first free candidate.  Reduces in-network turns, which
     empirically lowers contention for dimension-ordered traffic.
     """
-    dim = c_in.meta.get("dim")
-    sign = c_in.meta.get("sign")
+    chans = network.channels
+    meta = chans[c_in].meta
+    dim = meta.get("dim")
     if dim is not None:
+        sign = meta.get("sign")
         for c in candidates:
-            if c.meta.get("dim") == dim and c.meta.get("sign") == sign and free(c):
+            m = chans[c].meta
+            if m.get("dim") == dim and m.get("sign") == sign and free(c):
                 return c
-    return first_free(c_in, candidates, free)
+    return first_free(network, c_in, candidates, free)
 
 
 class RandomSelection:
@@ -75,12 +83,8 @@ class RandomSelection:
 
         self.rng = seed if isinstance(seed, Generator) else default_rng(seed)
 
-    def __call__(
-        self,
-        c_in: Channel,
-        candidates: Sequence[Channel],
-        free: Callable[[Channel], bool],
-    ) -> Channel | None:
+    def __call__(self, network: Network, c_in: int, candidates: Sequence[int],
+                 free: Callable[[int], bool]) -> int | None:
         free_cands = [c for c in candidates if free(c)]
         if not free_cands:
             return None
@@ -93,15 +97,11 @@ class RoundRobinSelection:
     def __init__(self) -> None:
         self._counter: dict[int, int] = {}
 
-    def __call__(
-        self,
-        c_in: Channel,
-        candidates: Sequence[Channel],
-        free: Callable[[Channel], bool],
-    ) -> Channel | None:
+    def __call__(self, network: Network, c_in: int, candidates: Sequence[int],
+                 free: Callable[[int], bool]) -> int | None:
         if not candidates:
             return None
-        node = candidates[0].src
+        node = network.channels[candidates[0]].src
         start = self._counter.get(node, 0) % len(candidates)
         self._counter[node] = start + 1
         for i in range(len(candidates)):
@@ -111,22 +111,26 @@ class RoundRobinSelection:
         return None
 
 
-def lowest_vc_first(c_in: Channel, candidates: Sequence[Channel], free: Callable[[Channel], bool]) -> Channel | None:
+def lowest_vc_first(network: Network, c_in: int, candidates: Sequence[int],
+                    free: Callable[[int], bool]) -> int | None:
     """Prefer low VC indices: drains restricted VC classes before escape VCs.
 
     For two-class algorithms (Duato's, EFA) this biases traffic onto the
     regulated first class, keeping the adaptive class free as the escape
     valve -- the selection the paper's Section 9 algorithms implicitly assume.
     """
-    for c in sorted(candidates, key=lambda ch: (ch.vc, ch.cid)):
+    chans = network.channels
+    for c in sorted(candidates, key=lambda c: (chans[c].vc, c)):
         if free(c):
             return c
     return None
 
 
-def highest_vc_first(c_in: Channel, candidates: Sequence[Channel], free: Callable[[Channel], bool]) -> Channel | None:
+def highest_vc_first(network: Network, c_in: int, candidates: Sequence[int],
+                     free: Callable[[int], bool]) -> int | None:
     """Prefer high VC indices: uses the adaptive class first (ablation foil)."""
-    for c in sorted(candidates, key=lambda ch: (-ch.vc, ch.cid)):
+    chans = network.channels
+    for c in sorted(candidates, key=lambda c: (-chans[c].vc, c)):
         if free(c):
             return c
     return None
@@ -151,11 +155,12 @@ class CreditSelection:
 
     The simulator binds engine state in via :meth:`bind_engine` (called by
     ``WormholeSimulator.__init__`` on any selection exposing that hook).
-    Unit tests may instead inject a ``credits`` callable directly.
+    Unit tests may instead inject a ``credits`` callable on channel ids
+    directly.
     """
 
     def __init__(self, *, escape_vcs: int = 1,
-                 credits: Callable[[Channel], int] | None = None) -> None:
+                 credits: Callable[[int], int] | None = None) -> None:
         if escape_vcs < 0:
             raise ValueError("escape_vcs must be >= 0")
         self.escape_vcs = escape_vcs
@@ -166,22 +171,20 @@ class CreditSelection:
         """Source credits from the simulator's per-channel buffer occupancy."""
         buffers = sim._buf
         depth = sim.config.buffer_depth
-        self._credits = lambda c: depth - len(buffers[c.cid])
+        self._credits = lambda cid: depth - len(buffers[cid])
 
-    def __call__(
-        self,
-        c_in: Channel,
-        candidates: Sequence[Channel],
-        free: Callable[[Channel], bool],
-    ) -> Channel | None:
+    def __call__(self, network: Network, c_in: int, candidates: Sequence[int],
+                 free: Callable[[int], bool]) -> int | None:
         if not candidates:
             return None
+        chans = network.channels
         credits = self._credits
-        adaptive = [c for c in candidates if c.vc >= self.escape_vcs]
-        best: Channel | None = None
+        escape_vcs = self.escape_vcs
+        adaptive = [c for c in candidates if chans[c].vc >= escape_vcs]
+        best: int | None = None
         best_credits = 0  # a backpressured (0-credit) adaptive hop never wins
         if adaptive:
-            node = adaptive[0].src
+            node = chans[adaptive[0]].src
             start = self._rr.get(node, 0) % len(adaptive)
             self._rr[node] = start + 1
             for i in range(len(adaptive)):
@@ -194,7 +197,7 @@ class CreditSelection:
         if best is not None:
             return best
         for c in candidates:  # escape fallback, allocator priority order
-            if c.vc < self.escape_vcs and free(c):
+            if chans[c].vc < escape_vcs and free(c):
                 return c
         return None
 

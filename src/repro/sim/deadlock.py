@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..topology.channel import Channel
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import WormholeSimulator
 
@@ -53,8 +51,8 @@ class DeadlockDetector:
     def __init__(self, sim: "WormholeSimulator") -> None:
         self.sim = sim
 
-    def _can_release_without_head_progress(self, mid: int, w: Channel) -> bool:
-        """Can message ``mid`` free channel ``w`` just by draining forward?
+    def _can_release_without_head_progress(self, mid: int, w: int) -> bool:
+        """Can message ``mid`` free channel ``w`` (a cid) just by draining forward?
 
         Even with its header blocked, a message's tail keeps advancing while
         free buffer space remains in the channels it already holds.  ``w``
@@ -68,18 +66,14 @@ class DeadlockDetector:
         m = sim.messages[mid]
         if m.header_arrived:
             return True  # ejection drains it regardless
+        held = m.held
         try:
-            i = m.held.index(w)
+            i = held.index(w)
         except ValueError:
             return True  # already released
         bufs = sim._buf
-        to_pass = (m.length - m.flits_injected) + sum(
-            len(bufs[m.held[j].cid]) for j in range(i + 1)
-        )
-        capacity_ahead = sum(
-            sim.config.buffer_depth - len(bufs[m.held[j].cid])
-            for j in range(i + 1, len(m.held))
-        )
+        to_pass = (m.length - m.flits_injected) + sum(len(bufs[c]) for c in held[:i + 1])
+        capacity_ahead = sum(sim.config.buffer_depth - len(bufs[c]) for c in held[i + 1:])
         return to_pass <= capacity_ahead
 
     def check(self) -> DeadlockReport | None:
@@ -98,8 +92,8 @@ class DeadlockDetector:
             for mid in sorted(marked):
                 m = blocked[mid]
                 assert m.waiting_for is not None
-                for w in sorted(m.waiting_for, key=lambda c: c.cid):
-                    owner = sim._owner[w.cid]
+                for w in m.waiting_for:
+                    owner = sim._owner[w]
                     if owner < 0 or owner not in marked or \
                             self._can_release_without_head_progress(owner, w):
                         # w is free, its owner can still move, or the owner can
@@ -111,13 +105,14 @@ class DeadlockDetector:
             return None
         # Self-waiting (owner == mid) counts as deadlocked per Definition 12.
         ids = sorted(marked)
+        chans = sim.network.channels
         detail = []
         for mid in ids:
             m = blocked[mid]
             detail.append((
                 m.src,
                 m.dest,
-                [c.label or f"c{c.cid}" for c in m.held],
-                [c.label or f"c{c.cid}" for c in sorted(m.waiting_for or (), key=lambda c: c.cid)],
+                [chans[c].label or f"c{c}" for c in m.held],
+                [chans[c].label or f"c{c}" for c in sorted(m.waiting_for or ())],
             ))
         return DeadlockReport(cycle=sim.cycle, message_ids=ids, detail=detail)

@@ -46,8 +46,10 @@ rather than per-flit objects and channel-keyed dictionaries:
   and, for an ``R(n, d)`` relation, once per ``(node, destination)`` row
   shared by every input channel at the node.  One consultation is one
   ``route_masks`` query, answered in cid masks, and one sort of integer
-  keys; an entry holds cid tuples and builds its Channel forms only for a
-  custom selection function or a message that blocks on it;
+  keys; an entry is two cid tuples;
+* a message's occupied channels (``held``) and its waiting channels
+  (``waiting_for``) are cids too, and every selection function picks a cid
+  from cid candidates; the deadlock detector reads the same ids;
 * allocation is event-driven: a dirty set tracks exactly the messages
   whose decision could have changed (a header reached a queue front, a
   channel they wait on freed, they reached the front of a source queue),
@@ -60,8 +62,10 @@ rather than per-flit objects and channel-keyed dictionaries:
 
 ``SimStats.digest()`` is byte-identical to the original per-object engine
 -- the golden matrix in ``tests/fixtures/sim_golden_digests.json`` pins
-this.  The channel-keyed ``owner`` / ``buffers`` mappings remain available
-as read-only views for tests and analysis code.
+this.  Channel objects appear only at the API edge: the channel-keyed
+``owner`` / ``buffers`` read-only views, the fault interface
+(``fail_channel`` / ``repair_channel`` / ``faulty``) and the labels of a
+:class:`~repro.sim.deadlock.DeadlockReport`.
 """
 
 from __future__ import annotations
@@ -166,7 +170,6 @@ class WormholeSimulator:
         # -- flat per-channel state (indexed by dense cid) ----------------
         net = self.network
         num_ch = net.num_channels
-        self._chan: list[Channel] = list(net.channels)
         self._link_channels: list[Channel] = net.link_channels
         #: owning message id per channel, -1 = free
         self._owner: list[int] = [-1] * num_ch
@@ -176,11 +179,17 @@ class WormholeSimulator:
         #: -1 when the channel's flits come from the source queue
         self._prev: list[int] = [-1] * num_ch
         self._faulty_mask = bytearray(num_ch)
+        # both arrays are mutated in place, never rebound, so one closure
+        # serves every selection call
+        owner, faulty = self._owner, self._faulty_mask
+        self._free = lambda cid: owner[cid] < 0 and not faulty[cid]
         self._inj_cid: list[int] = [net.injection_channel(n).cid for n in net.nodes]
 
-        #: physical links and their VCs, in deterministic order
-        self._links: list[tuple[tuple[int, int], list[Channel]]] = self._group_links()
-        self._link_vcs: list[list[int]] = [[c.cid for c in vcs] for _, vcs in self._links]
+        #: per physical link, in (src, dst) order, its VCs' cids
+        links: dict[tuple[int, int], list[int]] = {}
+        for c in self._link_channels:
+            links.setdefault(c.endpoints, []).append(c.cid)
+        self._link_vcs: list[list[int]] = [links[k] for k in sorted(links)]
         #: per link, the round-robin order its VCs are tried in next cycle
         self._rr: list[tuple[int, ...]] = [tuple(cids) for cids in self._link_vcs]
         self._link_of: list[int] = [-1] * num_ch
@@ -192,7 +201,7 @@ class WormholeSimulator:
                 self._link_of[cid] = li
                 self._rr_next[cid] = tuple(cids[i + 1:] + cids[:i + 1])
         #: owned-VC count per physical link
-        self._link_owned: list[int] = [0] * len(self._links)
+        self._link_owned: list[int] = [0] * len(self._link_vcs)
         #: links with at least one owned VC; transmission visits only these
         self._busy: set[int] = set()
 
@@ -245,17 +254,14 @@ class WormholeSimulator:
         self.buffers = _BuffersView(self)
 
     # ------------------------------------------------------------------
-    def _group_links(self) -> list[tuple[tuple[int, int], list[Channel]]]:
-        groups: dict[tuple[int, int], list[Channel]] = {}
-        for c in self.network.link_channels:
-            groups.setdefault(c.endpoints, []).append(c)
-        return sorted(groups.items())
-
-    # ------------------------------------------------------------------
     # message lifecycle
     # ------------------------------------------------------------------
     def inject_message(self, src: int, dest: int, length: int, *, created: int | None = None) -> Message:
         """Hand a new message to ``src``'s source queue."""
+        num_nodes = self.network.num_nodes
+        for node in (src, dest):
+            if not 0 <= node < num_nodes:
+                raise ValueError(f"node {node} out of range for {num_nodes} nodes")
         if src == dest:
             raise ValueError("source == destination")
         if length < 1:
@@ -305,7 +311,7 @@ class WormholeSimulator:
         bufs = self._buf
         queues = self.source_queues
         table = self._route_table
-        chan = self._chan
+        heads = self.network.heads
         specific = self._specific
         fast_sel = self._fast_sel
         cycle = self.cycle
@@ -316,12 +322,11 @@ class WormholeSimulator:
                 continue
             held = m.held
             if held:
-                lead = held[-1]
-                buf = bufs[lead.cid]
+                c_in_cid = held[-1]
+                buf = bufs[c_in_cid]
                 if not buf or not (buf[0] & _HEAD):
                     continue  # header not at the queue front
-                c_in_cid = lead.cid
-                node = lead.dst
+                node = heads[c_in_cid]
             else:
                 # still in the source queue; only the front message may inject
                 q = queues[m.src]
@@ -347,14 +352,12 @@ class WormholeSimulator:
                         choice = cid
                         break
             else:
-                cands = entry.wait_channels if committed else entry.cand_channels
-                free = lambda c: owner[c.cid] < 0 and not faulty[c.cid]  # noqa: E731
-                picked = self.config.selection(chan[c_in_cid], cands, free)
-                choice = -1 if picked is None else picked.cid
+                picked = self.config.selection(self.network, c_in_cid, cand_cids, self._free)
+                choice = -1 if picked is None else picked
             if choice >= 0:
                 owner[choice] = mid
                 self._prev[choice] = c_in_cid if held else -1
-                held.append(chan[choice])
+                held.append(choice)
                 li = self._link_of[choice]
                 self._link_owned[li] += 1
                 self._busy.add(li)
@@ -366,7 +369,7 @@ class WormholeSimulator:
                 self._wait_ver[mid] += 1  # invalidate stale registrations
             else:
                 if m.waiting_for is None or not specific:
-                    m.waiting_for = entry.wait_set
+                    m.waiting_for = entry.wait_cids
                 # register on the pool the next decision will draw from
                 pool = entry.wait_cids if specific else entry.cand_cids
                 ver = self._wait_ver[mid] + 1
@@ -458,7 +461,7 @@ class WormholeSimulator:
             held = m.held
             if not held:
                 continue
-            lead_cid = held[-1].cid
+            lead_cid = held[-1]
             buf = bufs[lead_cid]
             for _ in range(rate):
                 if not buf:
@@ -563,7 +566,7 @@ class WormholeSimulator:
         """
         return [
             m for m in self.blocked_messages()
-            if m.waiting_for and all(w in self.faulty for w in m.waiting_for)
+            if m.waiting_for and all(self._faulty_mask[w] for w in m.waiting_for)
         ]
 
     # ------------------------------------------------------------------

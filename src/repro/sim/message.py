@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..topology.channel import Channel
-
 
 @dataclass(slots=True)
 class Message:
@@ -22,7 +20,8 @@ class Message:
 
     The simulator tracks, per message, the ordered list of channels it
     currently occupies (tail-most first), how many flits have entered the
-    network, and how many have been consumed at the destination.  Slots keep
+    network, and how many have been consumed at the destination.  Channels
+    are dense channel ids (``network.channels[cid]`` is the object).  Slots keep
     the per-message footprint small; at high load tens of thousands of these
     are live at once.
     """
@@ -34,8 +33,8 @@ class Message:
     created: int  # cycle the message was handed to the source queue
 
     # -- dynamic state ---------------------------------------------------
-    #: channels currently occupied, oldest (tail-most) first
-    held: list[Channel] = field(default_factory=list)
+    #: cids of the channels currently occupied, oldest (tail-most) first
+    held: list[int] = field(default_factory=list)
     #: flits that have left the source queue (0 .. length)
     flits_injected: int = 0
     #: flits consumed at the destination (0 .. length)
@@ -46,19 +45,15 @@ class Message:
     finished: int | None = None
     #: True once the header has reached the destination node
     header_arrived: bool = False
-    #: committed waiting channels while blocked (None = not blocked);
-    #: under SPECIFIC waiting this persists until one of them is acquired
-    waiting_for: frozenset[Channel] | None = None
+    #: cids of the committed waiting channels while blocked, in the route
+    #: table's priority order (None = not blocked); under SPECIFIC waiting
+    #: this persists until one of them is acquired
+    waiting_for: tuple[int, ...] | None = None
     #: cycle at which the message last made progress (for starvation stats)
     last_progress: int = 0
     #: total channels acquired over the message's lifetime (>= shortest
     #: distance; the excess measures misrouting, Section 4's livelock lens)
     hops: int = 0
-
-    @property
-    def leading_channel(self) -> Channel | None:
-        """The channel whose queue holds the header (None before injection)."""
-        return self.held[-1] if self.held else None
 
     @property
     def delivered(self) -> bool:

@@ -55,9 +55,8 @@ def _fuzz_nd_relations() -> list[NodeDestRouting]:
     return cases + [_uturn_relation()]
 
 
-def _reference_entry(algo, c_in, dest, dist) -> tuple[RouteEntry, tuple]:
-    """The entry a table without row sharing builds for ``(c_in, dest)``,
-    and its Channel forms ``(cand_channels, wait_channels, wait_set)``."""
+def _reference_entry(algo, c_in, dest, dist) -> RouteEntry:
+    """The entry a table without row sharing builds for ``(c_in, dest)``."""
     node = c_in.dst
     permitted = algo.route(c_in, node, dest)
     waiting = algo.waiting_channels(c_in, node, dest)
@@ -70,12 +69,7 @@ def _reference_entry(algo, c_in, dest, dist) -> tuple[RouteEntry, tuple]:
             return (dist[c.dst][dest], c.dst == prev, c.vc, c.cid)
     cands = tuple(sorted(permitted, key=key))
     waits = tuple(sorted(waiting, key=key))
-    entry = RouteEntry(tuple(c.cid for c in cands), tuple(c.cid for c in waits), algo.network)
-    return entry, (cands, waits, frozenset(waiting))
-
-
-def _views(e: RouteEntry) -> tuple:
-    return e.cand_channels, e.wait_channels, e.wait_set
+    return RouteEntry(tuple(c.cid for c in cands), tuple(c.cid for c in waits))
 
 
 def _assert_ignores_input_channel(algo) -> None:
@@ -108,9 +102,8 @@ def _check_table(algo, dist) -> RouteTable:
     table = RouteTable(algo, dist=dist)
     states = list(_states(algo))
     for c_in, dest in states:
-        expected, views = _reference_entry(algo, c_in, dest, dist)
-        got = table.entry(c_in.cid, dest)
-        assert got == expected and _views(got) == views, (algo.name, c_in, dest)
+        assert table.entry(c_in.cid, dest) == _reference_entry(algo, c_in, dest, dist), \
+            (algo.name, c_in, dest)
     assert table.misses == table.stats()["entries"] == len(states)
     if not isinstance(algo, NodeDestRouting):
         assert table.rows == len(states)
@@ -118,10 +111,11 @@ def _check_table(algo, dist) -> RouteTable:
     # one evaluation per (node, dest) row, plus one per U-turn input
     uturns = 0
     if dist is not None:
+        heads = algo.network.heads
         for c_in, dest in states:
             e = table.entry(c_in.cid, dest)
             prev = c_in.src if c_in.is_link else -1
-            uturns += any(c.dst == prev for c in e.cand_channels + e.wait_channels)
+            uturns += any(heads[c] == prev for c in e.cand_cids + e.wait_cids)
     assert table.rows == len({(c.dst, d) for c, d in states}) + uturns
     return table
 
@@ -147,7 +141,7 @@ def test_uturn_inputs_get_their_own_order():
     table = _check_table(algo, dist)
     reordered = 0
     for c_in, dest in _states(algo):
-        row, _ = _reference_entry(algo, algo.network.injection_channel(c_in.dst), dest, dist)
+        row = _reference_entry(algo, algo.network.injection_channel(c_in.dst), dest, dist)
         reordered += table.entry(c_in.cid, dest) != row
     assert reordered > 0
 

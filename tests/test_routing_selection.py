@@ -17,65 +17,67 @@ from repro.topology import build_mesh
 
 @pytest.fixture(scope="module")
 def mesh_chans(mesh33):
-    inj = mesh33.injection_channel(4)
-    cands = sorted(mesh33.out_channels(4), key=lambda c: c.cid)
-    return inj, cands
+    inj = mesh33.injection_channel(4).cid
+    cands = sorted(c.cid for c in mesh33.out_channels(4))
+    return mesh33, inj, cands
 
 
 def test_first_free_picks_lowest(mesh_chans):
-    inj, cands = mesh_chans
-    assert first_free(inj, cands, lambda c: True) is cands[0]
-    assert first_free(inj, cands, lambda c: c is cands[2]) is cands[2]
-    assert first_free(inj, cands, lambda c: False) is None
+    net, inj, cands = mesh_chans
+    assert first_free(net, inj, cands, lambda c: True) == cands[0]
+    assert first_free(net, inj, cands, lambda c: c == cands[2]) == cands[2]
+    assert first_free(net, inj, cands, lambda c: False) is None
 
 
 def test_straight_first_prefers_same_direction(mesh33):
     # input heading east into node 4: prefer continuing east
-    east_in = [c for c in mesh33.in_channels(4) if c.meta == {"dim": 0, "sign": 1} or
-               (c.meta.get("dim") == 0 and c.meta.get("sign") == 1)][0]
-    cands = sorted(mesh33.out_channels(4), key=lambda c: c.cid)
-    pick = straight_first(east_in, cands, lambda c: True)
-    assert pick.meta["dim"] == 0 and pick.meta["sign"] == 1
+    east = {"dim": 0, "sign": 1}
+    east_in = next(c.cid for c in mesh33.in_channels(4) if c.meta == east)
+    cands = sorted(c.cid for c in mesh33.out_channels(4))
+    meta = [c.meta for c in mesh33.channels]
+    pick = straight_first(mesh33, east_in, cands, lambda c: True)
+    assert meta[pick] == east
     # falls back when the straight channel is busy
-    pick2 = straight_first(east_in, cands, lambda c: not (c.meta["dim"] == 0 and c.meta["sign"] == 1))
-    assert pick2 is not None and not (pick2.meta["dim"] == 0 and pick2.meta["sign"] == 1)
+    pick2 = straight_first(mesh33, east_in, cands, lambda c: meta[c] != east)
+    assert pick2 is not None and meta[pick2] != east
 
 
 def test_random_selection_reproducible(mesh_chans):
-    inj, cands = mesh_chans
+    net, inj, cands = mesh_chans
     a = RandomSelection(42)
     b = RandomSelection(42)
-    seq_a = [a(inj, cands, lambda c: True).cid for _ in range(10)]
-    seq_b = [b(inj, cands, lambda c: True).cid for _ in range(10)]
+    seq_a = [a(net, inj, cands, lambda c: True) for _ in range(10)]
+    seq_b = [b(net, inj, cands, lambda c: True) for _ in range(10)]
     assert seq_a == seq_b
-    assert RandomSelection(0)(inj, cands, lambda c: False) is None
+    assert RandomSelection(0)(net, inj, cands, lambda c: False) is None
 
 
 def test_random_selection_only_free(mesh_chans):
-    inj, cands = mesh_chans
+    net, inj, cands = mesh_chans
     sel = RandomSelection(7)
     free = cands[1]
     for _ in range(5):
-        assert sel(inj, cands, lambda c: c is free) is free
+        assert sel(net, inj, cands, lambda c: c == free) == free
 
 
 def test_round_robin_rotates(mesh_chans):
-    inj, cands = mesh_chans
+    net, inj, cands = mesh_chans
     rr = RoundRobinSelection()
-    picks = [rr(inj, cands, lambda c: True) for _ in range(len(cands))]
-    assert len(set(p.cid for p in picks)) == len(cands)
-    assert rr(inj, [], lambda c: True) is None
+    picks = [rr(net, inj, cands, lambda c: True) for _ in range(len(cands))]
+    assert set(picks) == set(cands)
+    assert rr(net, inj, [], lambda c: True) is None
 
 
 def test_vc_order_preferences():
     m = build_mesh((2, 2), num_vcs=3)
-    inj = m.injection_channel(0)
-    cands = m.channels_between(0, 1)
-    assert lowest_vc_first(inj, cands, lambda c: True).vc == 0
-    assert highest_vc_first(inj, cands, lambda c: True).vc == 2
-    assert lowest_vc_first(inj, cands, lambda c: c.vc == 1).vc == 1
-    assert lowest_vc_first(inj, cands, lambda c: False) is None
-    assert highest_vc_first(inj, cands, lambda c: False) is None
+    inj = m.injection_channel(0).cid
+    cands = [c.cid for c in m.channels_between(0, 1)]
+    vc = [c.vc for c in m.channels]
+    assert vc[lowest_vc_first(m, inj, cands, lambda c: True)] == 0
+    assert vc[highest_vc_first(m, inj, cands, lambda c: True)] == 2
+    assert vc[lowest_vc_first(m, inj, cands, lambda c: vc[c] == 1)] == 1
+    assert lowest_vc_first(m, inj, cands, lambda c: False) is None
+    assert highest_vc_first(m, inj, cands, lambda c: False) is None
 
 
 # ----------------------------------------------------------------------
@@ -84,43 +86,42 @@ def test_vc_order_preferences():
 @pytest.fixture()
 def vc2_chans():
     m = build_mesh((2, 2), num_vcs=2)
-    inj = m.injection_channel(0)
+    inj = m.injection_channel(0).cid
     # candidates at node 0: east and north hops, vc0 (escape) and vc1
-    cands = sorted(m.out_channels(0), key=lambda c: c.cid)
-    return inj, cands
+    cands = sorted(c.cid for c in m.out_channels(0))
+    return m, inj, cands
 
 
 def test_credit_selection_picks_most_credits(vc2_chans):
-    inj, cands = vc2_chans
-    adaptive = [c for c in cands if c.vc >= 1]
+    net, inj, cands = vc2_chans
+    adaptive = [c for c in cands if net.channels[c].vc >= 1]
     fat, thin = adaptive[0], adaptive[1]
-    sel = CreditSelection(credits=lambda c: 4 if c is fat else 1)
-    assert sel(inj, cands, lambda c: True) is fat
+    sel = CreditSelection(credits=lambda c: 4 if c == fat else 1)
+    assert sel(net, inj, cands, lambda c: True) == fat
     # the same policy respects the free mask
-    assert sel(inj, cands, lambda c: c is thin) is thin
+    assert sel(net, inj, cands, lambda c: c == thin) == thin
 
 
 def test_credit_selection_escape_fallback(vc2_chans):
-    inj, cands = vc2_chans
+    net, inj, cands = vc2_chans
+    escape = {c for c in cands if net.channels[c].vc == 0}
     sel = CreditSelection(credits=lambda c: 4)
     # all adaptive candidates busy: fall back to the first free escape VC
-    pick = sel(inj, cands, lambda c: c.vc == 0)
-    assert pick is not None and pick.vc == 0
+    assert sel(net, inj, cands, lambda c: c in escape) == min(escape)
     # adaptive candidates free but fully backpressured: also escape
     starved = CreditSelection(credits=lambda c: 0)
-    pick = starved(inj, cands, lambda c: True)
-    assert pick is not None and pick.vc == 0
+    assert starved(net, inj, cands, lambda c: True) == min(escape)
     # nothing free at all
-    assert sel(inj, cands, lambda c: False) is None
-    assert sel(inj, [], lambda c: True) is None
+    assert sel(net, inj, cands, lambda c: False) is None
+    assert sel(net, inj, [], lambda c: True) is None
 
 
 def test_credit_selection_round_robin_tie_break(vc2_chans):
-    inj, cands = vc2_chans
+    net, inj, cands = vc2_chans
     sel = CreditSelection(credits=lambda c: 2)  # all ties
-    adaptive = [c for c in cands if c.vc >= 1]
-    picks = {sel(inj, cands, lambda c: True).cid for _ in range(len(adaptive))}
-    assert picks == {c.cid for c in adaptive}  # load spread over both hops
+    adaptive = [c for c in cands if net.channels[c].vc >= 1]
+    picks = {sel(net, inj, cands, lambda c: True) for _ in range(len(adaptive))}
+    assert picks == set(adaptive)  # load spread over both hops
 
 
 def test_credit_selection_binds_engine_buffers():
@@ -136,6 +137,10 @@ def test_credit_selection_binds_engine_buffers():
     )
     assert sel._credits is not None  # bind_engine ran in the constructor
     sim.run(400)
+    # credits are each channel id's free buffer slots
+    depth = sim.config.buffer_depth
+    assert [sel._credits(c) for c in range(net.num_channels)] == \
+        [depth - len(buf) for buf in sim._buf]
     assert sim.deadlock is None
     assert sim.drain()
 

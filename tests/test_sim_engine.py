@@ -67,6 +67,12 @@ class TestSingleMessage:
             sim.inject_message(0, 0, 5)
         with pytest.raises(ValueError):
             sim.inject_message(0, 1, 0)
+        # nodes outside the network: -1 would wrap to node 8, the others
+        # would fail inside the routing relation
+        for src, dest, bad in [(-1, 3, -1), (0, 9, 9), (0, -2, -2), (0, 40, 40)]:
+            with pytest.raises(ValueError, match=f"^node {bad} out of range for 9 nodes$"):
+                sim.inject_message(src, dest, 4)
+        assert not sim.messages
 
 
 class TestInvariants:
@@ -82,9 +88,10 @@ class TestInvariants:
                     assert all(f[0] == owner for f in buf)
                 assert len(buf) <= sim.config.buffer_depth
             # held channels form a connected chain ending at the header
+            net = sim.network
             for m in sim.in_flight:
                 for a, b in zip(m.held, m.held[1:]):
-                    assert a.dst == b.src
+                    assert net.heads[a] == net.channels[b].src
 
     def test_invariants_under_load(self, mesh33):
         ra = DimensionOrderMesh(mesh33)
@@ -194,7 +201,7 @@ class TestFlowControl:
         sim.step()
         sim.step()
         # at most #physical-links flits move per cycle
-        links = len(sim._links)
+        links = len(sim._link_vcs)
         assert sim.stats.flit_hops - before <= 2 * links
 
     def test_injection_serialized_per_node(self, mesh33):

@@ -116,7 +116,7 @@ class TestFaultFastPath:
         sim.fail_channel(bad)
         sim.run(50)
         (m,) = sim.messages.values()
-        assert m.started is None and m.waiting_for == frozenset({bad})
+        assert m.started is None and m.waiting_for == (bad.cid,)
         assert sim.stalled_messages() == [m]
         sim.repair_channel(bad)
         assert sim.drain(max_cycles=200)

@@ -154,7 +154,7 @@ class TestDeadlockDetector:
                 ids = set(rep.message_ids)
                 for mid in rep.message_ids:
                     m = sim.messages[mid]
-                    assert all(sim.owner[w] in ids for w in m.waiting_for)
+                    assert all(sim.owner[sim.network.channels[w]] in ids for w in m.waiting_for)
                 break
         assert hit
 
